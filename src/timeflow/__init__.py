@@ -39,15 +39,26 @@ from .flow import (
 )
 from .data import Dataset, load_csv, toy2d
 from .training import AdamState, TrainConfig, adam_step, nll, nll_and_grad, train
-from .approx import (
-    ConvergenceStudy,
-    Kernel,
-    MonotoneTarget,
-    PicardConfig,
-    convergence_study,
-    eval_approximant,
-    kernel_eval,
-)
+
+# `approx` pulls in scipy.integrate, so it loads on first use of one of its names
+_APPROX_NAMES = frozenset({
+    "ConvergenceStudy",
+    "Kernel",
+    "MonotoneTarget",
+    "PicardConfig",
+    "convergence_study",
+    "eval_approximant",
+    "kernel_eval",
+})
+
+
+def __getattr__(name):
+    if name in _APPROX_NAMES:
+        from . import approx
+
+        return getattr(approx, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Integrand",

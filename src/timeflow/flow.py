@@ -30,7 +30,7 @@ import numpy as np
 from .autodiff import Node, concat, sum_, value_of
 from .conditioner import ConditionerNet, build_masks, init_net, net_eval
 from .integrands import family_functions
-from .scalarmap import DEFAULT_GUARD, DivergenceError, SolverConfig, integrate
+from .scalarmap import DEFAULT_GUARD, DivergenceError, SolverConfig, integrate, solve_node
 
 __all__ = [
     "CouplingLayer",
@@ -200,6 +200,29 @@ def _triples(theta):
     return theta[:, 0::3], theta[:, 1::3], theta[:, 2::3]
 
 
+def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=True):
+    """Solve every lane of x under the family's integrand with parameters a, b, c.
+
+    `integrate` always runs on raw arrays. If x or a parameter is a Node,
+    the solve goes on the tape as one Node (see `scalarmap.solve_node`),
+    and a lane leaving the guard box always raises.
+    Returns ``(v_end, log_deriv)``.
+    """
+    value, dv = family_functions(family)
+    ra, rb, rc = value_of(a), value_of(b), value_of(c)
+    taped = any(isinstance(p, Node) for p in (x, a, b, c))
+    stages = [] if taped else None
+    y, l, _ = integrate(
+        lambda v, t: value(ra, rb, rc, v, t),
+        lambda v, t: dv(ra, rb, rc, v, t),
+        value_of(x), cfg, guard=guard, want_log_deriv=want_log_deriv,
+        divergence="raise" if taped else divergence, stages=stages,
+    )
+    if taped:
+        return solve_node(family, x, (a, b, c), cfg, y, l, stages)
+    return y, l
+
+
 def layer_forward(layer, x, params=None, *, guard=DEFAULT_GUARD, divergence="raise"):
     """Apply one layer. Returns (y, logdet) with logdet summed over
     transformed coordinates, shape (n,) for batched input."""
@@ -215,23 +238,13 @@ def layer_forward(layer, x, params=None, *, guard=DEFAULT_GUARD, divergence="rai
             xp, xt = xb[:, d:], xb[:, :d]
         theta = net_eval(layer.conditioner, xp, params)
         a, b, c = _triples(theta)
-        value, dv = family_functions(layer.family)
-        yt, l, _ = integrate(
-            lambda v, t: value(a, b, c, v, t),
-            lambda v, t: dv(a, b, c, v, t),
-            xt, layer.solver, guard=guard, divergence=divergence,
-        )
+        yt, l = _solve(layer.family, a, b, c, xt, layer.solver, guard, divergence)
         y = concat([xp, yt] if layer.transform_upper else [yt, xp], axis=1)
         logdet = sum_(l, axis=1)
     elif isinstance(layer, AutoregressiveLayer):
         theta = net_eval(layer.conditioner, xb, params)
         a, b, c = _triples(theta)
-        value, dv = family_functions(layer.family)
-        y, l, _ = integrate(
-            lambda v, t: value(a, b, c, v, t),
-            lambda v, t: dv(a, b, c, v, t),
-            xb, layer.solver, guard=guard, divergence=divergence,
-        )
+        y, l = _solve(layer.family, a, b, c, xb, layer.solver, guard, divergence)
         logdet = sum_(l, axis=1)
     else:
         raise TypeError(f"unknown layer type {type(layer).__name__}")
@@ -275,17 +288,13 @@ def layer_inverse(layer, y, params=None, refine=None, *, guard=DEFAULT_GUARD,
 
 def _invert_block(layer, a, b, c, yt, refine, guard, divergence="raise"):
     """Reverse-integrate a block of coordinates with given parameter arrays."""
-    value, dv = family_functions(layer.family)
-    value_fn = lambda v, t: value(a, b, c, v, t)
-    dv_fn = lambda v, t: dv(a, b, c, v, t)
-    xt, l, _ = integrate(value_fn, dv_fn, yt, layer.solver.reversed(), guard=guard,
-                         divergence=divergence)
+    xt, l = _solve(layer.family, a, b, c, yt, layer.solver.reversed(), guard, divergence)
     if refine is not None and refine.method != "reverse_only":
         if isinstance(xt, Node):
             raise TypeError("refined inversion is not differentiable; use plain arrays")
         xt = _refine_block(layer, a, b, c, yt, xt, refine, guard)
         # recompute the reverse log-derivative from the refined preimage
-        _, lf, _ = integrate(value_fn, dv_fn, xt, layer.solver, guard=guard)
+        _, lf = _solve(layer.family, a, b, c, xt, layer.solver, guard)
         l = -lf
     return xt, sum_(l, axis=1)
 
@@ -293,29 +302,21 @@ def _invert_block(layer, a, b, c, yt, refine, guard, divergence="raise"):
 def _refine_block(layer, a, b, c, yt, xt0, refine, guard):
     from .inversion import _fixed_point
 
-    value, dv = family_functions(layer.family)
-    flat_shape = yt.shape
-    out = np.empty(flat_shape)
-    for j in range(flat_shape[1]):  # each column has its own parameter lanes
-        aj = a[:, j] if np.ndim(a) == 2 else a
-        bj = b[:, j] if np.ndim(b) == 2 else b
-        cj = c[:, j] if np.ndim(c) == 2 else c
+    out = np.empty(yt.shape)
+    for j in range(yt.shape[1]):  # each column has its own parameter lanes
+        params = (a[:, j], b[:, j], c[:, j])
 
-        def q(x, aj=aj, bj=bj, cj=cj):
-            v, _, _ = integrate(
-                lambda vv, t: value(aj, bj, cj, vv, t),
-                lambda vv, t: dv(aj, bj, cj, vv, t),
-                x, layer.solver, guard=guard,
-                want_log_deriv=False, divergence="nan",
-            )
+        def q(x, lanes, params=params):
+            v, _ = _solve(layer.family, *(p[lanes] for p in params), x, layer.solver,
+                          guard, divergence="nan", want_log_deriv=False)
             return v
 
         xj, _, converged, _ = _fixed_point(q, yt[:, j], xt0[:, j], refine)
         if not np.all(converged):
-            bad = np.argwhere(~converged).ravel().tolist()
+            bad = np.flatnonzero(~converged).tolist()
             raise DivergenceError(
                 f"inverse refinement did not converge for coordinate {j}"
-                f" (lanes {bad})", indices=bad)
+                f" (rows {bad})", indices=bad)
         out[:, j] = xj
     return out
 
@@ -324,7 +325,6 @@ def _invert_autoregressive(layer, yb, params, refine, guard, divergence="raise")
     """Sequential inversion in the layer's variable ordering."""
     n = value_of(yb).shape[0]
     D = layer.dim
-    value, dv = family_functions(layer.family)
     cols = [None] * D
     logdet = None
     for rank in range(D):
@@ -338,36 +338,8 @@ def _invert_autoregressive(layer, yb, params, refine, guard, divergence="raise")
         a = theta[:, 3 * k:3 * k + 1]
         b = theta[:, 3 * k + 1:3 * k + 2]
         c = theta[:, 3 * k + 2:3 * k + 3]
-        yk = yb[:, k:k + 1]
-        value_fn = lambda v, t, a=a, b=b, c=c: value(a, b, c, v, t)
-        dv_fn = lambda v, t, a=a, b=b, c=c: dv(a, b, c, v, t)
-        xk, lk, _ = integrate(value_fn, dv_fn, yk, layer.solver.reversed(),
-                              guard=guard, divergence=divergence)
-        if refine is not None and refine.method != "reverse_only":
-            if isinstance(xk, Node):
-                raise TypeError("refined inversion is not differentiable")
-            from .inversion import _fixed_point
-
-            def q(x, a=a, b=b, c=c):
-                v, _, _ = integrate(
-                    lambda vv, t: value(a, b, c, vv, t),
-                    lambda vv, t: dv(a, b, c, vv, t),
-                    x.reshape(-1, 1), layer.solver, guard=guard,
-                    want_log_deriv=False, divergence="nan",
-                )
-                return v.reshape(-1)
-
-            xj, _, converged, _ = _fixed_point(q, yk.reshape(-1), xk.reshape(-1), refine)
-            if not np.all(converged):
-                bad = np.argwhere(~converged).ravel().tolist()
-                raise DivergenceError(
-                    f"inverse refinement did not converge for coordinate {k}"
-                    f" (lanes {bad})", indices=bad)
-            xk = xj.reshape(-1, 1)
-            _, lf, _ = integrate(value_fn, dv_fn, xk, layer.solver, guard=guard)
-            lk = -lf
-        cols[k] = xk
-        contrib = sum_(lk, axis=1)
+        cols[k], contrib = _invert_block(layer, a, b, c, yb[:, k:k + 1], refine, guard,
+                                         divergence)
         logdet = contrib if logdet is None else logdet + contrib
     x = concat(cols, axis=1)
     return x, logdet

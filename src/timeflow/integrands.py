@@ -29,42 +29,54 @@ class NonFiniteError(ArithmeticError):
     """An integrand evaluation produced a non-finite value."""
 
 
-def _quadratic(a, b, c, v, t):
-    return a * v + b + c * (v * v)
-
-
-def _quadratic_dv(a, b, c, v, t):
-    return a + 2.0 * (c * v)
-
-
-def _cubic(a, b, c, v, t):
-    return a * v + b + c * (v * v * v)
-
-
-def _cubic_dv(a, b, c, v, t):
-    return a + 3.0 * (c * (v * v))
-
-
-def _sigmoid_affine(a, b, c, v, t):
-    return a * v + b + c * sigmoid(v)
-
-
-def _sigmoid_affine_dv(a, b, c, v, t):
+def _sigmoid_dphi(v):
     s = sigmoid(v)
-    return a + c * (s * (1.0 - s))
+    return s * (1.0 - s)
 
 
-_TABLE = {
-    "quadratic": (_quadratic, _quadratic_dv),
-    "cubic": (_cubic, _cubic_dv),
-    "sigmoid_affine": (_sigmoid_affine, _sigmoid_affine_dv),
+def _sigmoid_d2phi(v):
+    s = sigmoid(v)
+    return s * (1.0 - s) * (1.0 - 2.0 * s)
+
+
+# family -> (phi, phi', phi'') for g(v, t) = a*v + b + c*phi(v)
+_PHI = {
+    "quadratic": (lambda v: v * v, lambda v: 2.0 * v, lambda v: 2.0),
+    "cubic": (lambda v: v * v * v, lambda v: 3.0 * (v * v), lambda v: 6.0 * v),
+    "sigmoid_affine": (sigmoid, _sigmoid_dphi, _sigmoid_d2phi),
 }
+
+
+def _family(phi, dphi):
+    def value(a, b, c, v, t):
+        return a * v + b + c * phi(v)
+
+    def dv(a, b, c, v, t):
+        return a + c * dphi(v)
+
+    return value, dv
+
+
+_TABLE = {family: _family(phi, dphi) for family, (phi, dphi, _) in _PHI.items()}
 
 
 def family_functions(family: str):
     """Return ``(value_fn, dv_fn)`` with signature ``(a, b, c, v, t)``."""
     try:
         return _TABLE[family]
+    except KeyError:
+        raise ValueError(f"unknown integrand family {family!r}") from None
+
+
+def family_phi(family: str):
+    """Return ``(phi, dphi, d2phi)`` of a built-in family, all of ``v`` only.
+
+    With g = a*v + b + c*phi(v) these give every derivative the discrete
+    adjoint needs: dg/d(a, b, c) = (v, 1, phi), d2g/dv2 = c*phi'' and
+    d(dg/dv)/d(a, b, c) = (1, 0, phi').
+    """
+    try:
+        return _PHI[family]
     except KeyError:
         raise ValueError(f"unknown integrand family {family!r}") from None
 

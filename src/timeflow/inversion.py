@@ -83,7 +83,7 @@ def _map_only(g, cfg, guard):
     """Forward map values without the log-derivative accumulation."""
     value_fn, dv_fn = g.functions()
 
-    def q(x):
+    def q(x, lanes=None):  # lanes: the `_fixed_point` mask; the parameters are scalars
         y, _, _ = integrate(value_fn, dv_fn, np.asarray(x, dtype=float), cfg,
                             guard=guard, want_log_deriv=False, divergence="nan")
         return y
@@ -188,10 +188,15 @@ def bisection_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig,
 
 
 def _fixed_point(q, y, x0, rc):
-    """Vectorized damped fixed-point iteration from the given start."""
+    """Vectorized damped fixed-point iteration from the given start.
+
+    ``q(x, lanes)`` maps the lanes picked by the boolean mask `lanes`,
+    whose current values are `x`; a residual function with per-lane
+    parameters selects them with the same mask.
+    """
     y = np.asarray(y, dtype=float)
     x = np.array(x0, dtype=float, copy=True)
-    qx = q(x)
+    qx = q(x, np.ones(y.shape, dtype=bool))
     r = qx - y
     lam = np.ones(y.shape)
     steps = np.zeros(y.shape, dtype=int)
@@ -205,7 +210,7 @@ def _fixed_point(q, y, x0, rc):
             break
         prop = x + lam * (y - qx)
         qp = np.full(y.shape, np.nan)
-        qp[active] = q(prop[active])
+        qp[active] = q(prop[active], active)
         rp = qp - y
         # non-finite proposals count as residual growth and get damped
         shrunk = np.abs(rp) <= np.abs(r)

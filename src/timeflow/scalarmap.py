@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Node, backward, grad_or_zeros, value_of
-from .integrands import Integrand, eval_integrand, eval_integrand_dv, family_functions
+from .autodiff import Node, _unbroadcast, backward, grad_or_zeros, value_of
+from .integrands import Integrand, eval_integrand, eval_integrand_dv, family_phi
 
 __all__ = [
     "SolverConfig",
@@ -32,6 +32,7 @@ __all__ = [
     "inverse",
     "derivative",
     "forward_vjp",
+    "solve_node",
     "eval_integrand",
     "eval_integrand_dv",
 ]
@@ -110,11 +111,13 @@ def _check_guard(v, guard, where, divergence):
     if not bad.any():
         return v, None
     if divergence == "raise":
-        idx = np.argwhere(bad).ravel().tolist() if raw.ndim else None
+        rows = None
+        if raw.ndim:  # axis 0 holds the batch rows
+            rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1)).tolist()
         raise DivergenceError(
             f"trajectory left |v| <= {guard:g} at {where}"
-            + (f" (elements {idx})" if idx else ""),
-            indices=idx,
+            + (f" (rows {rows})" if rows else ""),
+            indices=rows,
         )
     if isinstance(v, Node):  # taped runs always raise; masking is untraceable
         raise DivergenceError(f"trajectory left |v| <= {guard:g} at {where}")
@@ -122,13 +125,18 @@ def _check_guard(v, guard, where, divergence):
 
 
 def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=True,
-              keep_trajectory=False, divergence="raise"):
+              keep_trajectory=False, divergence="raise", stages=None):
     """Integrate v' = value_fn(v, t) across the unit interval.
 
     Also accumulates l' = dv_fn(v, t) with l(0) = 0 when `want_log_deriv`,
     using the same scheme and stage points, i.e. one pass over the
-    augmented state (v, l). Accepts plain arrays or autodiff Nodes for
-    `x` (and through closures, for the integrand parameters).
+    augmented state (v, l). If `stages` is a list, the stage points of
+    every step are appended to it, ``(v1, v2, v3, v4)`` for RK4 and
+    ``(v1,)`` for Euler; `solve_node` differentiates a built-in-family
+    solve from them by a discrete adjoint. Plain arrays are the fast path;
+    autodiff Nodes for `x` (and, through closures, for the integrand
+    parameters) tape every operation, which only custom integrands in
+    `forward_vjp` still need.
 
     Returns ``(v_end, log_deriv, trajectory)``.
     """
@@ -147,6 +155,8 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
             t = t0 + k * h
             if cfg.scheme == "euler":
                 dv = value_fn(v, t)
+                if stages is not None:
+                    stages.append((v,))
                 if want_log_deriv:
                     dl = dv_fn(v, t)
                     log_deriv = dl * h if log_deriv is None else log_deriv + dl * h
@@ -160,6 +170,8 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
                 k3 = value_fn(v3, t + half)
                 v4 = v + h * k3
                 k4 = value_fn(v4, t + h)
+                if stages is not None:
+                    stages.append((v, v2, v3, v4))
                 if want_log_deriv:
                     m = (
                         dv_fn(v, t)
@@ -237,33 +249,95 @@ def inverse(g: Integrand, cfg: SolverConfig, y, refine=None, *,
                                     guard=guard)
 
 
+def _adjoint(family, params, cfg, stages, cot_y, cot_l):
+    """Reverse sweep of the solver steps over the stage points they saved.
+
+    The discrete adjoint of `integrate` for g = a*v + b + c*phi(v): given
+    the cotangents of v(1) and of the log-derivative, returns those of x,
+    a, b and c, each in the broadcast shape of the solve. RK4 and Euler
+    share the sweep; they differ only in stage weights and offsets. Only
+    the chain through the stage points is sequential, so everything else
+    is evaluated at all stage points at once.
+    """
+    phi, dphi, d2phi = family_phi(family)
+    a, _, c = params  # g is affine in b, so b never enters a derivative
+    h = (1.0 if cfg.direction == "forward" else -1.0) / cfg.steps
+    if cfg.scheme == "euler":
+        weights, offsets = (h,), ()
+    else:  # v_{i+1} = v + offsets[i] * k_i, v_end = v + sum(weights[i] * k_i)
+        weights = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
+        offsets = (0.5 * h, 0.5 * h, h)
+    s = len(weights)
+    points = [vi for step in stages for vi in step]
+    v = np.stack(np.broadcast_arrays(cot_y, *points)[1:])  # x may be narrower than v(1)
+    w = np.tile(weights, len(stages)).reshape((-1,) + (1,) * (v.ndim - 1))
+    dp = dphi(v)
+    jac = a + c * dp  # dg/dv at every stage point
+    jbar = w * cot_l  # cotangent of each stage's dg/dv
+    through_jac = jbar * (c * d2phi(v))  # reaches a stage point through its dg/dv
+    kbar = np.empty(v.shape)  # cotangents of the stage slopes k_i
+    ybar = cot_y
+    for r0 in range(len(v) - s, -1, -s):
+        vbar = ybar
+        carry = 0.0  # cotangent reaching k_i through the next stage point
+        for i in range(s - 1, -1, -1):
+            r = r0 + i
+            kbar[r] = weights[i] * ybar + carry
+            sbar = kbar[r] * jac[r] + through_jac[r]  # cotangent of stage point r
+            vbar = vbar + sbar
+            if i:
+                carry = offsets[i - 1] * sbar
+        ybar = vbar
+    abar = np.sum(kbar * v + jbar, axis=0)
+    cbar = np.sum(kbar * phi(v) + jbar * dp, axis=0)
+    return ybar, abar, np.sum(kbar, axis=0), cbar
+
+
+def solve_node(family, x, params, cfg, y, log_deriv, stages):
+    """Record one built-in-family solve on the tape as a single Node.
+
+    `y`, `log_deriv` and `stages` come from `integrate` run on the raw
+    values of `x` and `params` = (a, b, c), any of which may be Nodes.
+    Returns Nodes for v(1) and the log-derivative, both slices of the one
+    solve Node, whose VJP is the discrete adjoint of the solver steps:
+    the exact gradient of the discretized map, not of the continuous one.
+    """
+    raw = [value_of(p) for p in params]
+    taped = [(k, p) for k, p in enumerate((x, *params)) if isinstance(p, Node)]
+
+    def vjp(g):
+        grads = _adjoint(family, raw, cfg, stages, g[0], g[1])
+        return tuple(_unbroadcast(grads[k], p.shape) for k, p in taped)
+
+    node = Node(np.stack(np.broadcast_arrays(y, log_deriv)), tuple(p for _, p in taped), vjp)
+    return node[0], node[1]
+
+
 def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet,
                 *, guard=DEFAULT_GUARD) -> VjpResult:
     """Reverse-mode sensitivities of (y, log_deriv) through the solver steps.
 
     Differentiates the discretized computation exactly (the gradient of
     what `forward` actually evaluates, not of the continuous limit) and
-    contracts with the given cotangents. Returns d/dx and d/d(a, b, c);
-    for custom integrands the parameter slots come back as zeros.
+    contracts with the given cotangents. Built-in families go through the
+    discrete adjoint of `solve_node`; custom integrands tape every
+    operation of the solve. Returns d/dx and d/d(a, b, c); for custom
+    integrands the parameter slots come back as zeros.
     """
     if cfg.direction != "forward":
         raise ValueError("forward_vjp() needs a forward-direction SolverConfig")
     arr, scalar = _as_input(x)
     x_node = Node(arr)
+    value_fn, dv_fn = g.functions()
     if g.family == "custom":
-        param_nodes = None
-        value_fn, dv_fn = g.functions()
+        params = ()
+        y, log_deriv, _ = integrate(value_fn, dv_fn, x_node, cfg, guard=guard)
     else:
-        value, dv = family_functions(g.family)
-        pa, pb, pc = (Node(np.asarray(p, dtype=float)) for p in g.params())
-        param_nodes = (pa, pb, pc)
-        value_fn = lambda v, t: value(pa, pb, pc, v, t)
-        dv_fn = lambda v, t: dv(pa, pb, pc, v, t)
-    y, log_deriv, _ = integrate(value_fn, dv_fn, x_node, cfg, guard=guard)
+        params = tuple(Node(p) for p in g.params())
+        stages = []
+        y, log_deriv, _ = integrate(value_fn, dv_fn, arr, cfg, guard=guard, stages=stages)
+        y, log_deriv = solve_node(g.family, x_node, params, cfg, y, log_deriv, stages)
     backward([(y, cot_y), (log_deriv, cot_logdet)])
     dx = _as_output(grad_or_zeros(x_node), scalar)
-    if param_nodes is None:
-        dparams = (0.0, 0.0, 0.0)
-    else:
-        dparams = tuple(float(np.sum(grad_or_zeros(p))) for p in param_nodes)
+    dparams = tuple(float(np.sum(grad_or_zeros(p))) for p in params) or (0.0, 0.0, 0.0)
     return VjpResult(dx=dx, dparams=dparams)

@@ -23,6 +23,7 @@ from timeflow import (
     save_checkpoint,
 )
 from timeflow.flow import model_forward, model_inverse, randomize_parameters
+from timeflow.inversion import RefineConfig
 
 SOLVER = SolverConfig(steps=16)
 LOG_TWO_PI = math.log(2 * math.pi)
@@ -261,6 +262,23 @@ def test_log_density_neg_inf_outside_model_image():
     lp = log_density(model, pts, divergence="-inf")
     assert np.isfinite(lp[0])
     assert np.isneginf(lp[1])
+
+
+@pytest.mark.parametrize("kind,dim,family,hidden,rows", [
+    ("coupling", 2, "quadratic", 24, 64),
+    ("autoregressive", 8, "sigmoid_affine", 32, 16),
+])
+def test_batched_refined_inverse_matches_rows(kind, dim, family, hidden, rows):
+    # lanes converge after different numbers of passes, so each pass sees fewer rows
+    model = build_flow(dim, n_layers=4, kind=kind, family=family, hidden_dims=(hidden,),
+                       seed=100)
+    randomize_parameters(model, seed=100, scale=0.25)
+    y = sample(model, rows, seed=101)
+    rc = RefineConfig("fixed_point", tolerance=1e-10)
+    batched = model_inverse(model, y, refine=rc)
+    one_by_one = np.stack([model_inverse(model, row, refine=rc) for row in y])
+    np.testing.assert_allclose(batched, one_by_one, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model_forward(model, batched)[0], y, rtol=0, atol=1e-8)
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, rng):

@@ -92,7 +92,7 @@ def test_residual_tolerance_honored(rng):
 def test_damped_iteration_handles_expanding_map():
     # q(x) = 3x has |1 - q'| = 2: undamped iteration diverges, the damped
     # one must engage lambda and still converge
-    q = lambda x: 3.0 * x
+    q = lambda x, lanes: 3.0 * x
     rc = RefineConfig(method="fixed_point", tolerance=1e-10, max_iterations=100)
     x, steps, converged, residual = _fixed_point(q, np.array([1.5]), np.array([2.0]), rc)
     assert converged[0]
@@ -102,7 +102,7 @@ def test_damped_iteration_handles_expanding_map():
 def test_damping_residuals_non_increasing_once_engaged():
     history = []
 
-    def q(x):
+    def q(x, lanes):
         history.extend(np.atleast_1d(3.0 * x).tolist())
         return 3.0 * x
 

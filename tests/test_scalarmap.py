@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import FAMILIES, draw_stable_cases
+from timeflow.autodiff import Node, backward, grad_or_zeros
+from timeflow.integrands import family_functions
+from timeflow.flow import _solve
+from timeflow.scalarmap import DEFAULT_GUARD, integrate, solve_node
 from timeflow import (
     DivergenceError,
     Integrand,
@@ -115,6 +119,17 @@ def test_forward_divergence_raises_with_indices():
     with pytest.raises(DivergenceError) as err:
         forward(g, RK4_16, np.array([0.1, 50.0, 0.2]))
     assert err.value.indices == [1]
+    # 2-D lanes: sorted, unique row numbers, never (row, column) pairs
+    x = np.array([[0.1, 0.2], [60.0, 50.0], [0.3, 0.1], [0.2, 70.0]])
+    with pytest.raises(DivergenceError) as err:
+        forward(g, RK4_16, x)
+    assert err.value.indices == [1, 3]
+    assert "rows [1, 3]" in str(err.value)
+    # a taped flow solve (one solve node) raises the same error, whatever the mode
+    params = [Node(np.full((4, 1), p)) for p in (0.0, 0.0, 2.0)]
+    with pytest.raises(DivergenceError) as err:
+        _solve("cubic", *params, x, RK4_16, DEFAULT_GUARD, divergence="nan")
+    assert err.value.indices == [1, 3]
 
 
 def test_forward_divergence_nan_mode():
@@ -212,6 +227,55 @@ def test_vjp_matches_finite_differences(rng):
         ]
         for got_v, fd_v in zip([got.dx, *got.dparams], fd):
             assert got_v == pytest.approx(fd_v, rel=1e-5, abs=1e-7)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_solve_node_matches_per_op_tape(family, scheme, direction, rng):
+    # the per-op tape through `integrate` is the reference gradient
+    cfg = SolverConfig(scheme=scheme, steps=8, direction=direction)
+    x0 = rng.uniform(-1.0, 1.0, (6, 3))
+    params = [rng.uniform(-0.6, 0.6, (6, 3)) for _ in range(3)]
+    cot_y, cot_l = rng.standard_normal((2, 6, 3))
+    value, dv = family_functions(family)
+
+    x = Node(x0)
+    pa, pb, pc = (Node(p) for p in params)
+    y, l, _ = integrate(lambda v, t: value(pa, pb, pc, v, t),
+                        lambda v, t: dv(pa, pb, pc, v, t), x, cfg)
+    backward([(y, cot_y), (l, cot_l)])
+    want = [grad_or_zeros(n) for n in (x, pa, pb, pc)]
+
+    x = Node(x0)
+    nodes = tuple(Node(p) for p in params)
+    stages = []
+    y_raw, l_raw, _ = integrate(lambda v, t: value(*params, v, t),
+                                lambda v, t: dv(*params, v, t), x0, cfg, stages=stages)
+    y_node, l_node = solve_node(family, x, nodes, cfg, y_raw, l_raw, stages)
+    assert np.array_equal(y_node.value, y.value)
+    assert np.array_equal(l_node.value, l.value)
+    backward([(y_node, cot_y), (l_node, cot_l)])
+    for ref, got in zip(want, (grad_or_zeros(n) for n in (x, *nodes))):
+        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+
+
+def test_solve_node_broadcast_parameters(rng):
+    # (n, 1) parameters shared by the k lanes of a row get the sum of their gradients
+    x0 = rng.uniform(-1.0, 1.0, (4, 3))
+    params = [rng.uniform(-0.5, 0.5, (4, 1)) for _ in range(3)]
+    value, dv = family_functions("sigmoid_affine")
+    stages = []
+    y, l, _ = integrate(lambda v, t: value(*params, v, t),
+                        lambda v, t: dv(*params, v, t), x0, RK4_16, stages=stages)
+    nodes = tuple(Node(p) for p in params)
+    y_node, l_node = solve_node("sigmoid_affine", x0, nodes, RK4_16, y, l, stages)
+    backward([(y_node, np.ones((4, 3))), (l_node, np.ones((4, 3)))])
+    assert all(n.grad.shape == (4, 1) for n in nodes)
+    for i in range(4):
+        g = Integrand("sigmoid_affine", *(float(p[i, 0]) for p in params))
+        want = sum(np.array(forward_vjp(g, RK4_16, x, 1.0, 1.0).dparams) for x in x0[i])
+        np.testing.assert_allclose([n.grad[i, 0] for n in nodes], want, rtol=1e-12)
 
 
 def test_vjp_custom_family_gives_dx_only():

@@ -20,7 +20,8 @@ from timeflow import (
     train,
 )
 from timeflow.data import TWO_GAUSSIANS_CENTERS, TWO_GAUSSIANS_STD
-from timeflow.flow import randomize_parameters
+from timeflow import autodiff
+from timeflow.flow import log_density, randomize_parameters
 from timeflow.training import identity_nll
 
 LOG_TWO_PI = math.log(2 * math.pi)
@@ -214,3 +215,15 @@ def test_train_config_validation():
         TrainConfig(lr_decay=0.0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+
+
+def test_criterion_9_model_tape_is_small():
+    # each ODE solve is one tape node, so the tape holds the conditioner
+    # and layer plumbing only: 3,404 nodes when every solver op was taped
+    model = build_flow(2, n_layers=4, kind="coupling", family="quadratic",
+                       hidden_dims=(24,), solver=SolverConfig(steps=16), seed=3)
+    randomize_parameters(model, seed=1, scale=0.2)
+    batch = toy2d("two_gaussians", 256, seed=1).train[:128]
+    nodes = [autodiff.Node(p) for p in model.parameters()]
+    loss = -autodiff.mean_(log_density(model, batch, params=nodes))
+    assert len(autodiff._toposort([loss])) <= 150
