@@ -17,7 +17,20 @@ per differentiated call, so there is no shared mutable state across calls.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
+
+# exp(x) is finite exactly for x <= log of the largest double
+_EXP_MAX = float(np.log(np.finfo(float).max))
+
+
+def _logistic(x):
+    """1 / (1 + exp(-x)), finite for every input and free of overflow warnings.
+
+    Where exp(-x) would overflow the result rounds to 0 anyway, so the
+    exponent is clipped there and the numerator zeroed; everywhere else this
+    is the textbook formula, bit for bit. NaN stays NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    return (x >= -_EXP_MAX) / (1.0 + np.exp(np.minimum(-x, _EXP_MAX)))
 
 
 def _unbroadcast(grad, shape):
@@ -180,7 +193,7 @@ class Node:
         return Node(out, (self,), lambda g: (g * (1.0 - out * out),))
 
     def sigmoid(self):
-        out = expit(self.value)
+        out = _logistic(self.value)
         return Node(out, (self,), lambda g: (g * out * (1.0 - out),))
 
     def relu(self):
@@ -241,7 +254,7 @@ def tanh(x):
 
 
 def sigmoid(x):
-    return x.sigmoid() if isinstance(x, Node) else expit(x)
+    return x.sigmoid() if isinstance(x, Node) else _logistic(x)
 
 
 def relu(x):

@@ -15,15 +15,14 @@ Exit codes: 0 success, 2 usage error (argparse), 3 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
 import os
 import sys
 
 import numpy as np
-import scipy
 
 from . import __version__
-from .approx import Kernel, MonotoneTarget, PicardConfig, convergence_study
 from .conditioner import init_net, net_eval, net_vjp
 from .data import TOY_NAMES, load_csv, toy2d
 from .flow import (
@@ -73,7 +72,7 @@ def _write_manifest(outdir, command, config, seed):
         "versions": {
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
             "timeflow": __version__,
         },
     }
@@ -238,6 +237,8 @@ def _cmd_universality(args):
     if args.target == "affine":
         _require(errors, args.alpha > 0, "--alpha must be > 0 for the affine target")
     _check(errors)
+
+    from .approx import Kernel, MonotoneTarget, PicardConfig, convergence_study  # loads scipy
 
     if args.target == "affine":
         target = MonotoneTarget.affine(args.alpha, args.beta)

@@ -203,19 +203,22 @@ def _triples(theta):
 def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=True):
     """Solve every lane of x under the family's integrand with parameters a, b, c.
 
-    `integrate` always runs on raw arrays. If x or a parameter is a Node,
-    the solve goes on the tape as one Node (see `scalarmap.solve_node`),
-    and a lane leaving the guard box always raises.
-    Returns ``(v_end, log_deriv)``.
+    `integrate` always runs on raw arrays, with the family's one-phi slope
+    when the log-derivative is wanted. If x or a parameter is a Node, the
+    solve goes on the tape as one Node (see `scalarmap.solve_node`), and a
+    lane leaving the guard box always raises.
+    Returns ``(v_end, log_deriv)``; log_deriv is None unless `want_log_deriv`.
     """
     value, dv = family_functions(family)
     ra, rb, rc = value_of(a), value_of(b), value_of(c)
     taped = any(isinstance(p, Node) for p in (x, a, b, c))
     stages = [] if taped else None
+    if want_log_deriv:
+        fns = (lambda v, t: value(ra, rb, rc, v, t, with_dv=True)), None
+    else:
+        fns = (lambda v, t: value(ra, rb, rc, v, t)), (lambda v, t: dv(ra, rb, rc, v, t))
     y, l, _ = integrate(
-        lambda v, t: value(ra, rb, rc, v, t),
-        lambda v, t: dv(ra, rb, rc, v, t),
-        value_of(x), cfg, guard=guard, want_log_deriv=want_log_deriv,
+        *fns, value_of(x), cfg, guard=guard, want_log_deriv=want_log_deriv,
         divergence="raise" if taped else divergence, stages=stages,
     )
     if taped:
@@ -226,6 +229,15 @@ def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=Tr
 def layer_forward(layer, x, params=None, *, guard=DEFAULT_GUARD, divergence="raise"):
     """Apply one layer. Returns (y, logdet) with logdet summed over
     transformed coordinates, shape (n,) for batched input."""
+    return _layer_forward(layer, x, params, guard, divergence, True)
+
+
+def _logdet_sum(l):
+    return None if l is None else sum_(l, axis=1)
+
+
+def _layer_forward(layer, x, params, guard, divergence, want_log_deriv):
+    """`layer_forward`; without `want_log_deriv` the logdet comes back None."""
     xb, squeeze = _as_batch(x)
     if isinstance(layer, PermutationLayer):
         y = xb[:, layer.perm]
@@ -238,19 +250,25 @@ def layer_forward(layer, x, params=None, *, guard=DEFAULT_GUARD, divergence="rai
             xp, xt = xb[:, d:], xb[:, :d]
         theta = net_eval(layer.conditioner, xp, params)
         a, b, c = _triples(theta)
-        yt, l = _solve(layer.family, a, b, c, xt, layer.solver, guard, divergence)
+        yt, l = _solve(layer.family, a, b, c, xt, layer.solver, guard, divergence,
+                       want_log_deriv)
         y = concat([xp, yt] if layer.transform_upper else [yt, xp], axis=1)
-        logdet = sum_(l, axis=1)
+        logdet = _logdet_sum(l)
     elif isinstance(layer, AutoregressiveLayer):
         theta = net_eval(layer.conditioner, xb, params)
         a, b, c = _triples(theta)
-        y, l = _solve(layer.family, a, b, c, xb, layer.solver, guard, divergence)
-        logdet = sum_(l, axis=1)
+        y, l = _solve(layer.family, a, b, c, xb, layer.solver, guard, divergence,
+                      want_log_deriv)
+        logdet = _logdet_sum(l)
     else:
         raise TypeError(f"unknown layer type {type(layer).__name__}")
+    return _unbatch(y, logdet, squeeze)
+
+
+def _unbatch(x, logdet, squeeze):
     if squeeze:
-        return y.reshape(-1), logdet[0]
-    return y, logdet
+        return x.reshape(-1), None if logdet is None else logdet[0]
+    return x, logdet
 
 
 def layer_inverse(layer, y, params=None, refine=None, *, guard=DEFAULT_GUARD,
@@ -262,6 +280,11 @@ def layer_inverse(layer, y, params=None, refine=None, *, guard=DEFAULT_GUARD,
     `refine` (a RefineConfig) optionally polishes each transformed
     coordinate by root refinement; plain-array inputs only.
     """
+    return _layer_inverse(layer, y, params, refine, guard, divergence, True)
+
+
+def _layer_inverse(layer, y, params, refine, guard, divergence, want_log_deriv):
+    """`layer_inverse`; without `want_log_deriv` the logdet comes back None."""
     yb, squeeze = _as_batch(y)
     if isinstance(layer, PermutationLayer):
         x = yb[:, layer.inverse_perm]
@@ -274,29 +297,29 @@ def layer_inverse(layer, y, params=None, refine=None, *, guard=DEFAULT_GUARD,
             yp, yt = yb[:, d:], yb[:, :d]
         theta = net_eval(layer.conditioner, yp, params)
         a, b, c = _triples(theta)
-        xt, logdet = _invert_block(layer, a, b, c, yt, refine, guard, divergence)
+        xt, logdet = _invert_block(layer, a, b, c, yt, refine, guard, divergence,
+                                   want_log_deriv)
         x = concat([yp, xt] if layer.transform_upper else [xt, yp], axis=1)
     elif isinstance(layer, AutoregressiveLayer):
         x, logdet = _invert_autoregressive(layer, yb, params, refine, guard,
-                                           divergence)
+                                           divergence, want_log_deriv)
     else:
         raise TypeError(f"unknown layer type {type(layer).__name__}")
-    if squeeze:
-        return x.reshape(-1), logdet[0]
-    return x, logdet
+    return _unbatch(x, logdet, squeeze)
 
 
-def _invert_block(layer, a, b, c, yt, refine, guard, divergence="raise"):
+def _invert_block(layer, a, b, c, yt, refine, guard, divergence, want_log_deriv):
     """Reverse-integrate a block of coordinates with given parameter arrays."""
-    xt, l = _solve(layer.family, a, b, c, yt, layer.solver.reversed(), guard, divergence)
+    xt, l = _solve(layer.family, a, b, c, yt, layer.solver.reversed(), guard, divergence,
+                   want_log_deriv)
     if refine is not None and refine.method != "reverse_only":
         if isinstance(xt, Node):
             raise TypeError("refined inversion is not differentiable; use plain arrays")
         xt = _refine_block(layer, a, b, c, yt, xt, refine, guard)
-        # recompute the reverse log-derivative from the refined preimage
-        _, lf = _solve(layer.family, a, b, c, xt, layer.solver, guard)
-        l = -lf
-    return xt, sum_(l, axis=1)
+        if want_log_deriv:  # recompute the reverse log-derivative from the refined preimage
+            _, lf = _solve(layer.family, a, b, c, xt, layer.solver, guard)
+            l = -lf
+    return xt, _logdet_sum(l)
 
 
 def _refine_block(layer, a, b, c, yt, xt0, refine, guard):
@@ -321,7 +344,7 @@ def _refine_block(layer, a, b, c, yt, xt0, refine, guard):
     return out
 
 
-def _invert_autoregressive(layer, yb, params, refine, guard, divergence="raise"):
+def _invert_autoregressive(layer, yb, params, refine, guard, divergence, want_log_deriv):
     """Sequential inversion in the layer's variable ordering."""
     n = value_of(yb).shape[0]
     D = layer.dim
@@ -339,8 +362,9 @@ def _invert_autoregressive(layer, yb, params, refine, guard, divergence="raise")
         b = theta[:, 3 * k + 1:3 * k + 2]
         c = theta[:, 3 * k + 2:3 * k + 3]
         cols[k], contrib = _invert_block(layer, a, b, c, yb[:, k:k + 1], refine, guard,
-                                         divergence)
-        logdet = contrib if logdet is None else logdet + contrib
+                                         divergence, want_log_deriv)
+        if want_log_deriv:
+            logdet = contrib if logdet is None else logdet + contrib
     x = concat(cols, axis=1)
     return x, logdet
 
@@ -348,21 +372,24 @@ def _invert_autoregressive(layer, yb, params, refine, guard, divergence="raise")
 def model_forward(model: FlowModel, x, params=None, *, guard=DEFAULT_GUARD,
                   divergence="raise"):
     """Push x through all layers; returns (y, total_logdet)."""
+    return _model_forward(model, x, params, guard, divergence, True)
+
+
+def _model_forward(model, x, params, guard, divergence, want_log_deriv):
+    """`model_forward`; without `want_log_deriv` the total comes back None."""
     views = _split_params(model, params)
     xb, squeeze = _as_batch(x)
     total = None
     for i, layer in enumerate(model.layers):
         try:
-            xb, ld = layer_forward(layer, xb, views[i], guard=guard,
-                                   divergence=divergence)
+            xb, ld = _layer_forward(layer, xb, views[i], guard, divergence, want_log_deriv)
         except DivergenceError as err:
             raise DivergenceError(f"layer {i}: {err}", indices=err.indices) from err
-        total = ld if total is None else total + ld
-    if total is None:
+        if want_log_deriv:
+            total = ld if total is None else total + ld
+    if total is None and want_log_deriv:
         total = np.zeros(value_of(xb).shape[0])
-    if squeeze:
-        return xb.reshape(-1), total[0]
-    return xb, total
+    return _unbatch(xb, total, squeeze)
 
 
 def model_inverse(model: FlowModel, y, params=None, refine=None, *, guard=DEFAULT_GUARD):
@@ -371,7 +398,8 @@ def model_inverse(model: FlowModel, y, params=None, refine=None, *, guard=DEFAUL
     yb, squeeze = _as_batch(y)
     for i in reversed(range(len(model.layers))):
         try:
-            yb, _ = layer_inverse(model.layers[i], yb, views[i], refine=refine, guard=guard)
+            yb, _ = _layer_inverse(model.layers[i], yb, views[i], refine, guard, "raise",
+                                   False)
         except DivergenceError as err:
             raise DivergenceError(f"layer {i}: {err}", indices=err.indices) from err
     return yb.reshape(-1) if squeeze else yb
@@ -428,7 +456,7 @@ def sample(model: FlowModel, n: int, seed: int = 0, *, guard=DEFAULT_GUARD,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, model.dim))
     mode = "nan" if divergence == "drop" else divergence
-    y, _ = model_forward(model, x, guard=guard, divergence=mode)
+    y, _ = _model_forward(model, x, None, guard, mode, False)
     if divergence == "drop":
         y = y[np.all(np.isfinite(y), axis=1)]
     return y

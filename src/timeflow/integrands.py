@@ -29,30 +29,27 @@ class NonFiniteError(ArithmeticError):
     """An integrand evaluation produced a non-finite value."""
 
 
-def _sigmoid_dphi(v):
-    s = sigmoid(v)
-    return s * (1.0 - s)
-
-
-def _sigmoid_d2phi(v):
-    s = sigmoid(v)
-    return s * (1.0 - s) * (1.0 - 2.0 * s)
-
-
-# family -> (phi, phi', phi'') for g(v, t) = a*v + b + c*phi(v)
+# family -> (phi, dphi, d2phi) for g(v, t) = a*v + b + c*phi(v); the derivatives
+# take the values below them, dphi(v, phi) and d2phi(v, phi, dphi), so one phi
+# evaluation serves all three
 _PHI = {
-    "quadratic": (lambda v: v * v, lambda v: 2.0 * v, lambda v: 2.0),
-    "cubic": (lambda v: v * v * v, lambda v: 3.0 * (v * v), lambda v: 6.0 * v),
-    "sigmoid_affine": (sigmoid, _sigmoid_dphi, _sigmoid_d2phi),
+    "quadratic": (lambda v: v * v, lambda v, p: 2.0 * v, lambda v, p, dp: 2.0),
+    "cubic": (lambda v: v * v * v, lambda v, p: 3.0 * (v * v), lambda v, p, dp: 6.0 * v),
+    "sigmoid_affine": (sigmoid, lambda v, s: s * (1.0 - s),
+                       lambda v, s, ds: ds * (1.0 - 2.0 * s)),
 }
 
 
 def _family(phi, dphi):
-    def value(a, b, c, v, t):
-        return a * v + b + c * phi(v)
+    def value(a, b, c, v, t, *, with_dv=False):
+        p = phi(v)
+        g = a * v + b + c * p
+        if with_dv:  # the slope: dg/dv from the same phi
+            return g, a + c * dphi(v, p)
+        return g
 
     def dv(a, b, c, v, t):
-        return a + c * dphi(v)
+        return a + c * dphi(v, phi(v))
 
     return value, dv
 
@@ -61,7 +58,12 @@ _TABLE = {family: _family(phi, dphi) for family, (phi, dphi, _) in _PHI.items()}
 
 
 def family_functions(family: str):
-    """Return ``(value_fn, dv_fn)`` with signature ``(a, b, c, v, t)``."""
+    """Return ``(value_fn, dv_fn)`` with signature ``(a, b, c, v, t)``.
+
+    ``value_fn(..., with_dv=True)`` is the slope: it returns the pair
+    ``(g, dg/dv)`` from one evaluation of phi, bitwise equal to the two
+    separate calls. That is the form `integrate` takes with ``dv_fn=None``.
+    """
     try:
         return _TABLE[family]
     except KeyError:
@@ -69,9 +71,10 @@ def family_functions(family: str):
 
 
 def family_phi(family: str):
-    """Return ``(phi, dphi, d2phi)`` of a built-in family, all of ``v`` only.
+    """Return ``(phi, dphi, d2phi)`` of a built-in family.
 
-    With g = a*v + b + c*phi(v) these give every derivative the discrete
+    They are called as ``phi(v)``, ``dphi(v, phi)`` and ``d2phi(v, phi, dphi)``.
+    With g = a*v + b + c*phi(v) they give every derivative the discrete
     adjoint needs: dg/d(a, b, c) = (v, 1, phi), d2g/dv2 = c*phi'' and
     d(dg/dv)/d(a, b, c) = (1, 0, phi').
     """

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import Node, _unbroadcast, backward, grad_or_zeros, value_of
-from .integrands import Integrand, eval_integrand, eval_integrand_dv, family_phi
+from .integrands import (Integrand, eval_integrand, eval_integrand_dv, family_functions,
+                         family_phi)
 
 __all__ = [
     "SolverConfig",
@@ -107,9 +108,9 @@ class VjpResult:
 def _check_guard(v, guard, where, divergence):
     """Detect lanes outside the guard box. Returns updated v in 'nan' mode."""
     raw = value_of(v)
-    bad = ~np.isfinite(raw) | (np.abs(raw) > guard)
-    if not bad.any():
+    if not raw.size or np.abs(raw).max() <= guard:  # NaN fails this comparison
         return v, None
+    bad = ~np.isfinite(raw) | (np.abs(raw) > guard)
     if divergence == "raise":
         rows = None
         if raw.ndim:  # axis 0 holds the batch rows
@@ -126,9 +127,16 @@ def _check_guard(v, guard, where, divergence):
 
 def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=True,
               keep_trajectory=False, divergence="raise", stages=None):
-    """Integrate v' = value_fn(v, t) across the unit interval.
+    """Integrate v' = g(v, t) across the unit interval.
 
-    Also accumulates l' = dv_fn(v, t) with l(0) = 0 when `want_log_deriv`,
+    The loop evaluates one slope per stage point, which returns g and
+    dg/dv together. Built-in families pass it as ``value_fn`` with
+    ``dv_fn=None`` (see `integrands.family_functions`), so one phi(v)
+    serves both; a two-function caller passes g = ``value_fn(v, t)`` and
+    dg/dv = ``dv_fn(v, t)``, which are adapted to a slope once, before
+    the loop, and ``dv_fn`` is not called unless `want_log_deriv`.
+
+    With `want_log_deriv` it also accumulates l' = dg/dv with l(0) = 0,
     using the same scheme and stage points, i.e. one pass over the
     augmented state (v, l). If `stages` is a list, the stage points of
     every step are appended to it, ``(v1, v2, v3, v4)`` for RK4 and
@@ -142,6 +150,14 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
     """
     if divergence not in ("raise", "nan"):
         raise ValueError("divergence must be 'raise' or 'nan'")
+    if dv_fn is None:
+        slope = value_fn
+    elif want_log_deriv:
+        def slope(v, t):
+            return value_fn(v, t), dv_fn(v, t)
+    else:
+        def slope(v, t):
+            return value_fn(v, t), None
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     t0 = 0.0 if cfg.direction == "forward" else 1.0
@@ -154,31 +170,25 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
         for k in range(n):
             t = t0 + k * h
             if cfg.scheme == "euler":
-                dv = value_fn(v, t)
+                dv, dl = slope(v, t)
                 if stages is not None:
                     stages.append((v,))
                 if want_log_deriv:
-                    dl = dv_fn(v, t)
                     log_deriv = dl * h if log_deriv is None else log_deriv + dl * h
                 v = v + dv * h
             else:  # rk4 on the augmented state; l does not feed back into v
                 half = 0.5 * h
-                k1 = value_fn(v, t)
+                k1, d1 = slope(v, t)
                 v2 = v + half * k1
-                k2 = value_fn(v2, t + half)
+                k2, d2 = slope(v2, t + half)
                 v3 = v + half * k2
-                k3 = value_fn(v3, t + half)
+                k3, d3 = slope(v3, t + half)
                 v4 = v + h * k3
-                k4 = value_fn(v4, t + h)
+                k4, d4 = slope(v4, t + h)
                 if stages is not None:
                     stages.append((v, v2, v3, v4))
                 if want_log_deriv:
-                    m = (
-                        dv_fn(v, t)
-                        + 2.0 * dv_fn(v2, t + half)
-                        + 2.0 * dv_fn(v3, t + half)
-                        + dv_fn(v4, t + h)
-                    ) * (h / 6.0)
+                    m = (d1 + 2.0 * d2 + 2.0 * d3 + d4) * (h / 6.0)
                     log_deriv = m if log_deriv is None else log_deriv + m
                 v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             v, _ = _check_guard(v, guard, f"t={t0 + (k + 1) * h:.6g}", divergence)
@@ -189,6 +199,15 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
         log_deriv = None
     traj = np.stack(trajectory) if keep_trajectory else None
     return v, log_deriv, traj
+
+
+def _solver_functions(g: Integrand):
+    """``(value_fn, dv_fn)`` for `integrate`; the one-phi slope for built-in families."""
+    if g.family == "custom":
+        return g.functions()
+    value, _ = family_functions(g.family)
+    a, b, c = g.params()
+    return (lambda v, t: value(a, b, c, v, t, with_dv=True)), None
 
 
 def _as_input(x):
@@ -211,7 +230,7 @@ def forward(g: Integrand, cfg: SolverConfig, x, *, guard=DEFAULT_GUARD,
     """
     if cfg.direction != "forward":
         raise ValueError("forward() needs a forward-direction SolverConfig")
-    value_fn, dv_fn = g.functions()
+    value_fn, dv_fn = _solver_functions(g)
     arr, scalar = _as_input(x)
     y, log_deriv, traj = integrate(
         value_fn, dv_fn, arr, cfg, guard=guard,
@@ -271,10 +290,11 @@ def _adjoint(family, params, cfg, stages, cot_y, cot_l):
     points = [vi for step in stages for vi in step]
     v = np.stack(np.broadcast_arrays(cot_y, *points)[1:])  # x may be narrower than v(1)
     w = np.tile(weights, len(stages)).reshape((-1,) + (1,) * (v.ndim - 1))
-    dp = dphi(v)
+    p = phi(v)  # one sigmoid serves phi, phi' and phi''
+    dp = dphi(v, p)
     jac = a + c * dp  # dg/dv at every stage point
     jbar = w * cot_l  # cotangent of each stage's dg/dv
-    through_jac = jbar * (c * d2phi(v))  # reaches a stage point through its dg/dv
+    through_jac = jbar * (c * d2phi(v, p, dp))  # reaches a stage point through its dg/dv
     kbar = np.empty(v.shape)  # cotangents of the stage slopes k_i
     ybar = cot_y
     for r0 in range(len(v) - s, -1, -s):
@@ -289,7 +309,7 @@ def _adjoint(family, params, cfg, stages, cot_y, cot_l):
                 carry = offsets[i - 1] * sbar
         ybar = vbar
     abar = np.sum(kbar * v + jbar, axis=0)
-    cbar = np.sum(kbar * phi(v) + jbar * dp, axis=0)
+    cbar = np.sum(kbar * p + jbar * dp, axis=0)
     return ybar, abar, np.sum(kbar, axis=0), cbar
 
 
@@ -328,7 +348,7 @@ def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet,
         raise ValueError("forward_vjp() needs a forward-direction SolverConfig")
     arr, scalar = _as_input(x)
     x_node = Node(arr)
-    value_fn, dv_fn = g.functions()
+    value_fn, dv_fn = _solver_functions(g)
     if g.family == "custom":
         params = ()
         y, log_deriv, _ = integrate(value_fn, dv_fn, x_node, cfg, guard=guard)

@@ -1,6 +1,9 @@
 """Monotone-target approximants: kernels, Picard solver, convergence rates."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -151,3 +154,16 @@ def test_picard_config_validation():
         PicardConfig(inner_ratio=1.5)
     with pytest.raises(ValueError):
         eval_approximant(AFFINE, -1.0, CONST, 0.0)
+
+
+def test_import_timeflow_loads_no_scipy():
+    code = (
+        "import sys, timeflow\n"
+        "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy'], 'scipy loaded'\n"
+        "assert callable(timeflow.convergence_study)\n"
+        "assert 'timeflow.approx' in sys.modules\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

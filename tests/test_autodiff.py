@@ -1,6 +1,9 @@
 """The tape engine against finite differences and hand gradients."""
 
+import warnings
+
 import numpy as np
+import pytest
 
 from timeflow.autodiff import (
     Node,
@@ -150,3 +153,18 @@ def test_dispatch_helpers_plain_arrays():
     assert np.allclose(sigmoid(x), 1 / (1 + np.exp(-x)))
     assert np.allclose(matmul(np.eye(2), x.reshape(2, 1)).ravel(), x)
     assert grad_or_zeros(Node(x)).shape == (2,)
+
+
+def test_sigmoid_matches_expit_without_warnings():
+    expit = pytest.importorskip("scipy.special").expit
+    x = np.linspace(-800.0, 800.0, 100001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = sigmoid(x)
+        ends = sigmoid(np.array([-np.inf, np.inf]))
+        taped = sigmoid(Node(x)).value
+    want = expit(x)
+    ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    assert ulps.max() <= 4
+    assert ends[0] == 0.0 and ends[1] == 1.0
+    assert np.array_equal(taped, got)

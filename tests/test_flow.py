@@ -240,6 +240,24 @@ def test_sample_deterministic_and_shifted():
     assert np.all(np.abs(a.mean(axis=0) - [b1, b2]) < 4 / math.sqrt(n))
 
 
+@pytest.mark.parametrize("kind,family", [
+    ("coupling", "quadratic"),
+    ("autoregressive", "sigmoid_affine"),
+])
+def test_sample_and_inverse_match_logdet_carrying_path(kind, family):
+    # sample and model_inverse skip the log-derivative; their outputs must not move a bit
+    model = build_flow(3, n_layers=3, kind=kind, family=family, hidden_dims=(8,),
+                       solver=SOLVER, seed=3)
+    randomize_parameters(model, seed=4, scale=0.2)
+    y = sample(model, 64, seed=5)
+    x = np.random.default_rng(5).standard_normal((64, 3))
+    assert np.array_equal(y, model_forward(model, x)[0])
+    back = y
+    for layer in reversed(model.layers):
+        back, _ = layer_inverse(layer, back)
+    assert np.array_equal(model_inverse(model, y), back)
+
+
 def test_divergence_error_carries_layer_index():
     net = ConditionerNet([1, 3], [np.zeros((1, 3))], [np.array([0.0, 0.0, 5.0])])
     hot = CouplingLayer(2, 1, True, "cubic", net, SOLVER)

@@ -260,6 +260,29 @@ def test_solve_node_matches_per_op_tape(family, scheme, direction, rng):
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("want_log_deriv", [True, False])
+def test_slope_path_matches_two_function_path(family, scheme, direction, want_log_deriv,
+                                              rng):
+    # one phi per stage point must not change a single bit of v(1) or the log-derivative
+    cfg = SolverConfig(scheme=scheme, steps=8, direction=direction)
+    x = rng.uniform(-1.0, 1.0, (6, 3))
+    params = [rng.uniform(-0.6, 0.6, (6, 3)) for _ in range(3)]
+    value, dv = family_functions(family)
+    y2, l2, _ = integrate(lambda v, t: value(*params, v, t),
+                          lambda v, t: dv(*params, v, t), x, cfg,
+                          want_log_deriv=want_log_deriv)
+    y1, l1, _ = integrate(lambda v, t: value(*params, v, t, with_dv=True), None, x, cfg,
+                          want_log_deriv=want_log_deriv)
+    assert np.array_equal(y1, y2)
+    if want_log_deriv:
+        assert np.array_equal(l1, l2)
+    else:
+        assert l1 is None and l2 is None
+
+
 def test_solve_node_broadcast_parameters(rng):
     # (n, 1) parameters shared by the k lanes of a row get the sum of their gradients
     x0 = rng.uniform(-1.0, 1.0, (4, 3))
