@@ -257,6 +257,25 @@ def _cmd_universality(args):
     return study
 
 
+def _worst_fd_error(arrays, grads, objective, step=1e-6):
+    """Largest relative error of `grads` against central differences of
+    `objective()`, perturbing each entry of `arrays` in place and back."""
+    worst = 0.0
+    for arr, grad in zip(arrays, grads):
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            keep = arr[idx]
+            arr[idx] = keep + step
+            up = objective()
+            arr[idx] = keep - step
+            dn = objective()
+            arr[idx] = keep
+            fd = (up - dn) / (2 * step)
+            worst = max(worst, abs(grad[idx] - fd) / max(1.0, abs(fd)))
+    return worst
+
+
 def _cmd_gradcheck(args):
     rng = np.random.default_rng(args.seed)
     suites = []
@@ -303,20 +322,9 @@ def _cmd_gradcheck(args):
         x = rng.standard_normal(dims[0])
         cot = rng.standard_normal(dims[-1])
         dinput, dparams = net_vjp(net, x, cot)
-        step = 1e-6
-        flat = net.param_arrays()
-        for arr, grad in zip([x] + flat, [dinput] + dparams):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                keep = arr[idx]
-                arr[idx] = keep + step
-                up = float(np.dot(cot, np.atleast_1d(net_eval(net, x))))
-                arr[idx] = keep - step
-                dn = float(np.dot(cot, np.atleast_1d(net_eval(net, x))))
-                arr[idx] = keep
-                fd = (up - dn) / (2 * step)
-                worst_net = max(worst_net, abs(grad[idx] - fd) / max(1.0, abs(fd)))
+        worst_net = max(worst_net, _worst_fd_error(
+            [x] + net.param_arrays(), [dinput] + dparams,
+            lambda: float(np.dot(cot, np.atleast_1d(net_eval(net, x))))))
     suites.append(("conditioner_vjp", worst_net))
 
     # full nll gradients on small models (sigmoid dynamics cannot blow up,
@@ -330,20 +338,8 @@ def _cmd_gradcheck(args):
         randomize_parameters(model, seed=int(rng.integers(1 << 31)), scale=0.3)
         batch = rng.standard_normal((6, 2))
         _, grads = nll_and_grad(model, batch)
-        params = model.parameters()
-        step = 1e-6
-        for arr, grad in zip(params, grads):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                keep = arr[idx]
-                arr[idx] = keep + step
-                up = -float(np.mean(log_density(model, batch)))
-                arr[idx] = keep - step
-                dn = -float(np.mean(log_density(model, batch)))
-                arr[idx] = keep
-                fd = (up - dn) / (2 * step)
-                worst_nll = max(worst_nll, abs(grad[idx] - fd) / max(1.0, abs(fd)))
+        worst_nll = max(worst_nll, _worst_fd_error(
+            model.parameters(), grads, lambda: -float(np.mean(log_density(model, batch)))))
     suites.append(("nll_grad", worst_nll))
 
     os.makedirs(args.out, exist_ok=True)

@@ -30,6 +30,7 @@ import numpy as np
 from .autodiff import Node, concat, sum_, value_of
 from .conditioner import ConditionerNet, build_masks, init_net, net_eval
 from .integrands import family_functions
+from .inversion import refine_lanes
 from .scalarmap import DEFAULT_GUARD, DivergenceError, SolverConfig, integrate, solve_node
 
 __all__ = [
@@ -48,6 +49,17 @@ __all__ = [
 ]
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
+
+
+# Every layer class has the same five members, which the module-level
+# operations below reach without asking which kind of layer they hold:
+#   params()                      its parameter arrays, in checkpoint order;
+#   forward(x, params, guard, divergence, want_log_deriv) -> (y, logdet);
+#   inverse(y, params, refine, guard, divergence, want_log_deriv) -> (x, logdet);
+#   to_json() and the classmethod from_json(dim, obj) for checkpoints.
+# x and y are (n, D) batches; logdet is (n,), or None without want_log_deriv
+# (permutations always return zeros). inverse returns the log-determinant of
+# the inverse map.
 
 
 @dataclass
@@ -77,6 +89,40 @@ class CouplingLayer:
                 f" of dimension {self.dim}"
             )
 
+    def params(self):
+        return self.conditioner.param_arrays()
+
+    def _coupled(self, x, params, block, *args):
+        """Split x, map one block by ``block(self, a, b, c, moved, *args)``
+        with parameters conditioned on the other, and join the blocks again."""
+        d = self.split
+        kept, moved = (x[:, :d], x[:, d:]) if self.transform_upper else (x[:, d:], x[:, :d])
+        a, b, c = _triples(net_eval(self.conditioner, kept, params))
+        out, logdet = block(self, a, b, c, moved, *args)
+        return concat([kept, out] if self.transform_upper else [out, kept], axis=1), logdet
+
+    def forward(self, x, params, guard, divergence, want_log_deriv):
+        return self._coupled(x, params, _forward_block, guard, divergence, want_log_deriv)
+
+    def inverse(self, y, params, refine, guard, divergence, want_log_deriv):
+        return self._coupled(y, params, _invert_block, refine, guard, divergence,
+                             want_log_deriv)
+
+    def to_json(self):
+        return {
+            "kind": "coupling",
+            "split": self.split,
+            "transform_upper": self.transform_upper,
+            "family": self.family,
+            "solver": _solver_to_json(self.solver),
+            "conditioner": _net_to_json(self.conditioner),
+        }
+
+    @classmethod
+    def from_json(cls, dim, obj):
+        return cls(dim, int(obj["split"]), bool(obj["transform_upper"]), obj["family"],
+                   _net_from_json(obj["conditioner"]), _solver_from_json(obj["solver"]))
+
 
 @dataclass
 class AutoregressiveLayer:
@@ -101,6 +147,46 @@ class AutoregressiveLayer:
             if sorted(self.ordering.tolist()) != list(range(self.dim)):
                 raise ValueError("ordering must be a permutation of 0..D-1")
 
+    def params(self):
+        return self.conditioner.param_arrays()
+
+    def forward(self, x, params, guard, divergence, want_log_deriv):
+        a, b, c = _triples(net_eval(self.conditioner, x, params))
+        return _forward_block(self, a, b, c, x, guard, divergence, want_log_deriv)
+
+    def inverse(self, y, params, refine, guard, divergence, want_log_deriv):
+        """Sequential inversion in the layer's variable ordering: coordinate
+        k is solved once every coordinate of lower order is known."""
+        n = value_of(y).shape[0]
+        cols = [None] * self.dim
+        logdet = None
+        for k in self.ordering.tolist():
+            filled = [np.zeros((n, 1)) if col is None else col for col in cols]
+            theta = net_eval(self.conditioner, concat(filled, axis=1), params)
+            a, b, c = (theta[:, 3 * k + j:3 * k + j + 1] for j in range(3))
+            cols[k], contrib = _invert_block(self, a, b, c, y[:, k:k + 1], refine, guard,
+                                             divergence, want_log_deriv)
+            if want_log_deriv:
+                logdet = contrib if logdet is None else logdet + contrib
+        return concat(cols, axis=1), logdet
+
+    def to_json(self):
+        return {
+            "kind": "autoregressive",
+            "family": self.family,
+            "ordering": self.ordering.tolist(),
+            "solver": _solver_to_json(self.solver),
+            "conditioner": _net_to_json(self.conditioner),
+        }
+
+    @classmethod
+    def from_json(cls, dim, obj):
+        ordering = np.asarray(obj["ordering"], dtype=int)
+        dims = [int(d) for d in obj["conditioner"]["layer_dims"]]
+        masks = build_masks(dim, dims[1:-1], ordering=ordering)
+        return cls(dim, obj["family"], _net_from_json(obj["conditioner"], masks=masks),
+                   _solver_from_json(obj["solver"]), ordering)
+
 
 @dataclass
 class PermutationLayer:
@@ -117,6 +203,29 @@ class PermutationLayer:
     @property
     def inverse_perm(self):
         return np.argsort(self.perm)
+
+    def params(self):
+        return []
+
+    def forward(self, x, params, guard, divergence, want_log_deriv):
+        return x[:, self.perm], np.zeros(value_of(x).shape[0])
+
+    def inverse(self, y, params, refine, guard, divergence, want_log_deriv):
+        return y[:, self.inverse_perm], np.zeros(value_of(y).shape[0])
+
+    def to_json(self):
+        return {"kind": "permutation", "perm": self.perm.tolist()}
+
+    @classmethod
+    def from_json(cls, dim, obj):
+        return cls(dim, np.asarray(obj["perm"], dtype=int))
+
+
+LAYER_KINDS = {
+    "coupling": CouplingLayer,
+    "autoregressive": AutoregressiveLayer,
+    "permutation": PermutationLayer,
+}
 
 
 @dataclass
@@ -149,26 +258,17 @@ class FlowModel:
         return sample(self, n, seed)
 
     def parameters(self):
-        out = []
-        for layer in self.layers:
-            out.extend(layer_param_arrays(layer))
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def set_parameters(self, arrays):
         i = 0
         for layer in self.layers:
-            own = layer_param_arrays(layer)
-            if own:
-                layer.conditioner.set_param_arrays(arrays[i:i + len(own)])
-                i += len(own)
+            n = len(layer.params())
+            if n:
+                layer.conditioner.set_param_arrays(arrays[i:i + n])
+                i += n
         if i != len(arrays):
             raise ValueError("wrong number of parameter arrays for this model")
-
-
-def layer_param_arrays(layer):
-    if isinstance(layer, PermutationLayer):
-        return []
-    return layer.conditioner.param_arrays()
 
 
 def _split_params(model, params):
@@ -176,7 +276,7 @@ def _split_params(model, params):
     views = []
     i = 0
     for layer in model.layers:
-        n = len(layer_param_arrays(layer))
+        n = len(layer.params())
         views.append(None if params is None else params[i:i + n])
         i += n
     if params is not None and i != len(params):
@@ -195,9 +295,19 @@ def _as_batch(x):
     return arr, False
 
 
+def _unbatch(x, logdet, squeeze):
+    if squeeze:
+        return x.reshape(-1), None if logdet is None else logdet[0]
+    return x, logdet
+
+
 def _triples(theta):
     """Split conditioner output (n, 3k) into a, b, c of shape (n, k)."""
     return theta[:, 0::3], theta[:, 1::3], theta[:, 2::3]
+
+
+def _logdet_sum(l):
+    return None if l is None else sum_(l, axis=1)
 
 
 def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=True):
@@ -226,49 +336,50 @@ def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=Tr
     return y, l
 
 
+def _forward_block(layer, a, b, c, xt, guard, divergence, want_log_deriv):
+    """Forward-integrate a block of coordinates with given parameter arrays."""
+    yt, l = _solve(layer.family, a, b, c, xt, layer.solver, guard, divergence,
+                   want_log_deriv)
+    return yt, _logdet_sum(l)
+
+
+def _invert_block(layer, a, b, c, yt, refine, guard, divergence, want_log_deriv):
+    """Reverse-integrate a block of coordinates with given parameter arrays.
+
+    With a `refine` method other than 'reverse_only', every (row, column)
+    lane of the block is then polished in one `refine_lanes` call, whose
+    residual is the layer's own forward solve.
+    """
+    xt, l = _solve(layer.family, a, b, c, yt, layer.solver.reversed(), guard, divergence,
+                   want_log_deriv)
+    if refine is None or refine.method == "reverse_only":
+        return xt, _logdet_sum(l)
+    if isinstance(xt, Node):
+        raise TypeError("refined inversion is not differentiable; use plain arrays")
+    params = [np.ravel(p) for p in (a, b, c)]
+
+    def q(x, lanes):
+        v, _ = _solve(layer.family, *(p[lanes] for p in params), x, layer.solver, guard,
+                      divergence="nan", want_log_deriv=False)
+        return v
+
+    res = refine_lanes(q, np.ravel(yt), np.ravel(xt), refine)
+    if not np.all(res.converged):
+        rows = np.unique(np.flatnonzero(~res.converged) // yt.shape[1]).tolist()
+        raise DivergenceError(f"inverse refinement did not converge (rows {rows})",
+                              indices=rows)
+    xt = res.x.reshape(yt.shape)
+    if not want_log_deriv:
+        return xt, None
+    _, lf = _solve(layer.family, a, b, c, xt, layer.solver, guard)  # at the refined preimage
+    return xt, _logdet_sum(-lf)
+
+
 def layer_forward(layer, x, params=None, *, guard=DEFAULT_GUARD, divergence="raise"):
     """Apply one layer. Returns (y, logdet) with logdet summed over
     transformed coordinates, shape (n,) for batched input."""
-    return _layer_forward(layer, x, params, guard, divergence, True)
-
-
-def _logdet_sum(l):
-    return None if l is None else sum_(l, axis=1)
-
-
-def _layer_forward(layer, x, params, guard, divergence, want_log_deriv):
-    """`layer_forward`; without `want_log_deriv` the logdet comes back None."""
     xb, squeeze = _as_batch(x)
-    if isinstance(layer, PermutationLayer):
-        y = xb[:, layer.perm]
-        logdet = np.zeros(value_of(xb).shape[0])
-    elif isinstance(layer, CouplingLayer):
-        d = layer.split
-        if layer.transform_upper:
-            xp, xt = xb[:, :d], xb[:, d:]
-        else:
-            xp, xt = xb[:, d:], xb[:, :d]
-        theta = net_eval(layer.conditioner, xp, params)
-        a, b, c = _triples(theta)
-        yt, l = _solve(layer.family, a, b, c, xt, layer.solver, guard, divergence,
-                       want_log_deriv)
-        y = concat([xp, yt] if layer.transform_upper else [yt, xp], axis=1)
-        logdet = _logdet_sum(l)
-    elif isinstance(layer, AutoregressiveLayer):
-        theta = net_eval(layer.conditioner, xb, params)
-        a, b, c = _triples(theta)
-        y, l = _solve(layer.family, a, b, c, xb, layer.solver, guard, divergence,
-                      want_log_deriv)
-        logdet = _logdet_sum(l)
-    else:
-        raise TypeError(f"unknown layer type {type(layer).__name__}")
-    return _unbatch(y, logdet, squeeze)
-
-
-def _unbatch(x, logdet, squeeze):
-    if squeeze:
-        return x.reshape(-1), None if logdet is None else logdet[0]
-    return x, logdet
+    return _unbatch(*layer.forward(xb, params, guard, divergence, True), squeeze)
 
 
 def layer_inverse(layer, y, params=None, refine=None, *, guard=DEFAULT_GUARD,
@@ -280,129 +391,49 @@ def layer_inverse(layer, y, params=None, refine=None, *, guard=DEFAULT_GUARD,
     `refine` (a RefineConfig) optionally polishes each transformed
     coordinate by root refinement; plain-array inputs only.
     """
-    return _layer_inverse(layer, y, params, refine, guard, divergence, True)
-
-
-def _layer_inverse(layer, y, params, refine, guard, divergence, want_log_deriv):
-    """`layer_inverse`; without `want_log_deriv` the logdet comes back None."""
     yb, squeeze = _as_batch(y)
-    if isinstance(layer, PermutationLayer):
-        x = yb[:, layer.inverse_perm]
-        logdet = np.zeros(value_of(yb).shape[0])
-    elif isinstance(layer, CouplingLayer):
-        d = layer.split
-        if layer.transform_upper:
-            yp, yt = yb[:, :d], yb[:, d:]
-        else:
-            yp, yt = yb[:, d:], yb[:, :d]
-        theta = net_eval(layer.conditioner, yp, params)
-        a, b, c = _triples(theta)
-        xt, logdet = _invert_block(layer, a, b, c, yt, refine, guard, divergence,
-                                   want_log_deriv)
-        x = concat([yp, xt] if layer.transform_upper else [xt, yp], axis=1)
-    elif isinstance(layer, AutoregressiveLayer):
-        x, logdet = _invert_autoregressive(layer, yb, params, refine, guard,
-                                           divergence, want_log_deriv)
-    else:
-        raise TypeError(f"unknown layer type {type(layer).__name__}")
-    return _unbatch(x, logdet, squeeze)
+    return _unbatch(*layer.inverse(yb, params, refine, guard, divergence, True), squeeze)
 
 
-def _invert_block(layer, a, b, c, yt, refine, guard, divergence, want_log_deriv):
-    """Reverse-integrate a block of coordinates with given parameter arrays."""
-    xt, l = _solve(layer.family, a, b, c, yt, layer.solver.reversed(), guard, divergence,
-                   want_log_deriv)
-    if refine is not None and refine.method != "reverse_only":
-        if isinstance(xt, Node):
-            raise TypeError("refined inversion is not differentiable; use plain arrays")
-        xt = _refine_block(layer, a, b, c, yt, xt, refine, guard)
-        if want_log_deriv:  # recompute the reverse log-derivative from the refined preimage
-            _, lf = _solve(layer.family, a, b, c, xt, layer.solver, guard)
-            l = -lf
-    return xt, _logdet_sum(l)
-
-
-def _refine_block(layer, a, b, c, yt, xt0, refine, guard):
-    from .inversion import _fixed_point
-
-    out = np.empty(yt.shape)
-    for j in range(yt.shape[1]):  # each column has its own parameter lanes
-        params = (a[:, j], b[:, j], c[:, j])
-
-        def q(x, lanes, params=params):
-            v, _ = _solve(layer.family, *(p[lanes] for p in params), x, layer.solver,
-                          guard, divergence="nan", want_log_deriv=False)
-            return v
-
-        xj, _, converged, _ = _fixed_point(q, yt[:, j], xt0[:, j], refine)
-        if not np.all(converged):
-            bad = np.flatnonzero(~converged).tolist()
-            raise DivergenceError(
-                f"inverse refinement did not converge for coordinate {j}"
-                f" (rows {bad})", indices=bad)
-        out[:, j] = xj
-    return out
-
-
-def _invert_autoregressive(layer, yb, params, refine, guard, divergence, want_log_deriv):
-    """Sequential inversion in the layer's variable ordering."""
-    n = value_of(yb).shape[0]
-    D = layer.dim
-    cols = [None] * D
-    logdet = None
-    for rank in range(D):
-        k = int(layer.ordering[rank])
-        filled = [
-            cols[j] if cols[j] is not None else np.zeros((n, 1))
-            for j in range(D)
-        ]
-        inp = concat(filled, axis=1)
-        theta = net_eval(layer.conditioner, inp, params)
-        a = theta[:, 3 * k:3 * k + 1]
-        b = theta[:, 3 * k + 1:3 * k + 2]
-        c = theta[:, 3 * k + 2:3 * k + 3]
-        cols[k], contrib = _invert_block(layer, a, b, c, yb[:, k:k + 1], refine, guard,
-                                         divergence, want_log_deriv)
+def _through_layers(model, x, params, guard, divergence, want_log_deriv, *,
+                    inverse=False, refine=None):
+    """The one layer loop: x through every layer's forward in list order, or
+    through every layer's inverse in reverse order. Returns x and the summed
+    log-determinants (None without `want_log_deriv` or without layers); a
+    `DivergenceError` is re-raised naming the layer."""
+    views = _split_params(model, params)
+    order = range(len(model.layers))
+    total = None
+    for i in reversed(order) if inverse else order:
+        layer = model.layers[i]
+        try:
+            if inverse:
+                x, ld = layer.inverse(x, views[i], refine, guard, divergence, want_log_deriv)
+            else:
+                x, ld = layer.forward(x, views[i], guard, divergence, want_log_deriv)
+        except DivergenceError as err:
+            raise DivergenceError(f"layer {i}: {err}", indices=err.indices) from err
         if want_log_deriv:
-            logdet = contrib if logdet is None else logdet + contrib
-    x = concat(cols, axis=1)
-    return x, logdet
+            total = ld if total is None else total + ld
+    return x, total
 
 
 def model_forward(model: FlowModel, x, params=None, *, guard=DEFAULT_GUARD,
                   divergence="raise"):
     """Push x through all layers; returns (y, total_logdet)."""
-    return _model_forward(model, x, params, guard, divergence, True)
-
-
-def _model_forward(model, x, params, guard, divergence, want_log_deriv):
-    """`model_forward`; without `want_log_deriv` the total comes back None."""
-    views = _split_params(model, params)
     xb, squeeze = _as_batch(x)
-    total = None
-    for i, layer in enumerate(model.layers):
-        try:
-            xb, ld = _layer_forward(layer, xb, views[i], guard, divergence, want_log_deriv)
-        except DivergenceError as err:
-            raise DivergenceError(f"layer {i}: {err}", indices=err.indices) from err
-        if want_log_deriv:
-            total = ld if total is None else total + ld
-    if total is None and want_log_deriv:
-        total = np.zeros(value_of(xb).shape[0])
-    return _unbatch(xb, total, squeeze)
+    y, total = _through_layers(model, xb, params, guard, divergence, True)
+    if total is None:
+        total = np.zeros(value_of(y).shape[0])
+    return _unbatch(y, total, squeeze)
 
 
 def model_inverse(model: FlowModel, y, params=None, refine=None, *, guard=DEFAULT_GUARD):
     """Pull y back through all layer inverses; returns x only."""
-    views = _split_params(model, params)
     yb, squeeze = _as_batch(y)
-    for i in reversed(range(len(model.layers))):
-        try:
-            yb, _ = _layer_inverse(model.layers[i], yb, views[i], refine, guard, "raise",
-                                   False)
-        except DivergenceError as err:
-            raise DivergenceError(f"layer {i}: {err}", indices=err.indices) from err
-    return yb.reshape(-1) if squeeze else yb
+    x, _ = _through_layers(model, yb, params, guard, "raise", False, inverse=True,
+                           refine=refine)
+    return x.reshape(-1) if squeeze else x
 
 
 def log_density(model: FlowModel, y, params=None, *, guard=DEFAULT_GUARD,
@@ -420,24 +451,15 @@ def log_density(model: FlowModel, y, params=None, *, guard=DEFAULT_GUARD,
     if divergence not in ("raise", "-inf"):
         raise ValueError("divergence must be 'raise' or '-inf'")
     mode = "raise" if divergence == "raise" else "nan"
-    views = _split_params(model, params)
     yb, squeeze = _as_batch(y)
-    total = None
-    for i in reversed(range(len(model.layers))):
-        try:
-            yb, ld = layer_inverse(model.layers[i], yb, views[i], guard=guard,
-                                   divergence=mode)
-        except DivergenceError as err:
-            raise DivergenceError(f"layer {i}: {err}", indices=err.indices) from err
-        total = ld if total is None else total + ld
-    base = -0.5 * sum_(yb * yb, axis=1) - 0.5 * model.dim * LOG_TWO_PI
+    x, total = _through_layers(model, yb, params, guard, mode, True, inverse=True)
+    base = -0.5 * sum_(x * x, axis=1) - 0.5 * model.dim * LOG_TWO_PI
     out = base if total is None else base + total
     raw = value_of(out)
     if not np.all(np.isfinite(raw)):
         if divergence == "raise":
-            bad = np.argwhere(~np.isfinite(raw)).ravel().tolist()
-            raise DivergenceError(f"non-finite log-density for elements {bad}",
-                                  indices=bad)
+            bad = np.flatnonzero(~np.isfinite(raw)).tolist()
+            raise DivergenceError(f"non-finite log-density for rows {bad}", indices=bad)
         out = np.where(np.isnan(raw), -np.inf, raw)
     return out[0] if squeeze else out
 
@@ -456,7 +478,7 @@ def sample(model: FlowModel, n: int, seed: int = 0, *, guard=DEFAULT_GUARD,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, model.dim))
     mode = "nan" if divergence == "drop" else divergence
-    y, _ = _model_forward(model, x, None, guard, mode, False)
+    y, _ = _through_layers(model, x, None, guard, mode, False)
     if divergence == "drop":
         y = y[np.all(np.isfinite(y), axis=1)]
     return y
@@ -469,8 +491,10 @@ def randomize_parameters(model: FlowModel, seed=0, scale=0.4):
     permutations (zero output layers); this gives a generic non-identity
     model for audits and tests. Weights are scaled by 1/sqrt(fan_in) and
     biases kept at half scale so the emitted integrand parameters stay
-    moderate and the quadratic/cubic dynamics cannot blow up for typical
-    base-normal inputs.
+    moderate. Quadratic and cubic dynamics can still blow up for some
+    base-normal inputs: at the default scale, sampling 8,192 rows from a
+    four-layer quadratic coupling flow drops 1-27% of them as divergent,
+    depending on the seeds, so pass divergence="drop" or a smaller scale.
     """
     rng = np.random.default_rng(seed)
     params = []
@@ -561,34 +585,11 @@ def save_checkpoint(model: FlowModel, path):
     Python's repr-based float serialization is shortest-round-trip, so
     every parameter survives save/load bit for bit.
     """
-    layers = []
-    for layer in model.layers:
-        if isinstance(layer, PermutationLayer):
-            layers.append({"kind": "permutation", "perm": layer.perm.tolist()})
-        elif isinstance(layer, CouplingLayer):
-            layers.append({
-                "kind": "coupling",
-                "split": layer.split,
-                "transform_upper": layer.transform_upper,
-                "family": layer.family,
-                "solver": _solver_to_json(layer.solver),
-                "conditioner": _net_to_json(layer.conditioner),
-            })
-        elif isinstance(layer, AutoregressiveLayer):
-            layers.append({
-                "kind": "autoregressive",
-                "family": layer.family,
-                "ordering": layer.ordering.tolist(),
-                "solver": _solver_to_json(layer.solver),
-                "conditioner": _net_to_json(layer.conditioner),
-            })
-        else:
-            raise TypeError(f"cannot serialize layer {type(layer).__name__}")
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
         "dim": model.dim,
-        "layers": layers,
+        "layers": [layer.to_json() for layer in model.layers],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1)
@@ -603,23 +604,8 @@ def load_checkpoint(path) -> FlowModel:
     dim = int(doc["dim"])
     layers = []
     for obj in doc["layers"]:
-        kind = obj["kind"]
-        if kind == "permutation":
-            layers.append(PermutationLayer(dim, np.asarray(obj["perm"], dtype=int)))
-        elif kind == "coupling":
-            net = _net_from_json(obj["conditioner"])
-            layers.append(CouplingLayer(
-                dim, int(obj["split"]), bool(obj["transform_upper"]),
-                obj["family"], net, _solver_from_json(obj["solver"]),
-            ))
-        elif kind == "autoregressive":
-            ordering = np.asarray(obj["ordering"], dtype=int)
-            dims = [int(d) for d in obj["conditioner"]["layer_dims"]]
-            masks = build_masks(dim, dims[1:-1], ordering=ordering)
-            net = _net_from_json(obj["conditioner"], masks=masks)
-            layers.append(AutoregressiveLayer(
-                dim, obj["family"], net, _solver_from_json(obj["solver"]), ordering,
-            ))
-        else:
-            raise ValueError(f"{path}: unknown layer kind {kind!r}")
+        cls = LAYER_KINDS.get(obj["kind"])
+        if cls is None:
+            raise ValueError(f"{path}: unknown layer kind {obj['kind']!r}")
+        layers.append(cls.from_json(dim, obj))
     return FlowModel(dim, layers)

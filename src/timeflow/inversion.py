@@ -19,12 +19,12 @@ All samples are processed as vector lanes with deterministic aggregation.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .integrands import Integrand
-from .scalarmap import SolverConfig, DEFAULT_GUARD, InverseResult, integrate
+from .scalarmap import SolverConfig, DEFAULT_GUARD, integrate
 
 __all__ = [
     "RefineConfig",
@@ -32,6 +32,7 @@ __all__ = [
     "BenchReport",
     "bisection_invert",
     "fixedpoint_invert",
+    "refine_lanes",
     "run_bench",
     "DEFAULT_BENCH_INTEGRAND",
 ]
@@ -83,7 +84,7 @@ def _map_only(g, cfg, guard):
     """Forward map values without the log-derivative accumulation."""
     value_fn, dv_fn = g.functions()
 
-    def q(x, lanes=None):  # lanes: the `_fixed_point` mask; the parameters are scalars
+    def q(x, lanes=None):  # lanes: the refinement's mask; the parameters are scalars
         y, _, _ = integrate(value_fn, dv_fn, np.asarray(x, dtype=float), cfg,
                             guard=guard, want_log_deriv=False, divergence="nan")
         return y
@@ -110,11 +111,40 @@ def trapezoid_reverse(g: Integrand, y, nodes: int = 5):
     return v
 
 
-def _bisect(q, y, lo, hi, tol, steps=None, active=None):
-    """Vectorized bisection; stops when bracket width and residual are <= tol."""
-    y = np.asarray(y, dtype=float)
-    steps = np.zeros(y.shape, dtype=int) if steps is None else steps
-    active = np.ones(y.shape, dtype=bool) if active is None else active.copy()
+def _bisect(q, y, center, rc):
+    """Vectorized bisection on a bracket grown geometrically around `center`.
+
+    The bracket starts at [center - w, center + w] with w =
+    rc.bracket_halfwidth, and each failing side is widened until the
+    monotone residual changes sign; expansions are counted apart from the
+    halvings in `steps`. Halving stops once the bracket width and the
+    residual are both <= rc.tolerance.
+    """
+    w_lo = np.full(y.shape, rc.bracket_halfwidth)
+    w_hi = w_lo.copy()
+    lo = center - w_lo
+    hi = center + w_hi
+    q_lo = q(lo, np.ones(y.shape, dtype=bool))
+    q_hi = q(hi, np.ones(y.shape, dtype=bool))
+    expansions = np.zeros(y.shape, dtype=int)
+    for _ in range(rc.max_expansions):
+        bad_lo = ~(q_lo <= y)
+        bad_hi = ~(q_hi >= y)
+        bad = bad_lo | bad_hi
+        if not bad.any():
+            break
+        w_lo = np.where(bad_lo, w_lo * rc.bracket_expansion, w_lo)
+        w_hi = np.where(bad_hi, w_hi * rc.bracket_expansion, w_hi)
+        lo = np.where(bad_lo, center - w_lo, lo)
+        hi = np.where(bad_hi, center + w_hi, hi)
+        if bad_lo.any():
+            q_lo[bad_lo] = q(lo[bad_lo], bad_lo)
+        if bad_hi.any():
+            q_hi[bad_hi] = q(hi[bad_hi], bad_hi)
+        expansions[bad] += 1
+
+    active = (q_lo <= y) & (q_hi >= y)  # lanes without a bracket are never bisected
+    steps = np.zeros(y.shape, dtype=int)
     x = 0.5 * (lo + hi)
     residual = np.full(y.shape, np.inf)
     for _ in range(_HARD_CAP):
@@ -122,7 +152,7 @@ def _bisect(q, y, lo, hi, tol, steps=None, active=None):
             break
         mid = 0.5 * (lo + hi)
         qm = np.full(y.shape, np.nan)
-        qm[active] = q(mid[active])
+        qm[active] = q(mid[active], active)
         r = qm - y
         go_down = r > 0.0  # non-finite residual leaves the bracket untouched below
         hi = np.where(active & go_down, mid, hi)
@@ -130,61 +160,10 @@ def _bisect(q, y, lo, hi, tol, steps=None, active=None):
         x = np.where(active, mid, x)
         residual = np.where(active, np.abs(r), residual)
         steps[active] += 1
-        done = active & ((hi - lo) <= tol) & (np.abs(r) <= tol)
+        done = active & ((hi - lo) <= rc.tolerance) & (np.abs(r) <= rc.tolerance)
         active &= ~done
     converged = ~active & np.isfinite(residual)
-    return x, steps, converged, residual
-
-
-def bisection_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig,
-                     *, guard=DEFAULT_GUARD) -> RootResult:
-    """Invert by bracketing + bisection; `steps` counts halvings only.
-
-    The bracket starts at [y - w, y + w] with w = rc.bracket_halfwidth and
-    each failing side is widened geometrically until the monotone residual
-    changes sign; expansion counts are reported separately from steps.
-    """
-    if cfg.direction != "forward":
-        raise ValueError("bisection_invert() wants the forward solver config")
-    q = _map_only(g, cfg, guard)
-    y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr)
-
-    w_lo = np.full(y_arr.shape, rc.bracket_halfwidth)
-    w_hi = w_lo.copy()
-    lo = y_arr - w_lo
-    hi = y_arr + w_hi
-    q_lo = q(lo)
-    q_hi = q(hi)
-    expansions = np.zeros(y_arr.shape, dtype=int)
-    bracket_ok = np.zeros(y_arr.shape, dtype=bool)
-    for _ in range(rc.max_expansions):
-        bad_lo = ~(q_lo <= y_arr)
-        bad_hi = ~(q_hi >= y_arr)
-        bracket_ok = ~bad_lo & ~bad_hi
-        bad = bad_lo | bad_hi
-        if not bad.any():
-            break
-        w_lo = np.where(bad_lo, w_lo * rc.bracket_expansion, w_lo)
-        w_hi = np.where(bad_hi, w_hi * rc.bracket_expansion, w_hi)
-        lo = np.where(bad_lo, y_arr - w_lo, lo)
-        hi = np.where(bad_hi, y_arr + w_hi, hi)
-        if bad_lo.any():
-            q_lo[bad_lo] = q(lo[bad_lo])
-        if bad_hi.any():
-            q_hi[bad_hi] = q(hi[bad_hi])
-        expansions[bad] += 1
-    else:
-        bracket_ok = ~(~(q_lo <= y_arr) | ~(q_hi >= y_arr))
-
-    x, steps, converged, residual = _bisect(q, y_arr, lo, hi, rc.tolerance,
-                                            active=bracket_ok)
-    converged &= bracket_ok
-    if scalar:
-        return RootResult(float(x[0]), int(steps[0]), bool(converged[0]),
-                          float(residual[0]), int(expansions[0]))
-    return RootResult(x, steps, converged, residual, expansions)
+    return RootResult(x, steps, converged, residual, expansions, np.zeros(y.shape, dtype=bool))
 
 
 def _fixed_point(q, y, x0, rc):
@@ -227,56 +206,76 @@ def _fixed_point(q, y, x0, rc):
     return x, steps, converged, np.abs(r)
 
 
+def _within(q, keep):
+    """`q` restricted to the lanes `keep` picks; its masks index those lanes."""
+
+    def q_kept(x, lanes):
+        full = np.zeros(keep.shape, dtype=bool)
+        full[keep] = lanes
+        return q(x, full)
+
+    return q_kept
+
+
+def refine_lanes(q, y, x0, rc: RefineConfig) -> RootResult:
+    """Solve q(x) = y lane by lane from the guess x0, by `rc.method`.
+
+    `y` and `x0` are 1-D; ``q(x, lanes)`` maps the lanes picked by the
+    boolean mask `lanes`, whose values are `x`. 'bisection' brackets
+    around x0. 'fixed_point' iterates from x0, and every lane that misses
+    the tolerance falls back to bisection around its fixed-point x (flagged
+    in `fell_back`; `steps` keeps the fixed-point count). A lane whose
+    fallback fails too keeps its fixed-point x and residual.
+    """
+    if rc.method == "bisection":
+        return _bisect(q, y, x0, rc)
+    if rc.method != "fixed_point":
+        raise ValueError(f"refine_lanes() cannot refine by {rc.method!r}")
+    x, steps, converged, residual = _fixed_point(q, y, x0, rc)
+    fell_back = ~converged
+    if fell_back.any():
+        fb = _bisect(_within(q, fell_back), y[fell_back], x[fell_back], rc)
+        mended = np.flatnonzero(fell_back)[fb.converged]
+        x[mended] = fb.x[fb.converged]
+        residual[mended] = fb.residual[fb.converged]
+        converged[mended] = True
+    return RootResult(x, steps, converged, residual, np.zeros(y.shape, dtype=int), fell_back)
+
+
+def _invert(g, cfg, y, x0, rc, guard):
+    """`refine_lanes` on the forward map of `g`; a scalar y gives scalar fields."""
+    if cfg.direction != "forward":
+        raise ValueError(f"{rc.method} inversion wants the forward solver config")
+    y_arr = np.asarray(y, dtype=float)
+    res = refine_lanes(_map_only(g, cfg, guard), np.atleast_1d(y_arr),
+                       np.atleast_1d(np.asarray(x0, dtype=float)), rc)
+    if y_arr.ndim == 0:
+        return RootResult(float(res.x[0]), int(res.steps[0]), bool(res.converged[0]),
+                          float(res.residual[0]), int(res.expansions[0]), bool(res.fell_back[0]))
+    return res
+
+
+def bisection_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig,
+                     *, guard=DEFAULT_GUARD) -> RootResult:
+    """Invert by bracketing + bisection around y; `steps` counts halvings only.
+
+    The bracket starts at [y - w, y + w] with w = rc.bracket_halfwidth and
+    each failing side is widened geometrically until the monotone residual
+    changes sign; expansion counts are reported separately from steps.
+    """
+    return _invert(g, cfg, y, y, replace(rc, method="bisection"), guard)
+
+
 def fixedpoint_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig,
                       *, guard=DEFAULT_GUARD) -> RootResult:
     """Invert by damped fixed-point iteration, x <- x + lam*(y - q(x)).
 
     Starts from the five-node trapezoid reverse integral; the initial
     guess and its residual check are not counted as steps. Lanes that
-    exhaust `max_iterations` fall back to bisection (flagged in
-    `fell_back`; their fixed-point step counts are frozen at the cap).
+    exhaust `max_iterations` fall back to bisection (see `refine_lanes`).
     """
-    if cfg.direction != "forward":
-        raise ValueError("fixedpoint_invert() wants the forward solver config")
-    q = _map_only(g, cfg, guard)
-    y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr)
-
-    x0 = trapezoid_reverse(g, y_arr)
-    x, steps, converged, residual = _fixed_point(q, y_arr, x0, rc)
-
-    fell_back = ~converged
-    if fell_back.any():
-        fb = bisection_invert(g, cfg, y_arr[fell_back], rc, guard=guard)
-        x[fell_back] = fb.x
-        residual[fell_back] = fb.residual
-        converged[fell_back] = fb.converged
-    if scalar:
-        return RootResult(float(x[0]), int(steps[0]), bool(converged[0]),
-                          float(residual[0]), 0, bool(fell_back[0]))
-    return RootResult(x, steps, converged, residual, 0, fell_back)
-
-
-def refine_inverse(g, cfg_forward, y, x0, rc, *, scalar=False, guard=DEFAULT_GUARD):
-    """Polish a reverse-integration inverse `x0` per the RefineConfig.
-
-    Used by `scalarmap.inverse`; fixed-point refinement starts from the
-    supplied x0 (already a high-quality guess) rather than the coarse
-    trapezoid one.
-    """
-    q = _map_only(g, cfg_forward, guard)
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    x0_arr = np.atleast_1d(np.asarray(x0, dtype=float))
-    if rc.method == "bisection":
-        res = bisection_invert(g, cfg_forward, y_arr, rc, guard=guard)
-        x, steps, converged, residual = res.x, res.steps, res.converged, res.residual
-    else:
-        x, steps, converged, residual = _fixed_point(q, y_arr, x0_arr, rc)
-    if scalar:
-        return InverseResult(float(x[0]), int(steps[0]), bool(converged[0]),
-                             float(residual[0]), method=rc.method)
-    return InverseResult(x, steps, converged, residual, method=rc.method)
+    return _invert(g, cfg, y, trapezoid_reverse(g, y), replace(rc, method="fixed_point"),
+                   guard)
 
 
 # --- benchmark -------------------------------------------------------------

@@ -264,8 +264,13 @@ def inverse(g: Integrand, cfg: SolverConfig, y, refine=None, *,
         return InverseResult(_as_output(x0, scalar))
     from . import inversion  # deferred: inversion builds on this module
 
-    return inversion.refine_inverse(g, cfg.reversed(), arr, x0, refine, scalar=scalar,
-                                    guard=guard)
+    q = inversion._map_only(g, cfg.reversed(), guard)
+    res = inversion.refine_lanes(q, arr.ravel(), np.ravel(x0), refine)
+    x, steps, converged, residual = (
+        np.reshape(v, arr.shape) for v in (res.x, res.steps, res.converged, res.residual))
+    if scalar:
+        x, steps, converged, residual = float(x), int(steps), bool(converged), float(residual)
+    return InverseResult(x, steps, converged, residual, method=refine.method)
 
 
 def _adjoint(family, params, cfg, stages, cot_y, cot_l):

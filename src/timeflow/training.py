@@ -5,9 +5,11 @@ reverse-mode derivatives of the discretized computation (solver steps,
 conditioner evaluations, base density) obtained by taping the inverse-path
 log-density. Each ODE solve is one tape node whose backward pass is the
 discrete adjoint of the solver steps (`scalarmap.solve_node`), so the tape
-holds the conditioner and layer plumbing, not every solver operation. The loop is single-threaded over batches; within a batch all
-examples are vector lanes, so gradient accumulation is bitwise
-deterministic. Identical seeds give identical histories.
+holds the conditioner and layer plumbing, not every solver operation.
+
+The loop is single-threaded over batches; within a batch all examples
+are vector lanes, so gradient accumulation is bitwise deterministic.
+Identical seeds give identical histories.
 """
 
 from __future__ import annotations

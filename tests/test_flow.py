@@ -1,5 +1,7 @@
 """Flow layers, densities, sampling, checkpoints."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -297,6 +299,71 @@ def test_batched_refined_inverse_matches_rows(kind, dim, family, hidden, rows):
     one_by_one = np.stack([model_inverse(model, row, refine=rc) for row in y])
     np.testing.assert_allclose(batched, one_by_one, rtol=0, atol=1e-12)
     np.testing.assert_allclose(model_forward(model, batched)[0], y, rtol=0, atol=1e-8)
+
+
+def layerwise_refined_inverse(model, y, rc):
+    """Refined inverse one layer at a time, and the largest layer residual."""
+    worst = 0.0
+    for layer in reversed(model.layers):
+        x, _ = layer_inverse(layer, y, refine=rc)
+        worst = max(worst, float(np.max(np.abs(layer_forward(layer, x)[0] - y))))
+        y = x
+    return y, worst
+
+
+def test_fixed_point_refinement_inverts_every_row_alone():
+    # on this model 7 of the 64 rows miss the tolerance by fixed-point
+    # iteration alone; the bisection fallback must mend them
+    model = build_flow(2, n_layers=4, kind="coupling", family="quadratic",
+                       hidden_dims=(24,), seed=100)
+    randomize_parameters(model, seed=100, scale=0.4)
+    rc = RefineConfig("fixed_point", tolerance=1e-10)
+    for row in sample(model, 64, seed=101):
+        x, worst = layerwise_refined_inverse(model, row, rc)
+        assert worst <= rc.tolerance
+        assert np.array_equal(model_inverse(model, row, refine=rc), x)
+
+
+@pytest.mark.parametrize("kind,dim", [("coupling", 4), ("autoregressive", 3)])
+def test_bisection_refinement_is_bisection(kind, dim):
+    # bisection ignores max_iterations; a fixed-point pass capped at one step would not converge
+    model = build_flow(dim, n_layers=3, kind=kind, family="quadratic", hidden_dims=(8,),
+                       seed=3)
+    randomize_parameters(model, seed=4, scale=0.25)
+    y = sample(model, 32, seed=5)
+    rc = RefineConfig("bisection", max_iterations=1)
+    x, worst = layerwise_refined_inverse(model, y, rc)
+    assert worst <= rc.tolerance
+    np.testing.assert_array_equal(model_inverse(model, y, refine=rc), x)
+
+
+CHECKPOINT_KEYS = {
+    "coupling": ["kind", "split", "transform_upper", "family", "solver", "conditioner"],
+    "autoregressive": ["kind", "family", "ordering", "solver", "conditioner"],
+    "permutation": ["kind", "perm"],
+}
+
+
+@pytest.mark.parametrize("kind,build,sha256", [
+    ("coupling", dict(dim=4, n_layers=3, family="quadratic", hidden_dims=(5,),
+                      solver=SolverConfig(steps=8), seed=7),
+     "f9df40dfc38a0cf665e3678f33774718997c0bdbfe3c200f5822786e5de2fb26"),
+    ("autoregressive", dict(dim=3, n_layers=2, family="sigmoid_affine", hidden_dims=(6,),
+                            solver=SolverConfig(scheme="euler", steps=12), seed=9),
+     "3b00ea5673221e2d46f992d73c707f7a5a97a2e29691960962208dd60b1c4f7c"),
+])
+def test_checkpoint_format_is_stable(tmp_path, kind, build, sha256):
+    # the hashes are those of the files this format has always written
+    model = build_flow(kind=kind, **build)
+    randomize_parameters(model, seed=build["seed"] + 1, scale=0.3)
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["format", "version", "dim", "layers"]
+    assert {layer["kind"] for layer in doc["layers"]} == {kind, "permutation"}
+    for layer in doc["layers"]:
+        assert list(layer) == CHECKPOINT_KEYS[layer["kind"]]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, rng):

@@ -14,7 +14,13 @@ from timeflow import (
     forward,
     run_bench,
 )
-from timeflow.inversion import DEFAULT_BENCH_INTEGRAND, _fixed_point, trapezoid_reverse
+from timeflow.inversion import (
+    DEFAULT_BENCH_INTEGRAND,
+    _fixed_point,
+    _map_only,
+    trapezoid_reverse,
+)
+from timeflow.scalarmap import DEFAULT_GUARD
 
 FWD = SolverConfig(steps=16)
 IDENTITY = Integrand.quadratic(0, 0, 0)
@@ -71,6 +77,29 @@ def test_fixedpoint_shift_exact_from_initial_guess():
     res = fixedpoint_invert(SHIFT, FWD, 1.5, rc)
     assert res.steps == 0
     assert res.x == pytest.approx(0.5, abs=1e-13)
+
+
+def test_failed_fallback_keeps_fixed_point_x():
+    # one pass leaves the lane short of the tolerance, and the bisection
+    # fallback's bracket is too narrow to hold the root and may not grow
+    rc = RefineConfig(method="fixed_point", tolerance=1e-12, max_iterations=1,
+                      bracket_halfwidth=1e-9, max_expansions=0)
+    g = DEFAULT_BENCH_INTEGRAND
+    y = forward(g, FWD, np.array([0.3, 0.7])).y
+    x, _, converged, residual = _fixed_point(_map_only(g, FWD, DEFAULT_GUARD), y,
+                                             trapezoid_reverse(g, y), rc)
+    assert not converged.any()
+    res = fixedpoint_invert(g, FWD, y, rc)
+    assert res.fell_back.all() and not res.converged.any()
+    assert np.array_equal(res.x, x)
+    assert np.array_equal(res.residual, residual)
+
+
+def test_fixed_point_falls_back_to_bisection():
+    rc = RefineConfig(method="fixed_point", tolerance=1e-12, max_iterations=1)
+    res = fixedpoint_invert(DEFAULT_BENCH_INTEGRAND, FWD, 0.5, rc)
+    assert res.fell_back and res.converged and res.steps == 1
+    assert res.residual <= 1e-12
 
 
 def test_trapezoid_reverse_five_nodes():
