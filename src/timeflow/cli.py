@@ -85,7 +85,7 @@ def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
+            fh.write(",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row))
             fh.write("\n")
 
 

@@ -18,9 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Node, backward, grad_or_zeros, matmul, relu, tanh
-
-__all__ = ["ConditionerNet", "init_net", "net_eval", "net_vjp", "build_masks"]
+__all__ = ["ConditionerNet", "init_net", "net_eval", "net_backward", "net_vjp", "build_masks"]
 
 ACTIVATIONS = ("tanh", "relu")
 
@@ -100,37 +98,57 @@ def init_net(layer_dims, seed=0, activation="tanh", masks=None) -> ConditionerNe
     return ConditionerNet(list(layer_dims), weights, biases, activation, masks)
 
 
-def net_eval(net: ConditionerNet, x, params=None):
+def net_eval(net: ConditionerNet, x, params=None, *, acts=None):
     """Affine-then-activation composition; the last layer stays linear.
 
-    `x` is a vector or an (n, in_dim) batch, plain array or taped Node.
-    `params` optionally overrides the parameter arrays (same order as
-    `param_arrays`), which is how training threads Nodes through.
+    `x` is a vector or an (n, in_dim) batch. `params` optionally overrides
+    the parameter arrays (same order as `param_arrays`). If `acts` is a
+    list, the input of every affine layer is appended to it, which is what
+    `net_backward` differentiates from.
     """
     arrs = net.param_arrays() if params is None else params
     if len(arrs) != 2 * len(net.weights):
         raise ValueError("params has the wrong length")
-    if isinstance(x, Node):
-        squeeze = x.ndim == 1
-        h = x.reshape(1, -1) if squeeze else x
-    else:
-        x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        h = np.atleast_2d(x)
+    x = np.asarray(x, dtype=float)
+    squeeze = x.ndim == 1
+    h = np.atleast_2d(x)
     if h.shape[1] != net.in_dim:
         raise ValueError(
             f"input width {h.shape[1]} does not match conditioner input dim {net.in_dim}"
         )
-    act = tanh if net.activation == "tanh" else relu
     n_layers = len(net.weights)
     for i in range(n_layers):
         w, b = arrs[2 * i], arrs[2 * i + 1]
         if net.masks is not None:
             w = w * net.masks[i]
-        h = matmul(h, w) + b
+        if acts is not None:
+            acts.append(h)
+        h = h @ w + b
         if i < n_layers - 1:
-            h = act(h)
+            h = np.tanh(h) if net.activation == "tanh" else np.maximum(h, 0.0)
     return h.reshape(-1) if squeeze else h
+
+
+def net_backward(net: ConditionerNet, params, acts, cotangent):
+    """Reverse pass of a batched `net_eval` with `params` from the `acts` it collected.
+
+    Returns ``(dinput, dparams)`` for an (n, out_dim) output cotangent,
+    with dparams ordered like `param_arrays`; gradients of masked-out
+    weights are exactly zero.
+    """
+    g = cotangent
+    grads = [None] * len(params)
+    for i in range(len(net.weights) - 1, -1, -1):
+        if i < len(net.weights) - 1:  # through the activation; acts[i + 1] is its output
+            out = acts[i + 1]
+            g = g * (1.0 - out * out) if net.activation == "tanh" else g * (out > 0.0)
+        w = params[2 * i]
+        dw = acts[i].T @ g
+        if net.masks is not None:
+            w, dw = w * net.masks[i], dw * net.masks[i]
+        grads[2 * i], grads[2 * i + 1] = dw, g.sum(axis=0)
+        g = g @ w.T
+    return g, grads
 
 
 def net_vjp(net: ConditionerNet, x, cotangent):
@@ -139,12 +157,12 @@ def net_vjp(net: ConditionerNet, x, cotangent):
     Returns ``(dinput, dparams)`` with dparams ordered like
     `param_arrays`; gradients of masked-out weights are exactly zero.
     """
-    x_arr = np.asarray(x, dtype=float)
-    x_node = Node(x_arr)
-    p_nodes = [Node(p) for p in net.param_arrays()]
-    out = net_eval(net, x_node, params=p_nodes)
-    backward([(out, np.asarray(cotangent, dtype=float))])
-    return grad_or_zeros(x_node), [grad_or_zeros(p) for p in p_nodes]
+    x = np.asarray(x, dtype=float)
+    acts = []
+    net_eval(net, x, acts=acts)
+    cot = np.asarray(cotangent, dtype=float).reshape(acts[0].shape[0], net.out_dim)
+    dinput, dparams = net_backward(net, net.param_arrays(), acts, cot)
+    return dinput.reshape(x.shape), dparams
 
 
 def build_masks(D: int, hidden_dims, ordering=None):

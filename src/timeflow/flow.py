@@ -27,11 +27,11 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Node, concat, sum_, value_of
-from .conditioner import ConditionerNet, build_masks, init_net, net_eval
+from .autodiff import Node
+from .conditioner import ConditionerNet, build_masks, init_net, net_backward, net_eval
 from .integrands import family_functions
 from .inversion import refine_lanes
-from .scalarmap import DEFAULT_GUARD, DivergenceError, SolverConfig, integrate, solve_node
+from .scalarmap import DEFAULT_GUARD, DivergenceError, SolverConfig, _adjoint, integrate
 
 __all__ = [
     "CouplingLayer",
@@ -51,15 +51,20 @@ __all__ = [
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 
-# Every layer class has the same five members, which the module-level
+# Every layer class has the same six members, which the module-level
 # operations below reach without asking which kind of layer they hold:
 #   params()                      its parameter arrays, in checkpoint order;
 #   forward(x, params, guard, divergence, want_log_deriv) -> (y, logdet);
-#   inverse(y, params, refine, guard, divergence, want_log_deriv) -> (x, logdet);
+#   inverse(y, params, refine, guard, divergence, want_log_deriv, cache=None)
+#                                 -> (x, logdet);
+#   vjp(params, cache, x_bar, l_bar) -> (y_bar, param grads) of that inverse;
 #   to_json() and the classmethod from_json(dim, obj) for checkpoints.
 # x and y are (n, D) batches; logdet is (n,), or None without want_log_deriv
 # (permutations always return zeros). inverse returns the log-determinant of
-# the inverse map.
+# the inverse map. Given a `cache` list, inverse appends what vjp needs (the
+# conditioner activations, the parameter arrays of each solve and its stage
+# points); vjp takes the cotangents of x and of logdet, and supports the
+# unrefined inverse only.
 
 
 @dataclass
@@ -92,21 +97,39 @@ class CouplingLayer:
     def params(self):
         return self.conditioner.param_arrays()
 
-    def _coupled(self, x, params, block, *args):
-        """Split x, map one block by ``block(self, a, b, c, moved, *args)``
-        with parameters conditioned on the other, and join the blocks again."""
+    def _halves(self, x):
+        """``(kept, moved)`` column blocks of x."""
         d = self.split
-        kept, moved = (x[:, :d], x[:, d:]) if self.transform_upper else (x[:, d:], x[:, :d])
-        a, b, c = _triples(net_eval(self.conditioner, kept, params))
-        out, logdet = block(self, a, b, c, moved, *args)
-        return concat([kept, out] if self.transform_upper else [out, kept], axis=1), logdet
+        return (x[:, :d], x[:, d:]) if self.transform_upper else (x[:, d:], x[:, :d])
+
+    def _join(self, kept, moved):
+        return np.concatenate([kept, moved] if self.transform_upper else [moved, kept], axis=1)
+
+    def _coupled(self, x, params, block, *args, cache=None):
+        """Split x, map one block by ``block(self, a, b, c, moved, *args, stages)``
+        with parameters conditioned on the other, and join the blocks again."""
+        kept, moved = self._halves(x)
+        acts, stages = ([], []) if cache is not None else (None, None)
+        a, b, c = _triples(net_eval(self.conditioner, kept, params, acts=acts))
+        out, logdet = block(self, a, b, c, moved, *args, stages)
+        if cache is not None:
+            cache.append((acts, (a, b, c), stages))
+        return self._join(kept, out), logdet
 
     def forward(self, x, params, guard, divergence, want_log_deriv):
         return self._coupled(x, params, _forward_block, guard, divergence, want_log_deriv)
 
-    def inverse(self, y, params, refine, guard, divergence, want_log_deriv):
+    def inverse(self, y, params, refine, guard, divergence, want_log_deriv, cache=None):
         return self._coupled(y, params, _invert_block, refine, guard, divergence,
-                             want_log_deriv)
+                             want_log_deriv, cache=cache)
+
+    def vjp(self, params, cache, x_bar, l_bar):
+        [(acts, abc, stages)] = cache
+        kept_bar, out_bar = self._halves(x_bar)
+        moved_bar, *abc_bar = _adjoint(self.family, abc, self.solver.reversed(), stages,
+                                       out_bar, l_bar[:, None])
+        dkept, grads = net_backward(self.conditioner, params, acts, _interleave(abc_bar))
+        return self._join(kept_bar + dkept, moved_bar), grads
 
     def to_json(self):
         return {
@@ -154,21 +177,46 @@ class AutoregressiveLayer:
         a, b, c = _triples(net_eval(self.conditioner, x, params))
         return _forward_block(self, a, b, c, x, guard, divergence, want_log_deriv)
 
-    def inverse(self, y, params, refine, guard, divergence, want_log_deriv):
+    def inverse(self, y, params, refine, guard, divergence, want_log_deriv, cache=None):
         """Sequential inversion in the layer's variable ordering: coordinate
         k is solved once every coordinate of lower order is known."""
-        n = value_of(y).shape[0]
+        n = y.shape[0]
         cols = [None] * self.dim
         logdet = None
         for k in self.ordering.tolist():
             filled = [np.zeros((n, 1)) if col is None else col for col in cols]
-            theta = net_eval(self.conditioner, concat(filled, axis=1), params)
+            acts, stages = ([], []) if cache is not None else (None, None)
+            theta = net_eval(self.conditioner, np.concatenate(filled, axis=1), params,
+                             acts=acts)
             a, b, c = (theta[:, 3 * k + j:3 * k + j + 1] for j in range(3))
             cols[k], contrib = _invert_block(self, a, b, c, y[:, k:k + 1], refine, guard,
-                                             divergence, want_log_deriv)
+                                             divergence, want_log_deriv, stages)
+            if cache is not None:
+                cache.append((k, acts, (a, b, c), stages))
             if want_log_deriv:
                 logdet = contrib if logdet is None else logdet + contrib
-        return concat(cols, axis=1), logdet
+        return np.concatenate(cols, axis=1), logdet
+
+    def vjp(self, params, cache, x_bar, l_bar):
+        """Walk the coordinates in reverse order: a coordinate's cotangent is
+        complete once every later coordinate's conditioner pass has added
+        to it. The zero-filled placeholder columns get no cotangent."""
+        x_bar = x_bar.copy()
+        y_bar = np.empty_like(x_bar)
+        grads = None
+        cfg = self.solver.reversed()
+        order = self.ordering.tolist()
+        for pos in range(len(cache) - 1, -1, -1):
+            k, acts, abc, stages = cache[pos]
+            y_bar[:, k:k + 1], *abc_bar = _adjoint(self.family, abc, cfg, stages,
+                                                   x_bar[:, k:k + 1], l_bar[:, None])
+            theta_bar = np.zeros((x_bar.shape[0], 3 * self.dim))
+            theta_bar[:, 3 * k:3 * k + 3] = _interleave(abc_bar)
+            dinput, g = net_backward(self.conditioner, params, acts, theta_bar)
+            known = order[:pos]
+            x_bar[:, known] += dinput[:, known]
+            grads = g if grads is None else [s + t for s, t in zip(grads, g)]
+        return y_bar, grads
 
     def to_json(self):
         return {
@@ -208,10 +256,13 @@ class PermutationLayer:
         return []
 
     def forward(self, x, params, guard, divergence, want_log_deriv):
-        return x[:, self.perm], np.zeros(value_of(x).shape[0])
+        return x[:, self.perm], np.zeros(x.shape[0])
 
-    def inverse(self, y, params, refine, guard, divergence, want_log_deriv):
-        return y[:, self.inverse_perm], np.zeros(value_of(y).shape[0])
+    def inverse(self, y, params, refine, guard, divergence, want_log_deriv, cache=None):
+        return y[:, self.inverse_perm], np.zeros(y.shape[0])
+
+    def vjp(self, params, cache, x_bar, l_bar):
+        return x_bar[:, self.perm], []
 
     def to_json(self):
         return {"kind": "permutation", "perm": self.perm.tolist()}
@@ -285,10 +336,6 @@ def _split_params(model, params):
 
 
 def _as_batch(x):
-    if isinstance(x, Node):
-        if x.ndim == 1:
-            return x.reshape(1, -1), True
-        return x, False
     arr = np.asarray(x, dtype=float)
     if arr.ndim == 1:
         return arr.reshape(1, -1), True
@@ -306,44 +353,46 @@ def _triples(theta):
     return theta[:, 0::3], theta[:, 1::3], theta[:, 2::3]
 
 
+def _interleave(abc):
+    """Inverse of `_triples`: (a, b, c) of shape (n, k) into one (n, 3k) array."""
+    a = abc[0]
+    theta = np.empty((a.shape[0], 3 * a.shape[1]))
+    for j, p in enumerate(abc):
+        theta[:, j::3] = p
+    return theta
+
+
 def _logdet_sum(l):
-    return None if l is None else sum_(l, axis=1)
+    return None if l is None else np.sum(l, axis=1)
 
 
-def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=True):
+def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=True,
+           stages=None):
     """Solve every lane of x under the family's integrand with parameters a, b, c.
 
-    `integrate` always runs on raw arrays, with the family's one-phi slope
-    when the log-derivative is wanted. If x or a parameter is a Node, the
-    solve goes on the tape as one Node (see `scalarmap.solve_node`), and a
-    lane leaving the guard box always raises.
+    Uses the family's one-phi slope when the log-derivative is wanted. A
+    `stages` list receives the stage points, for `scalarmap._adjoint`.
     Returns ``(v_end, log_deriv)``; log_deriv is None unless `want_log_deriv`.
     """
     value, dv = family_functions(family)
-    ra, rb, rc = value_of(a), value_of(b), value_of(c)
-    taped = any(isinstance(p, Node) for p in (x, a, b, c))
-    stages = [] if taped else None
     if want_log_deriv:
-        fns = (lambda v, t: value(ra, rb, rc, v, t, with_dv=True)), None
+        fns = (lambda v, t: value(a, b, c, v, t, with_dv=True)), None
     else:
-        fns = (lambda v, t: value(ra, rb, rc, v, t)), (lambda v, t: dv(ra, rb, rc, v, t))
-    y, l, _ = integrate(
-        *fns, value_of(x), cfg, guard=guard, want_log_deriv=want_log_deriv,
-        divergence="raise" if taped else divergence, stages=stages,
-    )
-    if taped:
-        return solve_node(family, x, (a, b, c), cfg, y, l, stages)
+        fns = (lambda v, t: value(a, b, c, v, t)), (lambda v, t: dv(a, b, c, v, t))
+    y, l, _ = integrate(*fns, x, cfg, guard=guard, want_log_deriv=want_log_deriv,
+                        divergence=divergence, stages=stages)
     return y, l
 
 
-def _forward_block(layer, a, b, c, xt, guard, divergence, want_log_deriv):
+def _forward_block(layer, a, b, c, xt, guard, divergence, want_log_deriv, stages=None):
     """Forward-integrate a block of coordinates with given parameter arrays."""
     yt, l = _solve(layer.family, a, b, c, xt, layer.solver, guard, divergence,
-                   want_log_deriv)
+                   want_log_deriv, stages)
     return yt, _logdet_sum(l)
 
 
-def _invert_block(layer, a, b, c, yt, refine, guard, divergence, want_log_deriv):
+def _invert_block(layer, a, b, c, yt, refine, guard, divergence, want_log_deriv,
+                  stages=None):
     """Reverse-integrate a block of coordinates with given parameter arrays.
 
     With a `refine` method other than 'reverse_only', every (row, column)
@@ -351,11 +400,9 @@ def _invert_block(layer, a, b, c, yt, refine, guard, divergence, want_log_deriv)
     residual is the layer's own forward solve.
     """
     xt, l = _solve(layer.family, a, b, c, yt, layer.solver.reversed(), guard, divergence,
-                   want_log_deriv)
+                   want_log_deriv, stages)
     if refine is None or refine.method == "reverse_only":
         return xt, _logdet_sum(l)
-    if isinstance(xt, Node):
-        raise TypeError("refined inversion is not differentiable; use plain arrays")
     params = [np.ravel(p) for p in (a, b, c)]
 
     def q(x, lanes):
@@ -389,26 +436,33 @@ def layer_inverse(layer, y, params=None, refine=None, *, guard=DEFAULT_GUARD,
     log-determinant of the inverse map, i.e. minus the forward one).
 
     `refine` (a RefineConfig) optionally polishes each transformed
-    coordinate by root refinement; plain-array inputs only.
+    coordinate by root refinement.
     """
     yb, squeeze = _as_batch(y)
     return _unbatch(*layer.inverse(yb, params, refine, guard, divergence, True), squeeze)
 
 
 def _through_layers(model, x, params, guard, divergence, want_log_deriv, *,
-                    inverse=False, refine=None):
+                    inverse=False, refine=None, records=None):
     """The one layer loop: x through every layer's forward in list order, or
     through every layer's inverse in reverse order. Returns x and the summed
     log-determinants (None without `want_log_deriv` or without layers); a
-    `DivergenceError` is re-raised naming the layer."""
+    `DivergenceError` is re-raised naming the layer. On the inverse path a
+    `records` list receives one `autodiff.Node` per layer, in the order the
+    layers ran, for `autodiff.backward`."""
     views = _split_params(model, params)
     order = range(len(model.layers))
     total = None
     for i in reversed(order) if inverse else order:
         layer = model.layers[i]
+        cache = None
+        if records is not None:
+            records.append(Node(layer, views[i]))
+            cache = records[-1].cache
         try:
             if inverse:
-                x, ld = layer.inverse(x, views[i], refine, guard, divergence, want_log_deriv)
+                x, ld = layer.inverse(x, views[i], refine, guard, divergence, want_log_deriv,
+                                      cache)
             else:
                 x, ld = layer.forward(x, views[i], guard, divergence, want_log_deriv)
         except DivergenceError as err:
@@ -424,7 +478,7 @@ def model_forward(model: FlowModel, x, params=None, *, guard=DEFAULT_GUARD,
     xb, squeeze = _as_batch(x)
     y, total = _through_layers(model, xb, params, guard, divergence, True)
     if total is None:
-        total = np.zeros(value_of(y).shape[0])
+        total = np.zeros(y.shape[0])
     return _unbatch(y, total, squeeze)
 
 
@@ -445,23 +499,29 @@ def log_density(model: FlowModel, y, params=None, *, guard=DEFAULT_GUARD,
 
     A point whose reverse trajectory leaves the guard box lies outside the
     model's image and has density zero; this raises by default, while
-    divergence='-inf' records -inf for those entries (plain arrays only),
-    which is what density tabulation over a grid wants.
+    divergence='-inf' records -inf for those entries, which is what density
+    tabulation over a grid wants.
     """
     if divergence not in ("raise", "-inf"):
         raise ValueError("divergence must be 'raise' or '-inf'")
-    mode = "raise" if divergence == "raise" else "nan"
     yb, squeeze = _as_batch(y)
-    x, total = _through_layers(model, yb, params, guard, mode, True, inverse=True)
-    base = -0.5 * sum_(x * x, axis=1) - 0.5 * model.dim * LOG_TWO_PI
-    out = base if total is None else base + total
-    raw = value_of(out)
-    if not np.all(np.isfinite(raw)):
-        if divergence == "raise":
-            bad = np.flatnonzero(~np.isfinite(raw)).tolist()
-            raise DivergenceError(f"non-finite log-density for rows {bad}", indices=bad)
-        out = np.where(np.isnan(raw), -np.inf, raw)
+    _, out = _log_density(model, yb, params, guard, divergence)
     return out[0] if squeeze else out
+
+
+def _log_density(model, y, params, guard, divergence, records=None):
+    """`log_density` of an (n, D) batch; returns the base point x as well."""
+    mode = "raise" if divergence == "raise" else "nan"
+    x, total = _through_layers(model, y, params, guard, mode, True, inverse=True,
+                               records=records)
+    base = -0.5 * np.sum(x * x, axis=1) - 0.5 * model.dim * LOG_TWO_PI
+    out = base if total is None else base + total
+    if not np.all(np.isfinite(out)):
+        if divergence == "raise":
+            bad = np.flatnonzero(~np.isfinite(out)).tolist()
+            raise DivergenceError(f"non-finite log-density for rows {bad}", indices=bad)
+        out = np.where(np.isnan(out), -np.inf, out)
+    return x, out
 
 
 def sample(model: FlowModel, n: int, seed: int = 0, *, guard=DEFAULT_GUARD,

@@ -7,9 +7,8 @@ Each built-in family is a three-parameter function of the state `v` only:
     sigmoid_affine g(v, t) = a*v + b + c*sigmoid(v)
 
 A `custom` integrand carries explicit value / d-value callbacks and may
-depend on `t`. All family functions are written against the autodiff
-dispatch helpers, so they accept plain arrays or taped nodes, and the
-(a, b, c) slots may themselves be arrays broadcast against `v`.
+depend on `t`. The family functions take numpy arrays, and the (a, b, c)
+slots may themselves be arrays broadcast against `v`.
 """
 
 from __future__ import annotations
@@ -20,13 +19,25 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import sigmoid, value_of
-
 FAMILIES = ("quadratic", "cubic", "sigmoid_affine", "custom")
+
+# exp(x) is finite exactly for x <= log of the largest double
+_EXP_MAX = float(np.log(np.finfo(float).max))
 
 
 class NonFiniteError(ArithmeticError):
     """An integrand evaluation produced a non-finite value."""
+
+
+def _logistic(x):
+    """1 / (1 + exp(-x)), finite for every input and free of overflow warnings.
+
+    Where exp(-x) would overflow the result rounds to 0 anyway, so the
+    exponent is clipped there and the numerator zeroed; everywhere else this
+    is the textbook formula, bit for bit. NaN stays NaN.
+    """
+    x = np.asarray(x, dtype=float)
+    return (x >= -_EXP_MAX) / (1.0 + np.exp(np.minimum(-x, _EXP_MAX)))
 
 
 # family -> (phi, dphi, d2phi) for g(v, t) = a*v + b + c*phi(v); the derivatives
@@ -35,7 +46,7 @@ class NonFiniteError(ArithmeticError):
 _PHI = {
     "quadratic": (lambda v: v * v, lambda v, p: 2.0 * v, lambda v, p, dp: 2.0),
     "cubic": (lambda v: v * v * v, lambda v, p: 3.0 * (v * v), lambda v, p, dp: 6.0 * v),
-    "sigmoid_affine": (sigmoid, lambda v, s: s * (1.0 - s),
+    "sigmoid_affine": (_logistic, lambda v, s: s * (1.0 - s),
                        lambda v, s, ds: ds * (1.0 - 2.0 * s)),
 }
 
@@ -144,7 +155,7 @@ def eval_integrand(g: Integrand, v, t):
     """Evaluate g(v, t); a non-finite result is reported, not propagated."""
     value_fn, _ = g.functions()
     out = value_fn(v, t)
-    if not np.all(np.isfinite(value_of(out))):
+    if not np.all(np.isfinite(out)):
         raise NonFiniteError(
             f"integrand {g.family} returned a non-finite value at v={v!r}, t={t!r}"
         )
@@ -155,7 +166,7 @@ def eval_integrand_dv(g: Integrand, v, t):
     """Evaluate the partial derivative of g with respect to v."""
     _, dv_fn = g.functions()
     out = dv_fn(v, t)
-    if not np.all(np.isfinite(value_of(out))):
+    if not np.all(np.isfinite(out)):
         raise NonFiniteError(
             f"integrand {g.family} derivative non-finite at v={v!r}, t={t!r}"
         )

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import Node, _unbroadcast, backward, grad_or_zeros, value_of
 from .integrands import (Integrand, eval_integrand, eval_integrand_dv, family_functions,
                          family_phi)
 
@@ -33,7 +32,6 @@ __all__ = [
     "inverse",
     "derivative",
     "forward_vjp",
-    "solve_node",
     "eval_integrand",
     "eval_integrand_dv",
 ]
@@ -107,7 +105,7 @@ class VjpResult:
 
 def _check_guard(v, guard, where, divergence):
     """Detect lanes outside the guard box. Returns updated v in 'nan' mode."""
-    raw = value_of(v)
+    raw = np.asarray(v)
     if not raw.size or np.abs(raw).max() <= guard:  # NaN fails this comparison
         return v, None
     bad = ~np.isfinite(raw) | (np.abs(raw) > guard)
@@ -120,8 +118,6 @@ def _check_guard(v, guard, where, divergence):
             + (f" (rows {rows})" if rows else ""),
             indices=rows,
         )
-    if isinstance(v, Node):  # taped runs always raise; masking is untraceable
-        raise DivergenceError(f"trajectory left |v| <= {guard:g} at {where}")
     return np.where(bad, np.nan, raw), bad
 
 
@@ -140,11 +136,8 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
     using the same scheme and stage points, i.e. one pass over the
     augmented state (v, l). If `stages` is a list, the stage points of
     every step are appended to it, ``(v1, v2, v3, v4)`` for RK4 and
-    ``(v1,)`` for Euler; `solve_node` differentiates a built-in-family
-    solve from them by a discrete adjoint. Plain arrays are the fast path;
-    autodiff Nodes for `x` (and, through closures, for the integrand
-    parameters) tape every operation, which only custom integrands in
-    `forward_vjp` still need.
+    ``(v1,)`` for Euler; `_adjoint` differentiates a built-in-family solve
+    from them, and `forward_vjp` a custom one.
 
     Returns ``(v_end, log_deriv, trajectory)``.
     """
@@ -164,7 +157,7 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
 
     v = x
     log_deriv = None
-    trajectory = [np.array(value_of(x), copy=True)] if keep_trajectory else None
+    trajectory = [np.array(x, dtype=float)] if keep_trajectory else None
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
@@ -193,7 +186,7 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
                 v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             v, _ = _check_guard(v, guard, f"t={t0 + (k + 1) * h:.6g}", divergence)
             if keep_trajectory:
-                trajectory.append(np.array(value_of(v), copy=True))
+                trajectory.append(np.array(v, dtype=float))
 
     if not want_log_deriv:
         log_deriv = None
@@ -295,9 +288,14 @@ def _adjoint(family, params, cfg, stages, cot_y, cot_l):
     points = [vi for step in stages for vi in step]
     v = np.stack(np.broadcast_arrays(cot_y, *points)[1:])  # x may be narrower than v(1)
     w = np.tile(weights, len(stages)).reshape((-1,) + (1,) * (v.ndim - 1))
+    # The stacked arrays are combined in place where that keeps every bit:
+    # each fresh (stages, n, k) temporary is a large heap block, and freeing
+    # many per call makes malloc return pages to the system and fault them in
+    # again on the next call.
     p = phi(v)  # one sigmoid serves phi, phi' and phi''
     dp = dphi(v, p)
-    jac = a + c * dp  # dg/dv at every stage point
+    jac = c * dp  # dg/dv = a + c*phi' at every stage point
+    jac += a
     jbar = w * cot_l  # cotangent of each stage's dg/dv
     through_jac = jbar * (c * d2phi(v, p, dp))  # reaches a stage point through its dg/dv
     kbar = np.empty(v.shape)  # cotangents of the stage slopes k_i
@@ -313,29 +311,33 @@ def _adjoint(family, params, cfg, stages, cot_y, cot_l):
             if i:
                 carry = offsets[i - 1] * sbar
         ybar = vbar
-    abar = np.sum(kbar * v + jbar, axis=0)
-    cbar = np.sum(kbar * p + jbar * dp, axis=0)
-    return ybar, abar, np.sum(kbar, axis=0), cbar
+    v *= kbar  # abar = sum(kbar*v + jbar)
+    v += jbar
+    p *= kbar  # cbar = sum(kbar*phi + jbar*phi')
+    dp *= jbar
+    p += dp
+    return ybar, np.sum(v, axis=0), np.sum(kbar, axis=0), np.sum(p, axis=0)
 
 
-def solve_node(family, x, params, cfg, y, log_deriv, stages):
-    """Record one built-in-family solve on the tape as a single Node.
-
-    `y`, `log_deriv` and `stages` come from `integrate` run on the raw
-    values of `x` and `params` = (a, b, c), any of which may be Nodes.
-    Returns Nodes for v(1) and the log-derivative, both slices of the one
-    solve Node, whose VJP is the discrete adjoint of the solver steps:
-    the exact gradient of the discretized map, not of the continuous one.
-    """
-    raw = [value_of(p) for p in params]
-    taped = [(k, p) for k, p in enumerate((x, *params)) if isinstance(p, Node)]
-
-    def vjp(g):
-        grads = _adjoint(family, raw, cfg, stages, g[0], g[1])
-        return tuple(_unbroadcast(grads[k], p.shape) for k, p in taped)
-
-    node = Node(np.stack(np.broadcast_arrays(y, log_deriv)), tuple(p for _, p in taped), vjp)
-    return node[0], node[1]
+def _tangent(dv_fn, cfg, stages):
+    """d v(1) / dx of a solve from its stage points: the product over the steps
+    of the tangent recursion's factor tau, which needs dg/dv only."""
+    n = len(stages)
+    h = (1.0 if cfg.direction == "forward" else -1.0) / n
+    t0 = 0.0 if cfg.direction == "forward" else 1.0
+    dx = 1.0
+    for k, points in enumerate(stages):
+        t = t0 + k * h
+        if cfg.scheme == "euler":
+            tau = 1.0 + h * dv_fn(points[0], t)
+        else:
+            d1 = dv_fn(points[0], t)
+            d2 = dv_fn(points[1], t + 0.5 * h) * (1.0 + 0.5 * h * d1)
+            d3 = dv_fn(points[2], t + 0.5 * h) * (1.0 + 0.5 * h * d2)
+            d4 = dv_fn(points[3], t + h) * (1.0 + h * d3)
+            tau = 1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        dx = dx * tau
+    return dx
 
 
 def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet,
@@ -345,24 +347,24 @@ def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet,
     Differentiates the discretized computation exactly (the gradient of
     what `forward` actually evaluates, not of the continuous limit) and
     contracts with the given cotangents. Built-in families go through the
-    discrete adjoint of `solve_node`; custom integrands tape every
-    operation of the solve. Returns d/dx and d/d(a, b, c); for custom
-    integrands the parameter slots come back as zeros.
+    discrete adjoint `_adjoint`. For custom integrands d/dx is the tangent
+    recursion over the stage points, the parameter slots come back as
+    zeros, and a nonzero `cot_logdet` raises: it would need d2g/dv2.
+    Returns d/dx and d/d(a, b, c).
     """
     if cfg.direction != "forward":
         raise ValueError("forward_vjp() needs a forward-direction SolverConfig")
     arr, scalar = _as_input(x)
-    x_node = Node(arr)
+    cot_y = np.broadcast_to(np.asarray(cot_y, dtype=float), arr.shape)
+    cot_logdet = np.broadcast_to(np.asarray(cot_logdet, dtype=float), arr.shape)
     value_fn, dv_fn = _solver_functions(g)
+    stages = []
+    integrate(value_fn, dv_fn, arr, cfg, guard=guard, want_log_deriv=False, stages=stages)
     if g.family == "custom":
-        params = ()
-        y, log_deriv, _ = integrate(value_fn, dv_fn, x_node, cfg, guard=guard)
+        if np.any(cot_logdet != 0.0):
+            raise ValueError("forward_vjp of a custom integrand takes cot_logdet = 0 only")
+        dx, dparams = cot_y * _tangent(dv_fn, cfg, stages), (0.0, 0.0, 0.0)
     else:
-        params = tuple(Node(p) for p in g.params())
-        stages = []
-        y, log_deriv, _ = integrate(value_fn, dv_fn, arr, cfg, guard=guard, stages=stages)
-        y, log_deriv = solve_node(g.family, x_node, params, cfg, y, log_deriv, stages)
-    backward([(y, cot_y), (log_deriv, cot_logdet)])
-    dx = _as_output(grad_or_zeros(x_node), scalar)
-    dparams = tuple(float(np.sum(grad_or_zeros(p))) for p in params) or (0.0, 0.0, 0.0)
-    return VjpResult(dx=dx, dparams=dparams)
+        dx, *dp = _adjoint(g.family, g.params(), cfg, stages, cot_y, cot_logdet)
+        dparams = tuple(float(np.sum(p)) for p in dp)
+    return VjpResult(dx=_as_output(dx, scalar), dparams=dparams)

@@ -2,10 +2,10 @@
 
 The loss is the mean negative log-density of a batch; gradients are exact
 reverse-mode derivatives of the discretized computation (solver steps,
-conditioner evaluations, base density) obtained by taping the inverse-path
-log-density. Each ODE solve is one tape node whose backward pass is the
-discrete adjoint of the solver steps (`scalarmap.solve_node`), so the tape
-holds the conditioner and layer plumbing, not every solver operation.
+conditioner evaluations, base density). The inverse path runs once and
+keeps one record per layer; `autodiff.backward` then walks the records in
+reverse through each layer's hand-written `vjp`, whose solves go through
+the discrete adjoint of the solver steps (`scalarmap._adjoint`).
 
 The loop is single-threaded over batches; within a batch all examples
 are vector lanes, so gradient accumulation is bitwise deterministic.
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Node, backward, grad_or_zeros, mean_
+from .autodiff import backward
 from .data import Dataset
-from .flow import FlowModel, log_density
-from .scalarmap import DivergenceError
+from .flow import FlowModel, _log_density, log_density
+from .scalarmap import DEFAULT_GUARD, DivergenceError
 
 __all__ = [
     "TrainConfig",
@@ -119,14 +119,15 @@ def nll_and_grad(model: FlowModel, batch):
     if batch.ndim != 2 or batch.shape[0] == 0:
         raise ValueError("batch must be a nonempty (n, D) matrix")
     params = model.parameters()
-    nodes = [Node(p) for p in params]
+    records = []
     try:
-        logp = log_density(model, batch, params=nodes)
+        x, logp = _log_density(model, batch, params, DEFAULT_GUARD, "raise", records)
     except DivergenceError as err:
         raise DivergenceError(f"batch aborted: {err}", indices=err.indices) from err
-    loss = -mean_(logp)
-    backward(loss)
-    return float(loss.value), [grad_or_zeros(n) for n in nodes]
+    n = batch.shape[0]
+    # loss = -mean(logp), and logp = -|x|^2 / 2 + const + the layers' log-dets
+    _, grads = backward(records, x * (1.0 / n), np.full(n, -1.0 / n))
+    return float(-np.mean(logp)), grads
 
 
 def adam_step(state: AdamState, params, grads, lr):

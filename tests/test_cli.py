@@ -110,7 +110,10 @@ def test_gradcheck_smoke(tmp_path, capsys):
     printed = capsys.readouterr().out
     overall = float(printed.split("overall max relative error:")[1].split()[0])
     assert overall < 1e-4
-    assert (out / "gradcheck.csv").exists()
+    lines = (out / "gradcheck.csv").read_text().splitlines()
+    assert lines[0] == "suite,max_rel_error"
+    for line in lines[1:]:  # plain floats, never numpy reprs such as np.float64(...)
+        float(line.split(",")[1])
 
 
 def test_roundtrip_smoke(tmp_path):

@@ -1,0 +1,40 @@
+"""The benchmark under perfbench/ still runs against this package.
+
+Its traced runs rebind names inside timeflow's modules (see
+perfbench/tracing.py), so renaming or removing one of them breaks the
+benchmark without breaking any other test.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ENV = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+
+def _run(*args):
+    return subprocess.run([sys.executable, *args], cwd=PERFBENCH.parent, env=ENV,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_selftest_passes():
+    proc = _run(str(PERFBENCH / "selftest.py"))
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["fit-2d", "ar-8d"])
+def test_traced_run_is_correct_and_counts(workload):
+    proc = _run(str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "1",
+                "--seconds", "0.5", "--trace", "1")
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0, proc.stderr
+    for name in ("autodiff.nodes.train", "scalarmap.lane_steps.train",
+                 "conditioner.calls.train"):
+        assert result["metrics"][name]["value"] > 0, name

@@ -1,15 +1,14 @@
 """Scalar map: integrand families, forward/inverse, derivative, sensitivities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import FAMILIES, draw_stable_cases
-from timeflow.autodiff import Node, backward, grad_or_zeros
-from timeflow.integrands import family_functions
-from timeflow.flow import _solve
-from timeflow.scalarmap import DEFAULT_GUARD, integrate, solve_node
+from timeflow.integrands import _logistic, family_functions, family_phi
+from timeflow.scalarmap import _adjoint, integrate
 from timeflow import (
     DivergenceError,
     Integrand,
@@ -125,11 +124,6 @@ def test_forward_divergence_raises_with_indices():
         forward(g, RK4_16, x)
     assert err.value.indices == [1, 3]
     assert "rows [1, 3]" in str(err.value)
-    # a taped flow solve (one solve node) raises the same error, whatever the mode
-    params = [Node(np.full((4, 1), p)) for p in (0.0, 0.0, 2.0)]
-    with pytest.raises(DivergenceError) as err:
-        _solve("cubic", *params, x, RK4_16, DEFAULT_GUARD, divergence="nan")
-    assert err.value.indices == [1, 3]
 
 
 def test_forward_divergence_nan_mode():
@@ -229,35 +223,46 @@ def test_vjp_matches_finite_differences(rng):
             assert got_v == pytest.approx(fd_v, rel=1e-5, abs=1e-7)
 
 
+def _complex_phi(family):
+    """The family's phi and phi', safe for complex v (the solver's sigmoid casts to float)."""
+    phi, dphi, _ = family_phi(family)
+    if family == "sigmoid_affine":
+        phi = lambda v: 1.0 / (1.0 + np.exp(-v))  # noqa: E731
+    return phi, dphi
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
-def test_solve_node_matches_per_op_tape(family, scheme, direction, rng):
-    # the per-op tape through `integrate` is the reference gradient
+def test_adjoint_matches_complex_step(family, scheme, direction, rng):
+    # complex-step derivatives (Squire & Trapp) of the same solver loop are the
+    # reference: lanes are independent, so one perturbed solve per input gives
+    # every lane's derivative, to rounding
     cfg = SolverConfig(scheme=scheme, steps=8, direction=direction)
+    phi, dphi = _complex_phi(family)
     x0 = rng.uniform(-1.0, 1.0, (6, 3))
-    params = [rng.uniform(-0.6, 0.6, (6, 3)) for _ in range(3)]
     cot_y, cot_l = rng.standard_normal((2, 6, 3))
-    value, dv = family_functions(family)
+    step = 1e-30
+    for width in (3, 1):  # (n, k) parameters, and (n, 1) ones shared by a row's lanes
+        params = [rng.uniform(-0.6, 0.6, (6, width)) for _ in range(3)]
 
-    x = Node(x0)
-    pa, pb, pc = (Node(p) for p in params)
-    y, l, _ = integrate(lambda v, t: value(pa, pb, pc, v, t),
-                        lambda v, t: dv(pa, pb, pc, v, t), x, cfg)
-    backward([(y, cot_y), (l, cot_l)])
-    want = [grad_or_zeros(n) for n in (x, pa, pb, pc)]
+        def contracted(x, a, b, c):
+            y, l, _ = integrate(lambda v, t: a * v + b + c * phi(v),
+                                lambda v, t: a + c * dphi(v, phi(v)), x, cfg)
+            return cot_y * y + cot_l * l
 
-    x = Node(x0)
-    nodes = tuple(Node(p) for p in params)
-    stages = []
-    y_raw, l_raw, _ = integrate(lambda v, t: value(*params, v, t),
-                                lambda v, t: dv(*params, v, t), x0, cfg, stages=stages)
-    y_node, l_node = solve_node(family, x, nodes, cfg, y_raw, l_raw, stages)
-    assert np.array_equal(y_node.value, y.value)
-    assert np.array_equal(l_node.value, l.value)
-    backward([(y_node, cot_y), (l_node, cot_l)])
-    for ref, got in zip(want, (grad_or_zeros(n) for n in (x, *nodes))):
-        np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
+        stages = []
+        integrate(lambda v, t: family_functions(family)[0](*params, v, t, with_dv=True),
+                  None, x0, cfg, stages=stages)
+        got = _adjoint(family, params, cfg, stages, cot_y, cot_l)
+        inputs = [x0, *params]
+        for i, (g, p) in enumerate(zip(got, inputs)):
+            shifted = list(inputs)
+            shifted[i] = p + 1j * step
+            want = contracted(*shifted).imag / step
+            if p.shape[1] == 1:
+                g, want = g.sum(axis=1, keepdims=True), want.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(g, want, rtol=1e-9, atol=1e-12)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -283,30 +288,22 @@ def test_slope_path_matches_two_function_path(family, scheme, direction, want_lo
         assert l1 is None and l2 is None
 
 
-def test_solve_node_broadcast_parameters(rng):
-    # (n, 1) parameters shared by the k lanes of a row get the sum of their gradients
-    x0 = rng.uniform(-1.0, 1.0, (4, 3))
-    params = [rng.uniform(-0.5, 0.5, (4, 1)) for _ in range(3)]
-    value, dv = family_functions("sigmoid_affine")
-    stages = []
-    y, l, _ = integrate(lambda v, t: value(*params, v, t),
-                        lambda v, t: dv(*params, v, t), x0, RK4_16, stages=stages)
-    nodes = tuple(Node(p) for p in params)
-    y_node, l_node = solve_node("sigmoid_affine", x0, nodes, RK4_16, y, l, stages)
-    backward([(y_node, np.ones((4, 3))), (l_node, np.ones((4, 3)))])
-    assert all(n.grad.shape == (4, 1) for n in nodes)
-    for i in range(4):
-        g = Integrand("sigmoid_affine", *(float(p[i, 0]) for p in params))
-        want = sum(np.array(forward_vjp(g, RK4_16, x, 1.0, 1.0).dparams) for x in x0[i])
-        np.testing.assert_allclose([n.grad[i, 0] for n in nodes], want, rtol=1e-12)
-
-
 def test_vjp_custom_family_gives_dx_only():
     g = Integrand.custom(lambda v, t: 0.5 * v, lambda v, t: 0.5 + 0.0 * v)
     out = forward_vjp(g, RK4_16, 1.3, 1.0, 0.0)
     assert out.dparams == (0.0, 0.0, 0.0)
     # exact for the discretized map, which sits O(h^4) from exp(1/2)
     assert out.dx == pytest.approx(math.exp(0.5), rel=1e-7)
+    # a time-dependent integrand against complex-step derivatives of the solve
+    g = Integrand.custom(lambda v, t: np.sin(v) * (1.0 + t), lambda v, t: np.cos(v) * (1.0 + t))
+    x = np.array([-0.8, 0.1, 1.3])
+    for cfg in (RK4_16, SolverConfig(scheme="euler", steps=16)):
+        want = integrate(*g.functions(), x + 1e-30j, cfg, want_log_deriv=False)[0].imag / 1e-30
+        got = forward_vjp(g, cfg, x, np.ones(3), 0.0).dx
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+    # the log-derivative's cotangent would need d2g/dv2, which a custom integrand lacks
+    with pytest.raises(ValueError):
+        forward_vjp(g, RK4_16, x, np.ones(3), 1.0)
 
 
 # --- module invariants -------------------------------------------------------
@@ -362,3 +359,16 @@ def test_euler_convergence_order_one():
 def test_derivative_positive_everywhere(rng):
     for g, x in draw_stable_cases(rng, 30):
         assert derivative(g, RK4_16, x) > 0.0
+
+
+def test_sigmoid_matches_expit_without_warnings():
+    expit = pytest.importorskip("scipy.special").expit
+    x = np.linspace(-800.0, 800.0, 100001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logistic(x)
+        ends = _logistic(np.array([-np.inf, np.inf]))
+    want = expit(x)
+    ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
+    assert ulps.max() <= 4
+    assert ends[0] == 0.0 and ends[1] == 1.0

@@ -9,6 +9,7 @@ from timeflow import (
     AdamState,
     ConditionerNet,
     CouplingLayer,
+    DivergenceError,
     FlowModel,
     SolverConfig,
     TrainConfig,
@@ -21,7 +22,7 @@ from timeflow import (
 )
 from timeflow.data import TWO_GAUSSIANS_CENTERS, TWO_GAUSSIANS_STD
 from timeflow import autodiff
-from timeflow.flow import log_density, randomize_parameters
+from timeflow.flow import randomize_parameters
 from timeflow.training import identity_nll
 
 LOG_TWO_PI = math.log(2 * math.pi)
@@ -217,13 +218,33 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
 
 
-def test_criterion_9_model_tape_is_small():
-    # each ODE solve is one tape node, so the tape holds the conditioner
-    # and layer plumbing only: 3,404 nodes when every solver op was taped
+def test_criterion_9_model_records_one_node_per_layer(monkeypatch):
+    # the backward pass walks one record per layer (the per-op tape held 93
+    # nodes on this model, 3,404 before solves became single nodes)
     model = build_flow(2, n_layers=4, kind="coupling", family="quadratic",
                        hidden_dims=(24,), solver=SolverConfig(steps=16), seed=3)
     randomize_parameters(model, seed=1, scale=0.2)
     batch = toy2d("two_gaussians", 256, seed=1).train[:128]
-    nodes = [autodiff.Node(p) for p in model.parameters()]
-    loss = -autodiff.mean_(log_density(model, batch, params=nodes))
-    assert len(autodiff._toposort([loss])) <= 150
+    built = []
+    init = autodiff.Node.__init__
+
+    def counted(node, layer, params):
+        built.append(layer)
+        init(node, layer, params)
+
+    monkeypatch.setattr(autodiff.Node, "__init__", counted)
+    nll_and_grad(model, batch)
+    assert len(built) == len(model.layers)
+    assert all(a is b for a, b in zip(built, reversed(model.layers)))
+
+
+def test_divergent_batch_raises_with_rows():
+    model = build_flow(2, n_layers=4, kind="coupling", family="quadratic",
+                       hidden_dims=(24,), solver=SolverConfig(steps=16), seed=3)
+    randomize_parameters(model, seed=5, scale=0.3)
+    batch = np.random.default_rng(0).standard_normal((8, 2))
+    batch[2], batch[5] = -100.0, 100.0
+    with pytest.raises(DivergenceError) as err:
+        nll_and_grad(model, batch)
+    assert err.value.indices == [2, 5]
+    assert str(err.value).startswith("batch aborted: layer 6:")
