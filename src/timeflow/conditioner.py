@@ -105,6 +105,12 @@ def net_eval(net: ConditionerNet, x, params=None, *, acts=None):
     the parameter arrays (same order as `param_arrays`). If `acts` is a
     list, the input of every affine layer is appended to it, which is what
     `net_backward` differentiates from.
+
+    Each layer is computed in one fresh buffer: the product ``h @ w`` is
+    allocated once, and the bias and the activation are applied to it in
+    place, so no (n, width) temporaries are made and freed per layer. The
+    buffer is not reused across layers, because `acts` keeps every layer's
+    input alive for the backward pass.
     """
     arrs = net.param_arrays() if params is None else params
     if len(arrs) != 2 * len(net.weights):
@@ -123,9 +129,13 @@ def net_eval(net: ConditionerNet, x, params=None, *, acts=None):
             w = w * net.masks[i]
         if acts is not None:
             acts.append(h)
-        h = h @ w + b
+        h = h @ w
+        h += b
         if i < n_layers - 1:
-            h = np.tanh(h) if net.activation == "tanh" else np.maximum(h, 0.0)
+            if net.activation == "tanh":
+                np.tanh(h, out=h)
+            else:
+                np.maximum(h, 0.0, out=h)
     return h.reshape(-1) if squeeze else h
 
 

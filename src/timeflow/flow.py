@@ -188,7 +188,7 @@ class AutoregressiveLayer:
             acts, stages = ([], []) if cache is not None else (None, None)
             theta = net_eval(self.conditioner, np.concatenate(filled, axis=1), params,
                              acts=acts)
-            a, b, c = (theta[:, 3 * k + j:3 * k + j + 1] for j in range(3))
+            a, b, c = _triples(theta[:, 3 * k:3 * k + 3])
             cols[k], contrib = _invert_block(self, a, b, c, y[:, k:k + 1], refine, guard,
                                              divergence, want_log_deriv, stages)
             if cache is not None:
@@ -349,8 +349,13 @@ def _unbatch(x, logdet, squeeze):
 
 
 def _triples(theta):
-    """Split conditioner output (n, 3k) into a, b, c of shape (n, k)."""
-    return theta[:, 0::3], theta[:, 1::3], theta[:, 2::3]
+    """Split conditioner output (n, 3k) into C-contiguous a, b, c of shape (n, k).
+
+    Each slot is copied out of its strided view once, because every RK4
+    stage, every refinement residual and the adjoint read a, b and c again;
+    on strided operands each of those elementwise passes is slower.
+    """
+    return tuple(np.ascontiguousarray(theta[:, j::3]) for j in range(3))
 
 
 def _interleave(abc):

@@ -21,9 +21,6 @@ import numpy as np
 
 FAMILIES = ("quadratic", "cubic", "sigmoid_affine", "custom")
 
-# exp(x) is finite exactly for x <= log of the largest double
-_EXP_MAX = float(np.log(np.finfo(float).max))
-
 
 class NonFiniteError(ArithmeticError):
     """An integrand evaluation produced a non-finite value."""
@@ -32,12 +29,13 @@ class NonFiniteError(ArithmeticError):
 def _logistic(x):
     """1 / (1 + exp(-x)), finite for every input and free of overflow warnings.
 
-    Where exp(-x) would overflow the result rounds to 0 anyway, so the
-    exponent is clipped there and the numerator zeroed; everywhere else this
-    is the textbook formula, bit for bit. NaN stays NaN.
+    This is the textbook formula. Where exp(-x) overflows (x below about
+    -709.78) it gives inf and 1 / (1 + inf) is exactly 0, where the true
+    value is below 1e-308, so only the overflow warning is silenced. NaN
+    stays NaN.
     """
-    x = np.asarray(x, dtype=float)
-    return (x >= -_EXP_MAX) / (1.0 + np.exp(np.minimum(-x, _EXP_MAX)))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
 
 
 # family -> (phi, dphi, d2phi) for g(v, t) = a*v + b + c*phi(v); the derivatives

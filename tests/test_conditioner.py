@@ -1,5 +1,11 @@
 """Conditioner networks: evaluation, gradients, autoregressive masks."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +38,92 @@ def test_dimension_mismatch_rejected():
     net = init_net([3, 4, 6], seed=0)
     with pytest.raises(ValueError):
         net_eval(net, np.zeros(2))
+
+
+def _random_net(rng, activation, masked):
+    """A [3, 5, 4, 9] net, masked autoregressive or plain, with nonzero parameters."""
+    masks = build_masks(3, [5, 4]) if masked else None
+    net = init_net([3, 5, 4, 9], seed=rng, activation=activation, masks=masks)
+    for p in net.param_arrays():
+        p += 0.5 * rng.standard_normal(p.shape)
+    return net
+
+
+def _reference_layer_inputs(net, x):
+    """Every affine layer's input and the output, as act(h @ (W*M) + b)."""
+    h = np.atleast_2d(x)
+    inputs = []
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(h)
+        if net.masks is not None:
+            w = w * net.masks[i]
+        h = h @ w + b
+        if i < len(net.weights) - 1:
+            h = np.tanh(h) if net.activation == "tanh" else np.maximum(h, 0.0)
+    return inputs, h
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("shape", [(3,), (7, 3)])
+def test_eval_matches_reference_chain_bitwise(rng, activation, masked, shape):
+    net = _random_net(rng, activation, masked)
+    x = rng.standard_normal(shape)
+    x_before = x.copy()
+    params_before = [p.copy() for p in net.param_arrays()]
+    acts = []
+    out = net_eval(net, x, acts=acts)
+    inputs, want = _reference_layer_inputs(net, x)
+    assert out.tobytes() == want.reshape(out.shape).tobytes()
+    assert len(acts) == len(inputs)
+    assert all(a.tobytes() == r.tobytes() for a, r in zip(acts, inputs))
+    # evaluation is pure: neither the input nor the parameters change
+    assert x.tobytes() == x_before.tobytes()
+    assert all(p.tobytes() == q.tobytes() for p, q in zip(net.param_arrays(), params_before))
+
+
+def test_acts_survive_a_second_eval(rng):
+    net = _random_net(rng, "tanh", False)
+    x = rng.standard_normal((6, 3))
+    acts = []
+    out = net_eval(net, x, acts=acts)
+    net_eval(net, rng.standard_normal((6, 3)), acts=[])
+    inputs, want = _reference_layer_inputs(net, x)
+    assert out.tobytes() == want.tobytes()
+    assert all(a.tobytes() == r.tobytes() for a, r in zip(acts, inputs))
+
+
+FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from timeflow import init_net, net_eval
+
+    net = init_net([1, 24, 3], seed=0)  # the fit-2d coupling conditioner
+    rng = np.random.default_rng(0)
+    net.weights[-1] = 0.1 * rng.standard_normal(net.weights[-1].shape)
+    x = rng.standard_normal((8192, 1))
+    for _ in range(3):
+        net_eval(net, x)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(50):
+        net_eval(net, x)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 50)
+""")
+
+
+def test_wide_batch_eval_reuses_memory_pages():
+    """8,192 rows give 1.5 MB activations. Allocating and freeing several
+    of them per layer made malloc return the pages to the system and fault
+    them in again, about 750 minor faults per call."""
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 64
 
 
 def test_vjp_zero_cotangent_gives_zero_gradients(rng):

@@ -24,7 +24,7 @@ from timeflow import (
     sample,
     save_checkpoint,
 )
-from timeflow.flow import model_forward, model_inverse, randomize_parameters
+from timeflow.flow import _triples, model_forward, model_inverse, randomize_parameters
 from timeflow.inversion import RefineConfig
 
 SOLVER = SolverConfig(steps=16)
@@ -50,6 +50,17 @@ def random_coupling_layer(seed, dim=4, family="sigmoid_affine"):
     for w in net.weights:
         w += 0.4 * rng.standard_normal(w.shape) / np.sqrt(w.shape[0])
     return CouplingLayer(dim, d, True, family, net, SOLVER)
+
+
+def test_triples_are_contiguous_copies_of_the_slots(rng):
+    theta = rng.standard_normal((9, 12))
+    # a coupling layer's whole (n, 3k) output, and an autoregressive layer's triple
+    for block, slots in ((theta, [theta[:, j::3] for j in range(3)]),
+                         (theta[:, 6:9], [theta[:, 6 + j:7 + j] for j in range(3)])):
+        for got, want in zip(_triples(block), slots):
+            assert got.flags.c_contiguous
+            assert not np.shares_memory(got, theta)
+            assert got.shape == want.shape and got.tobytes() == want.copy().tobytes()
 
 
 def test_identity_layer():

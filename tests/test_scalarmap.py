@@ -364,11 +364,18 @@ def test_derivative_positive_everywhere(rng):
 def test_sigmoid_matches_expit_without_warnings():
     expit = pytest.importorskip("scipy.special").expit
     x = np.linspace(-800.0, 800.0, 100001)
+    # exp overflows just below -709.78; -746 is where exp(x) underflows to 0
+    edges = np.array([-np.inf, np.inf, np.nan, -709.78, -710.0, -746.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _logistic(x)
-        ends = _logistic(np.array([-np.inf, np.inf]))
+        ends = _logistic(edges)
     want = expit(x)
     ulps = np.abs(got - want) / np.spacing(np.maximum(np.abs(got), np.abs(want)))
     assert ulps.max() <= 4
     assert ends[0] == 0.0 and ends[1] == 1.0
+    # bit for bit the overflow-clipped formula, NaN payload included
+    top = float(np.log(np.finfo(float).max))
+    for xs, out in ((x, got), (edges, ends)):
+        clipped = (xs >= -top) / (1.0 + np.exp(np.minimum(-xs, top)))
+        assert out.tobytes() == clipped.tobytes()
