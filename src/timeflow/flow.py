@@ -375,16 +375,20 @@ def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=Tr
            stages=None):
     """Solve every lane of x under the family's integrand with parameters a, b, c.
 
-    Uses the family's one-phi slope when the log-derivative is wanted. A
-    `stages` list receives the stage points, for `scalarmap._adjoint`.
-    Returns ``(v_end, log_deriv)``; log_deriv is None unless `want_log_deriv`.
+    The slope is the family's value function writing into the solver's
+    buffers, with dg/dv from the same phi only when the log-derivative is
+    wanted. A `stages` list receives the stage points, for
+    `scalarmap._adjoint`. Returns ``(v_end, log_deriv)``; log_deriv is None
+    unless `want_log_deriv`.
     """
-    value, dv = family_functions(family)
+    value, _ = family_functions(family)
     if want_log_deriv:
-        fns = (lambda v, t: value(a, b, c, v, t, with_dv=True)), None
+        def slope(v, t, out):
+            return value(a, b, c, v, t, with_dv=True, out=out)
     else:
-        fns = (lambda v, t: value(a, b, c, v, t)), (lambda v, t: dv(a, b, c, v, t))
-    y, l, _ = integrate(*fns, x, cfg, guard=guard, want_log_deriv=want_log_deriv,
+        def slope(v, t, out):
+            return value(a, b, c, v, t, out=out), None
+    y, l, _ = integrate(slope, None, x, cfg, guard=guard, want_log_deriv=want_log_deriv,
                         divergence=divergence, stages=stages)
     return y, l
 

@@ -26,36 +26,52 @@ class NonFiniteError(ArithmeticError):
     """An integrand evaluation produced a non-finite value."""
 
 
-def _logistic(x):
+def _logistic(x, out=None):
     """1 / (1 + exp(-x)), finite for every input and free of overflow warnings.
 
     This is the textbook formula. Where exp(-x) overflows (x below about
     -709.78) it gives inf and 1 / (1 + inf) is exactly 0, where the true
     value is below 1e-308, so only the overflow warning is silenced. NaN
-    stays NaN.
+    stays NaN. With an `out` array every step is written into it.
     """
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
+        e = np.exp(np.negative(np.asarray(x, dtype=float), out=out), out=out)
+        return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
 # family -> (phi, dphi, d2phi) for g(v, t) = a*v + b + c*phi(v); the derivatives
 # take the values below them, dphi(v, phi) and d2phi(v, phi, dphi), so one phi
-# evaluation serves all three
+# evaluation serves all three. phi and dphi also take an `out` array, which
+# every ufunc of their formula writes into; without one each step allocates.
 _PHI = {
-    "quadratic": (lambda v: v * v, lambda v, p: 2.0 * v, lambda v, p, dp: 2.0),
-    "cubic": (lambda v: v * v * v, lambda v, p: 3.0 * (v * v), lambda v, p, dp: 6.0 * v),
-    "sigmoid_affine": (_logistic, lambda v, s: s * (1.0 - s),
+    "quadratic": (lambda v, out=None: np.multiply(v, v, out=out),
+                  lambda v, p, out=None: np.multiply(2.0, v, out=out),
+                  lambda v, p, dp: 2.0),
+    "cubic": (lambda v, out=None: np.multiply(np.multiply(v, v, out=out), v, out=out),
+              lambda v, p, out=None: np.multiply(3.0, np.multiply(v, v, out=out), out=out),
+              lambda v, p, dp: 6.0 * v),
+    "sigmoid_affine": (_logistic,
+                       lambda v, s, out=None: np.multiply(s, np.subtract(1.0, s, out=out),
+                                                          out=out),
                        lambda v, s, ds: ds * (1.0 - 2.0 * s)),
 }
 
 
 def _family(phi, dphi):
-    def value(a, b, c, v, t, *, with_dv=False):
-        p = phi(v)
-        g = a * v + b + c * p
-        if with_dv:  # the slope: dg/dv from the same phi
-            return g, a + c * dphi(v, p)
-        return g
+    def value(a, b, c, v, t, *, with_dv=False, out=None):
+        """g = a*v + b + c*phi(v), and with `with_dv` the pair (g, dg/dv).
+
+        `out` is ``(g, dg, scratch)``, arrays of the result's shape that the
+        formula writes into instead of allocating; dg may be None, and then
+        dg/dv is allocated. phi lives in scratch, so scratch must not be v.
+        """
+        g_out, dg_out, tmp = (None, None, None) if out is None else out
+        p = phi(v, tmp)
+        if with_dv:  # the slope: dg/dv from the same phi, before c*phi overwrites it
+            dg = np.add(a, np.multiply(c, dphi(v, p, dg_out), out=dg_out), out=dg_out)
+        g = np.add(np.add(np.multiply(a, v, out=g_out), b, out=g_out),
+                   np.multiply(c, p, out=tmp), out=g_out)
+        return (g, dg) if with_dv else g
 
     def dv(a, b, c, v, t):
         return a + c * dphi(v, phi(v))
@@ -71,7 +87,9 @@ def family_functions(family: str):
 
     ``value_fn(..., with_dv=True)`` is the slope: it returns the pair
     ``(g, dg/dv)`` from one evaluation of phi, bitwise equal to the two
-    separate calls. That is the form `integrate` takes with ``dv_fn=None``.
+    separate calls. ``value_fn(..., out=(g, dg, scratch))`` writes that
+    result into the given arrays and returns them, bitwise equal to the
+    allocating call; `integrate` passes its per-solve buffers this way.
     """
     try:
         return _TABLE[family]
@@ -152,7 +170,8 @@ class Integrand:
 def eval_integrand(g: Integrand, v, t):
     """Evaluate g(v, t); a non-finite result is reported, not propagated."""
     value_fn, _ = g.functions()
-    out = value_fn(v, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        out = value_fn(v, t)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError(
             f"integrand {g.family} returned a non-finite value at v={v!r}, t={t!r}"
@@ -163,7 +182,8 @@ def eval_integrand(g: Integrand, v, t):
 def eval_integrand_dv(g: Integrand, v, t):
     """Evaluate the partial derivative of g with respect to v."""
     _, dv_fn = g.functions()
-    out = dv_fn(v, t)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
+        out = dv_fn(v, t)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError(
             f"integrand {g.family} derivative non-finite at v={v!r}, t={t!r}"

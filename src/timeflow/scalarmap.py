@@ -103,10 +103,11 @@ class VjpResult:
     dparams: tuple = (0.0, 0.0, 0.0)
 
 
-def _check_guard(v, guard, where, divergence):
-    """Detect lanes outside the guard box. Returns updated v in 'nan' mode."""
+def _check_guard(v, guard, t, divergence, scratch):
+    """Detect lanes outside the guard box at time `t`. Returns updated v in
+    'nan' mode. |v| goes into `scratch`, an array of v's shape."""
     raw = np.asarray(v)
-    if not raw.size or np.abs(raw).max() <= guard:  # NaN fails this comparison
+    if not raw.size or np.abs(raw, out=scratch).max() <= guard:  # NaN fails this comparison
         return v, None
     bad = ~np.isfinite(raw) | (np.abs(raw) > guard)
     if divergence == "raise":
@@ -114,19 +115,41 @@ def _check_guard(v, guard, where, divergence):
         if raw.ndim:  # axis 0 holds the batch rows
             rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1)).tolist()
         raise DivergenceError(
-            f"trajectory left |v| <= {guard:g} at {where}"
+            f"trajectory left |v| <= {guard:g} at t={t:.6g}"
             + (f" (rows {rows})" if rows else ""),
             indices=rows,
         )
     return np.where(bad, np.nan, raw), bad
 
 
+def _two_function_slope(value_fn, dv_fn, want_log_deriv):
+    """The slope of a caller that passes g and dg/dv as two functions of (v, t).
+
+    Given buffers, the results are copied into them: a callback may return
+    v itself, and the solver overwrites its stage point while it still
+    needs the slope. ``dv_fn`` is not called unless `want_log_deriv`.
+    """
+    def slope(v, t, out):
+        g = value_fn(v, t)
+        dg = dv_fn(v, t) if want_log_deriv else None
+        if out is None:
+            return g, dg
+        np.copyto(out[0], g)
+        if dg is not None:
+            np.copyto(out[1], dg)
+            dg = out[1]
+        return out[0], dg
+
+    return slope
+
+
 def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=True,
               keep_trajectory=False, divergence="raise", stages=None):
     """Integrate v' = g(v, t) across the unit interval.
 
-    The loop evaluates one slope per stage point, which returns g and
-    dg/dv together. Built-in families pass it as ``value_fn`` with
+    The loop evaluates one slope per stage point, ``slope(v, t, out)``,
+    which returns g and dg/dv together (dg/dv may be None without
+    `want_log_deriv`). Built-in families pass it as ``value_fn`` with
     ``dv_fn=None`` (see `integrands.family_functions`), so one phi(v)
     serves both; a two-function caller passes g = ``value_fn(v, t)`` and
     dg/dv = ``dv_fn(v, t)``, which are adapted to a slope once, before
@@ -139,59 +162,90 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
     ``(v1,)`` for Euler; `_adjoint` differentiates a built-in-family solve
     from them, and `forward_vjp` a custom one.
 
+    Buffers. The first slope call, at x, gets ``out=None``. Its results fix
+    the shape and dtype of the solve (x, g and dg/dv promoted together, so a
+    complex perturbation in any of them makes the whole solve complex), and
+    every later step writes into one set of arrays of that shape: the
+    slopes k1..k4, dg/dv at the stage points d1..d4 (only with
+    `want_log_deriv`), one stage point, the running v, one accumulator, and
+    a scratch array that the slope may use for phi. Later slope calls get
+    ``out=(k_i, d_i or None, scratch)``; they may write into those arrays
+    and return them, and the loop never writes into what a slope returns.
+    x is never written. Only what a caller keeps is allocated per step:
+    with `stages`, every stage point and step result, and with
+    `keep_trajectory`, a float copy of v. Each arithmetic step is the ufunc
+    of the plain expression on the same operands in the same order, so the
+    results are bitwise those of allocating arithmetic; a 0-d x still gives
+    numpy scalars.
+
     Returns ``(v_end, log_deriv, trajectory)``.
     """
     if divergence not in ("raise", "nan"):
         raise ValueError("divergence must be 'raise' or 'nan'")
-    if dv_fn is None:
-        slope = value_fn
-    elif want_log_deriv:
-        def slope(v, t):
-            return value_fn(v, t), dv_fn(v, t)
-    else:
-        def slope(v, t):
-            return value_fn(v, t), None
+    slope = value_fn if dv_fn is None else _two_function_slope(value_fn, dv_fn,
+                                                                want_log_deriv)
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     t0 = 0.0 if cfg.direction == "forward" else 1.0
-
+    euler = cfg.scheme == "euler"
+    keep = stages is not None
     v = x
     log_deriv = None
     trajectory = [np.array(x, dtype=float)] if keep_trajectory else None
 
     with np.errstate(over="ignore", invalid="ignore"):
+        first = slope(x, t0, None)
+        fixed = [z for z in (x, *first) if z is not None]
+        shape = np.broadcast_shapes(*(np.shape(z) for z in fixed))
+        dtype = np.result_type(*fixed)
+
+        def new():
+            return np.empty(shape, dtype)
+
+        scratch, acc = new(), new()
+        point, v_out = (None, None) if keep else (new(), new())  # None: fresh, kept
+        outs = [(new(), new() if want_log_deriv else None, scratch)
+                for _ in range(1 if euler else 4)]
+
         for k in range(n):
             t = t0 + k * h
-            if cfg.scheme == "euler":
-                dv, dl = slope(v, t)
-                if stages is not None:
+            k1, d1 = slope(v, t, outs[0]) if k else first
+            if euler:
+                if keep:
                     stages.append((v,))
                 if want_log_deriv:
-                    log_deriv = dl * h if log_deriv is None else log_deriv + dl * h
-                v = v + dv * h
+                    m = np.multiply(d1, h, out=acc)
+                    log_deriv = m.copy() if k == 0 else np.add(log_deriv, m, out=log_deriv)
+                v = np.add(v, np.multiply(k1, h, out=acc), out=v_out)
             else:  # rk4 on the augmented state; l does not feed back into v
                 half = 0.5 * h
-                k1, d1 = slope(v, t)
-                v2 = v + half * k1
-                k2, d2 = slope(v2, t + half)
-                v3 = v + half * k2
-                k3, d3 = slope(v3, t + half)
-                v4 = v + h * k3
-                k4, d4 = slope(v4, t + h)
-                if stages is not None:
+                v2 = np.add(v, np.multiply(half, k1, out=point), out=point)
+                k2, d2 = slope(v2, t + half, outs[1])
+                v3 = np.add(v, np.multiply(half, k2, out=point), out=point)
+                k3, d3 = slope(v3, t + half, outs[2])
+                v4 = np.add(v, np.multiply(h, k3, out=point), out=point)
+                k4, d4 = slope(v4, t + h, outs[3])
+                if keep:
                     stages.append((v, v2, v3, v4))
-                if want_log_deriv:
-                    m = (d1 + 2.0 * d2 + 2.0 * d3 + d4) * (h / 6.0)
-                    log_deriv = m if log_deriv is None else log_deriv + m
-                v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            v, _ = _check_guard(v, guard, f"t={t0 + (k + 1) * h:.6g}", divergence)
+                if want_log_deriv:  # (d1 + 2*d2 + 2*d3 + d4) * (h/6)
+                    m = np.add(d1, np.multiply(2.0, d2, out=acc), out=acc)
+                    m = np.add(m, np.multiply(2.0, d3, out=scratch), out=acc)
+                    m = np.multiply(np.add(m, d4, out=acc), h / 6.0, out=acc)
+                    log_deriv = m.copy() if k == 0 else np.add(log_deriv, m, out=log_deriv)
+                # v + (h/6) * (k1 + 2*k2 + 2*k3 + k4)
+                m = np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
+                m = np.add(m, np.multiply(2.0, k3, out=scratch), out=acc)
+                v = np.add(v, np.multiply(h / 6.0, np.add(m, k4, out=acc), out=acc), out=v_out)
+            v, _ = _check_guard(v, guard, t0 + (k + 1) * h, divergence, scratch)
             if keep_trajectory:
                 trajectory.append(np.array(v, dtype=float))
 
     if not want_log_deriv:
         log_deriv = None
+    elif not shape:  # a 0-d solve returns numpy scalars, as plain arithmetic does
+        log_deriv = log_deriv[()]
     traj = np.stack(trajectory) if keep_trajectory else None
-    return v, log_deriv, traj
+    return (v[()] if not shape else v), log_deriv, traj
 
 
 def _solver_functions(g: Integrand):
@@ -200,7 +254,7 @@ def _solver_functions(g: Integrand):
         return g.functions()
     value, _ = family_functions(g.family)
     a, b, c = g.params()
-    return (lambda v, t: value(a, b, c, v, t, with_dv=True)), None
+    return (lambda v, t, out: value(a, b, c, v, t, with_dv=True, out=out)), None
 
 
 def _as_input(x):

@@ -416,3 +416,22 @@ def test_build_flow_alternates_and_permutes():
                      "PermutationLayer", "CouplingLayer"]
     flags = [l.transform_upper for l in model.layers if isinstance(l, CouplingLayer)]
     assert flags == [True, False, True]
+
+
+def test_flow_operations_leave_inputs_and_parameters_unchanged():
+    rng = np.random.default_rng(4)
+    for kind, family in (("coupling", "quadratic"), ("autoregressive", "sigmoid_affine")):
+        model = build_flow(3, n_layers=2, kind=kind, family=family, hidden_dims=(6,),
+                           solver=SOLVER, seed=2)
+        randomize_parameters(model, seed=3, scale=0.2)
+        params = [p.copy() for p in model.parameters()]
+        y = rng.standard_normal((7, 3))
+        before = y.copy()
+        log_density(model, y)
+        model_inverse(model, y)
+        model_inverse(model, y, refine=RefineConfig("fixed_point", tolerance=1e-10))
+        model_forward(model, y)
+        sample(model, 9, seed=1)
+        assert y.tobytes() == before.tobytes()
+        for p, q in zip(model.parameters(), params):
+            assert p.tobytes() == q.tobytes()

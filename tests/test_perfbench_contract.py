@@ -27,14 +27,27 @@ def test_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["fit-2d", "ar-8d"])
-def test_traced_run_is_correct_and_counts(workload):
+def _bench(workload, trace):
     proc = _run(str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "1",
-                "--seconds", "0.5", "--trace", "1")
+                "--seconds", "0.5", "--trace", str(trace))
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
     assert result["failed"] == 0, proc.stderr
+    return result["metrics"]
+
+
+@pytest.mark.parametrize("workload", ["fit-2d", "ar-8d"])
+def test_traced_run_is_correct_and_counts(workload):
+    metrics = _bench(workload, 1)
     for name in ("autodiff.nodes.train", "scalarmap.lane_steps.train",
                  "conditioner.calls.train"):
-        assert result["metrics"][name]["value"] > 0, name
+        assert metrics[name]["value"] > 0, name
+    # one integrand evaluation per stage point: 4 layers x 16 steps x 4 RK4 stages
+    assert metrics["integrands.evals.sample"]["value"] == 256
+
+
+@pytest.mark.parametrize("workload", ["fit-2d", "ar-8d"])
+def test_untraced_run_is_correct(workload):
+    metrics = _bench(workload, 0)
+    assert metrics["sample_rows_per_s"]["value"] > 0

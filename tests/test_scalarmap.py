@@ -252,7 +252,8 @@ def test_adjoint_matches_complex_step(family, scheme, direction, rng):
             return cot_y * y + cot_l * l
 
         stages = []
-        integrate(lambda v, t: family_functions(family)[0](*params, v, t, with_dv=True),
+        integrate(lambda v, t, out: family_functions(family)[0](*params, v, t, with_dv=True,
+                                                                out=out),
                   None, x0, cfg, stages=stages)
         got = _adjoint(family, params, cfg, stages, cot_y, cot_l)
         inputs = [x0, *params]
@@ -279,13 +280,159 @@ def test_slope_path_matches_two_function_path(family, scheme, direction, want_lo
     y2, l2, _ = integrate(lambda v, t: value(*params, v, t),
                           lambda v, t: dv(*params, v, t), x, cfg,
                           want_log_deriv=want_log_deriv)
-    y1, l1, _ = integrate(lambda v, t: value(*params, v, t, with_dv=True), None, x, cfg,
-                          want_log_deriv=want_log_deriv)
+    y1, l1, _ = integrate(lambda v, t, out: value(*params, v, t, with_dv=True, out=out), None,
+                          x, cfg, want_log_deriv=want_log_deriv)
     assert np.array_equal(y1, y2)
     if want_log_deriv:
         assert np.array_equal(l1, l2)
     else:
         assert l1 is None and l2 is None
+
+
+# --- solver buffers ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("with_dv", [True, False])
+def test_value_out_is_bitwise_and_returns_buffers(family, with_dv, rng):
+    value, _ = family_functions(family)
+    v = rng.uniform(-2.0, 2.0, (5, 3))
+    for params in ([rng.uniform(-1, 1, (5, 3)) for _ in range(3)],
+                   [rng.uniform(-1, 1, (5, 1)) for _ in range(3)],
+                   [0.4, -0.3, 0.7]):
+        want = value(*params, v, 0.5, with_dv=with_dv)
+        for dg_buffer in (True, False):  # without a dg buffer dg/dv is allocated
+            out = (np.empty(v.shape), np.empty(v.shape) if dg_buffer else None,
+                   np.empty(v.shape))
+            v_before = v.copy()
+            got = value(*params, v, 0.5, with_dv=with_dv, out=out)
+            assert v.tobytes() == v_before.tobytes()
+            pairs = zip(got, want) if with_dv else [(got, want)]
+            for i, (g, w) in enumerate(pairs):
+                assert g.tobytes() == w.tobytes()
+                if out[i] is not None:
+                    assert g is out[i]
+
+
+def _reference_solve(value_fn, dv_fn, x, cfg):
+    """RK4/Euler in plain allocating arithmetic: (v_end, log_deriv, stage points)."""
+    h = (1.0 if cfg.direction == "forward" else -1.0) / cfg.steps
+    t0 = 0.0 if cfg.direction == "forward" else 1.0
+    v, l, points = x, None, []
+    for k in range(cfg.steps):
+        t = t0 + k * h
+        if cfg.scheme == "euler":
+            points.append((v,))
+            m = dv_fn(v, t) * h
+            v = v + value_fn(v, t) * h
+        else:
+            k1, d1 = value_fn(v, t), dv_fn(v, t)
+            v2 = v + 0.5 * h * k1
+            k2, d2 = value_fn(v2, t + 0.5 * h), dv_fn(v2, t + 0.5 * h)
+            v3 = v + 0.5 * h * k2
+            k3, d3 = value_fn(v3, t + 0.5 * h), dv_fn(v3, t + 0.5 * h)
+            v4 = v + h * k3
+            k4, d4 = value_fn(v4, t + h), dv_fn(v4, t + h)
+            points.append((v, v2, v3, v4))
+            m = (d1 + 2.0 * d2 + 2.0 * d3 + d4) * (h / 6.0)
+            v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        l = m if l is None else l + m
+    return v, l, points
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_stage_points_are_fresh_and_match_plain_arithmetic(family, scheme, rng):
+    cfg = SolverConfig(scheme=scheme, steps=6, direction="reverse")
+    x = rng.uniform(-1.0, 1.0, (4, 3))
+    params = [rng.uniform(-0.6, 0.6, (4, 3)) for _ in range(3)]
+    value, dv = family_functions(family)
+    want_y, want_l, want_points = _reference_solve(
+        lambda v, t: value(*params, v, t), lambda v, t: dv(*params, v, t), x, cfg)
+    saved = [p.copy() for p in (x, *params)]
+    for slope, dv_fn in (
+            (lambda v, t, out: value(*params, v, t, with_dv=True, out=out), None),
+            (lambda v, t: value(*params, v, t), lambda v, t: dv(*params, v, t))):
+        stages = []
+        y, l, _ = integrate(slope, dv_fn, x, cfg, stages=stages)
+        assert y.tobytes() == want_y.tobytes() and l.tobytes() == want_l.tobytes()
+        points = [p for step in stages for p in step]
+        assert [p.tobytes() for p in points] == [
+            p.tobytes() for step in want_points for p in step]
+        arrays = points + [y, l]
+        for i, p in enumerate(arrays):
+            for q in arrays[i + 1:]:
+                assert not np.shares_memory(p, q)
+        for p, before in zip((x, *params), saved):
+            assert p.tobytes() == before.tobytes()
+
+
+def test_solver_leaves_inputs_unchanged(rng):
+    x = rng.uniform(-1.0, 1.0, (5, 2))
+    before = x.copy()
+    g = Integrand.sigmoid_affine(0.3, -0.2, 0.5)
+    for cfg in (RK4_16, SolverConfig(scheme="euler", steps=5)):
+        for kw in ({}, {"want_log_deriv": False}, {"keep_trajectory": True},
+                   {"divergence": "nan"}):
+            integrate(*g.functions(), x, cfg, **kw)
+            forward(g, cfg, x, **{k: w for k, w in kw.items() if k != "want_log_deriv"})
+            forward_vjp(g, cfg, x, 1.0, 0.5)
+            inverse(g, cfg.reversed(), x)
+            assert x.tobytes() == before.tobytes()
+    # a custom integrand whose value is v itself: the solver must copy, not alias
+    ident = Integrand.custom(lambda v, t: v, lambda v, t: 1.0 + 0.0 * v)
+    res = forward(ident, RK4_16, x)
+    assert x.tobytes() == before.tobytes()
+    np.testing.assert_allclose(res.y, x * math.exp(1.0), rtol=1e-6)
+    np.testing.assert_allclose(res.log_deriv, 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "cubic"])
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_complex_b_promotes_through_the_buffers(family, scheme, rng):
+    # real x with complex b: the first slope's dg/dv is real and the later ones
+    # are complex, so the buffers must take the promoted dtype
+    cfg = SolverConfig(scheme=scheme, steps=8)
+    x = rng.uniform(-1.0, 1.0, (6, 2))
+    a, b, c = (rng.uniform(-0.6, 0.6, (6, 2)) for _ in range(3))
+    cot_y, cot_l = rng.standard_normal((2, 6, 2))
+    value, _ = family_functions(family)
+    stages = []
+    integrate(lambda v, t, out: value(a, b, c, v, t, with_dv=True, out=out), None, x, cfg,
+              stages=stages)
+    _, _, b_bar, _ = _adjoint(family, (a, b, c), cfg, stages, cot_y, cot_l)
+    step = 1e-30
+    bc = b + 1j * step
+    y, l, _ = integrate(lambda v, t, out: value(a, bc, c, v, t, with_dv=True, out=out), None,
+                        x, cfg)
+    assert y.dtype == l.dtype == complex
+    np.testing.assert_allclose((cot_y * y + cot_l * l).imag / step, b_bar,
+                               rtol=1e-9, atol=1e-12)
+
+
+def test_zero_d_input_returns_scalars():
+    g = Integrand.quadratic(0.3, 0.1, -0.2)
+    res = forward(g, RK4_16, 1.3)
+    assert type(res.y) is float and type(res.log_deriv) is float
+    assert type(inverse(g, RK4_16.reversed(), res.y).x) is float
+    assert type(forward_vjp(g, RK4_16, 1.3, 1.0, 1.0).dx) is float
+    y, l, _ = integrate(*g.functions(), np.asarray(1.3), RK4_16)
+    assert np.ndim(y) == np.ndim(l) == 0 and not isinstance(y, np.ndarray)
+    assert y == res.y and l == res.log_deriv
+
+
+def test_divergence_message_names_the_time():
+    g = Integrand.cubic(0, 0, 2)
+    cases = ((RK4_16, np.array([0.1, 50.0, 0.2]),
+              "trajectory left |v| <= 1e+06 at t=0.0625 (rows [1])"),
+             (RK4_16.reversed(), np.array([[0.1, -30.0], [0.2, 0.3]]),
+              "trajectory left |v| <= 1e+06 at t=0.9375 (rows [0])"),
+             (SolverConfig(scheme="euler", steps=3), 50.0,
+              "trajectory left |v| <= 1e+06 at t=0.666667"))
+    for cfg, x, message in cases:
+        with pytest.raises(DivergenceError) as err:
+            integrate(*g.functions(), np.asarray(x), cfg)
+        assert str(err.value) == message
 
 
 def test_vjp_custom_family_gives_dx_only():
