@@ -31,7 +31,8 @@ from .autodiff import Node
 from .conditioner import ConditionerNet, build_masks, init_net, net_backward, net_eval
 from .integrands import family_functions
 from .inversion import refine_lanes
-from .scalarmap import DEFAULT_GUARD, DivergenceError, SolverConfig, _adjoint, integrate
+from .scalarmap import (DEFAULT_GUARD, DivergenceError, SolverConfig, _adjoint, family_slope,
+                        integrate)
 
 __all__ = [
     "CouplingLayer",
@@ -375,19 +376,12 @@ def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=Tr
            stages=None):
     """Solve every lane of x under the family's integrand with parameters a, b, c.
 
-    The slope is the family's value function writing into the solver's
-    buffers, with dg/dv from the same phi only when the log-derivative is
-    wanted. A `stages` list receives the stage points, for
-    `scalarmap._adjoint`. Returns ``(v_end, log_deriv)``; log_deriv is None
-    unless `want_log_deriv`.
+    The slope is `scalarmap.family_slope` of the family's value function,
+    with dg/dv only when the log-derivative is wanted. A `stages` list
+    receives the stage points, for `scalarmap._adjoint`. Returns
+    ``(v_end, log_deriv)``; log_deriv is None unless `want_log_deriv`.
     """
-    value, _ = family_functions(family)
-    if want_log_deriv:
-        def slope(v, t, out):
-            return value(a, b, c, v, t, with_dv=True, out=out)
-    else:
-        def slope(v, t, out):
-            return value(a, b, c, v, t, out=out), None
+    slope = family_slope(family_functions(family)[0], a, b, c, want_log_deriv)
     y, l, _ = integrate(slope, None, x, cfg, guard=guard, want_log_deriv=want_log_deriv,
                         divergence=divergence, stages=stages)
     return y, l

@@ -27,16 +27,21 @@ class NonFiniteError(ArithmeticError):
 
 
 def _logistic(x, out=None):
-    """1 / (1 + exp(-x)), finite for every input and free of overflow warnings.
+    """1 / (1 + exp(-x)), finite for every input.
 
     This is the textbook formula. Where exp(-x) overflows (x below about
     -709.78) it gives inf and 1 / (1 + inf) is exactly 0, where the true
     value is below 1e-308, so only the overflow warning is silenced. NaN
-    stays NaN. With an `out` array every step is written into it.
+    stays NaN. Only a call without `out` silences it: a call with an `out`
+    array, which every step is written into, must run under the caller's
+    ``np.errstate(over="ignore")``, as `integrate`'s slope calls do.
     """
-    with np.errstate(over="ignore"):
-        e = np.exp(np.negative(np.asarray(x, dtype=float), out=out), out=out)
-        return np.divide(1.0, np.add(1.0, e, out=out), out=out)
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-x))
+    e = np.exp(np.negative(x, out=out), out=out)
+    return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
 # family -> (phi, dphi, d2phi) for g(v, t) = a*v + b + c*phi(v); the derivatives
@@ -89,7 +94,8 @@ def family_functions(family: str):
     ``(g, dg/dv)`` from one evaluation of phi, bitwise equal to the two
     separate calls. ``value_fn(..., out=(g, dg, scratch))`` writes that
     result into the given arrays and returns them, bitwise equal to the
-    allocating call; `integrate` passes its per-solve buffers this way.
+    allocating call. `scalarmap.family_slope` makes it the slope that
+    `integrate` calls, which passes its per-solve buffers this way.
     """
     try:
         return _TABLE[family]
@@ -160,11 +166,8 @@ class Integrand:
         if self.family == "custom":
             return self.value_fn, self.dv_fn
         value, dv = family_functions(self.family)
-        a, b, c = self.a, self.b, self.c
-        return (
-            lambda v, t: value(a, b, c, v, t),
-            lambda v, t: dv(a, b, c, v, t),
-        )
+        a, b, c = self.params()
+        return (lambda v, t: value(a, b, c, v, t)), (lambda v, t: dv(a, b, c, v, t))
 
 
 def eval_integrand(g: Integrand, v, t):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .integrands import Integrand
-from .scalarmap import SolverConfig, DEFAULT_GUARD, integrate
+from .scalarmap import SolverConfig, DEFAULT_GUARD, _integrand_slope, integrate
 
 __all__ = [
     "RefineConfig",
@@ -81,8 +81,9 @@ class RootResult:
 
 
 def _map_only(g, cfg, guard):
-    """Forward map values without the log-derivative accumulation."""
-    value_fn, dv_fn = g.functions()
+    """Forward map values without the log-derivative accumulation; a built-in
+    family solves through its value-only `scalarmap.family_slope`."""
+    value_fn, dv_fn = _integrand_slope(g, False)
 
     def q(x, lanes=None):  # lanes: the refinement's mask; the parameters are scalars
         y, _, _ = integrate(value_fn, dv_fn, np.asarray(x, dtype=float), cfg,

@@ -149,11 +149,11 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
 
     The loop evaluates one slope per stage point, ``slope(v, t, out)``,
     which returns g and dg/dv together (dg/dv may be None without
-    `want_log_deriv`). Built-in families pass it as ``value_fn`` with
-    ``dv_fn=None`` (see `integrands.family_functions`), so one phi(v)
-    serves both; a two-function caller passes g = ``value_fn(v, t)`` and
-    dg/dv = ``dv_fn(v, t)``, which are adapted to a slope once, before
-    the loop, and ``dv_fn`` is not called unless `want_log_deriv`.
+    `want_log_deriv`). Built-in families pass the slope that `family_slope`
+    builds as ``value_fn``, with ``dv_fn=None``. Custom integrands and
+    reference solves pass g = ``value_fn(v, t)`` and dg/dv = ``dv_fn(v, t)``,
+    which are adapted to a slope once, before the loop; ``dv_fn`` is not
+    called unless `want_log_deriv`.
 
     With `want_log_deriv` it also accumulates l' = dg/dv with l(0) = 0,
     using the same scheme and stage points, i.e. one pass over the
@@ -248,13 +248,20 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
     return (v[()] if not shape else v), log_deriv, traj
 
 
-def _solver_functions(g: Integrand):
-    """``(value_fn, dv_fn)`` for `integrate`; the one-phi slope for built-in families."""
+def family_slope(value, a, b, c, want_dv):
+    """The ``slope(v, t, out)`` that `integrate` calls for a built-in family's
+    `value` function and parameters a, b, c: it returns (g, dg/dv) from one
+    phi(v) with `want_dv`, else (g, None) without computing dg/dv; into `out` if given."""
+    if want_dv:
+        return lambda v, t, out: value(a, b, c, v, t, with_dv=True, out=out)
+    return lambda v, t, out: (value(a, b, c, v, t, out=out), None)
+
+
+def _integrand_slope(g: Integrand, want_dv):
+    """`integrate`'s (value_fn, dv_fn) for g: a custom g's own pair, else (family_slope, None)."""
     if g.family == "custom":
         return g.functions()
-    value, _ = family_functions(g.family)
-    a, b, c = g.params()
-    return (lambda v, t, out: value(a, b, c, v, t, with_dv=True, out=out)), None
+    return family_slope(family_functions(g.family)[0], *g.params(), want_dv), None
 
 
 def _as_input(x):
@@ -277,12 +284,9 @@ def forward(g: Integrand, cfg: SolverConfig, x, *, guard=DEFAULT_GUARD,
     """
     if cfg.direction != "forward":
         raise ValueError("forward() needs a forward-direction SolverConfig")
-    value_fn, dv_fn = _solver_functions(g)
     arr, scalar = _as_input(x)
-    y, log_deriv, traj = integrate(
-        value_fn, dv_fn, arr, cfg, guard=guard,
-        keep_trajectory=keep_trajectory, divergence=divergence,
-    )
+    y, log_deriv, traj = integrate(*_integrand_slope(g, True), arr, cfg, guard=guard,
+                                   keep_trajectory=keep_trajectory, divergence=divergence)
     return MapResult(_as_output(y, scalar), _as_output(log_deriv, scalar), traj)
 
 
@@ -301,12 +305,9 @@ def inverse(g: Integrand, cfg: SolverConfig, y, refine=None, *,
     """
     if cfg.direction != "reverse":
         raise ValueError("inverse() needs a reverse-direction SolverConfig")
-    value_fn, dv_fn = g.functions()
     arr, scalar = _as_input(y)
-    x0, _, _ = integrate(
-        value_fn, dv_fn, arr, cfg, guard=guard,
-        want_log_deriv=False, divergence=divergence,
-    )
+    x0, _, _ = integrate(*_integrand_slope(g, False), arr, cfg, guard=guard,
+                         want_log_deriv=False, divergence=divergence)
     if refine is None or refine.method == "reverse_only":
         return InverseResult(_as_output(x0, scalar))
     from . import inversion  # deferred: inversion builds on this module
@@ -411,7 +412,7 @@ def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet,
     arr, scalar = _as_input(x)
     cot_y = np.broadcast_to(np.asarray(cot_y, dtype=float), arr.shape)
     cot_logdet = np.broadcast_to(np.asarray(cot_logdet, dtype=float), arr.shape)
-    value_fn, dv_fn = _solver_functions(g)
+    value_fn, dv_fn = _integrand_slope(g, False)
     stages = []
     integrate(value_fn, dv_fn, arr, cfg, guard=guard, want_log_deriv=False, stages=stages)
     if g.family == "custom":

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import FAMILIES, draw_stable_cases
+from timeflow import scalarmap
 from timeflow.integrands import _logistic, family_functions, family_phi
-from timeflow.scalarmap import _adjoint, integrate
+from timeflow.inversion import _map_only, refine_lanes
+from timeflow.scalarmap import DEFAULT_GUARD, _adjoint, family_slope, integrate
 from timeflow import (
     DivergenceError,
     Integrand,
@@ -252,9 +254,8 @@ def test_adjoint_matches_complex_step(family, scheme, direction, rng):
             return cot_y * y + cot_l * l
 
         stages = []
-        integrate(lambda v, t, out: family_functions(family)[0](*params, v, t, with_dv=True,
-                                                                out=out),
-                  None, x0, cfg, stages=stages)
+        integrate(family_slope(family_functions(family)[0], *params, True), None, x0, cfg,
+                  stages=stages)
         got = _adjoint(family, params, cfg, stages, cot_y, cot_l)
         inputs = [x0, *params]
         for i, (g, p) in enumerate(zip(got, inputs)):
@@ -280,13 +281,85 @@ def test_slope_path_matches_two_function_path(family, scheme, direction, want_lo
     y2, l2, _ = integrate(lambda v, t: value(*params, v, t),
                           lambda v, t: dv(*params, v, t), x, cfg,
                           want_log_deriv=want_log_deriv)
-    y1, l1, _ = integrate(lambda v, t, out: value(*params, v, t, with_dv=True, out=out), None,
+    y1, l1, _ = integrate(family_slope(value, *params, want_log_deriv), None,
                           x, cfg, want_log_deriv=want_log_deriv)
     assert np.array_equal(y1, y2)
     if want_log_deriv:
         assert np.array_equal(l1, l2)
     else:
         assert l1 is None and l2 is None
+    # the scalar-map calls that run this solve, against the same solve of g.functions()
+    g = Integrand(family, *rng.uniform(-0.6, 0.6, 3))
+    for z in (x, 0.3):  # a 0-d input still gives a float
+        want_y, want_l, _ = integrate(*g.functions(), np.asarray(z), cfg,
+                                      want_log_deriv=want_log_deriv)
+        if direction == "forward" and want_log_deriv:
+            res = forward(g, cfg, z)
+            pairs, scalars = [(res.y, want_y), (res.log_deriv, want_l)], [res.y, res.log_deriv]
+        elif direction == "forward":
+            stages = []
+            integrate(*g.functions(), np.asarray(z), cfg, want_log_deriv=False, stages=stages)
+            cots = [np.broadcast_to(w, np.shape(z)) for w in (0.7, -0.4)]
+            dx, *dp = _adjoint(family, g.params(), cfg, stages, *cots)
+            vjp = forward_vjp(g, cfg, z, 0.7, -0.4)
+            pairs = [(_map_only(g, cfg, DEFAULT_GUARD)(z), want_y), (vjp.dx, dx),
+                     (vjp.dparams, [float(np.sum(p)) for p in dp])]
+            scalars = [vjp.dx]
+        elif not want_log_deriv:
+            rc = RefineConfig("fixed_point", tolerance=1e-12)
+            plain, refined = inverse(g, cfg, z), inverse(g, cfg, z, rc)
+
+            def q(v, lanes):
+                return integrate(*g.functions(), v, cfg.reversed(), want_log_deriv=False,
+                                 divergence="nan")[0]
+
+            ref = refine_lanes(q, np.ravel(z), np.ravel(want_y), rc)
+            pairs = [(plain.x, want_y), (refined.x, ref.x.reshape(np.shape(z))),
+                     (refined.residual, ref.residual.reshape(np.shape(z)))]
+            scalars = [plain.x, refined.x]
+        else:  # no scalar-map call solves in reverse with the log-derivative
+            continue
+        for got, want in pairs:
+            assert np.array_equal(got, want)
+        if np.ndim(z) == 0:
+            assert all(type(v) is float for v in scalars)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_only_forward_asks_for_dg_dv(family, scheme, monkeypatch, rng):
+    # every built-in-family solve makes one value call per stage point, and only
+    # forward, which accumulates the log-derivative, asks it for dg/dv
+    calls = []
+
+    def spied(name):
+        value, dv = family_functions(name)
+
+        def spy_value(*args, with_dv=False, **kw):
+            calls.append(with_dv)
+            return value(*args, with_dv=with_dv, **kw)
+
+        def spy_dv(*args):
+            calls.append("dv")
+            return dv(*args)
+
+        return spy_value, spy_dv
+
+    monkeypatch.setattr(scalarmap, "family_functions", spied)
+    cfg = SolverConfig(scheme=scheme, steps=8)
+    points = cfg.steps * (1 if scheme == "euler" else 4)
+    g = Integrand(family, *rng.uniform(-0.6, 0.6, 3))
+    x = rng.uniform(-1.0, 1.0, (6, 3))
+    for run, with_dv in ((lambda: forward(g, cfg, x), True),
+                         (lambda: forward_vjp(g, cfg, x, 1.0, 0.5), False),
+                         (lambda: inverse(g, cfg.reversed(), x), False),
+                         (lambda: _map_only(g, cfg, DEFAULT_GUARD)(x), False)):
+        calls.clear()
+        run()
+        assert calls == [with_dv] * points
+    calls.clear()
+    inverse(g, cfg.reversed(), x, RefineConfig("fixed_point"))
+    assert calls and set(calls) == {False}
 
 
 # --- solver buffers ----------------------------------------------------------
@@ -351,7 +424,7 @@ def test_stage_points_are_fresh_and_match_plain_arithmetic(family, scheme, rng):
         lambda v, t: value(*params, v, t), lambda v, t: dv(*params, v, t), x, cfg)
     saved = [p.copy() for p in (x, *params)]
     for slope, dv_fn in (
-            (lambda v, t, out: value(*params, v, t, with_dv=True, out=out), None),
+            (family_slope(value, *params, True), None),
             (lambda v, t: value(*params, v, t), lambda v, t: dv(*params, v, t))):
         stages = []
         y, l, _ = integrate(slope, dv_fn, x, cfg, stages=stages)
@@ -398,13 +471,11 @@ def test_complex_b_promotes_through_the_buffers(family, scheme, rng):
     cot_y, cot_l = rng.standard_normal((2, 6, 2))
     value, _ = family_functions(family)
     stages = []
-    integrate(lambda v, t, out: value(a, b, c, v, t, with_dv=True, out=out), None, x, cfg,
-              stages=stages)
+    integrate(family_slope(value, a, b, c, True), None, x, cfg, stages=stages)
     _, _, b_bar, _ = _adjoint(family, (a, b, c), cfg, stages, cot_y, cot_l)
     step = 1e-30
     bc = b + 1j * step
-    y, l, _ = integrate(lambda v, t, out: value(a, bc, c, v, t, with_dv=True, out=out), None,
-                        x, cfg)
+    y, l, _ = integrate(family_slope(value, a, bc, c, True), None, x, cfg)
     assert y.dtype == l.dtype == complex
     np.testing.assert_allclose((cot_y * y + cot_l * l).imag / step, b_bar,
                                rtol=1e-9, atol=1e-12)
