@@ -3,12 +3,14 @@
 Training runs the inverse path once with one `Node` per layer, in the order
 the layers ran. Each record holds the layer, the parameter arrays it used
 and the cache its `inverse` filled: the conditioner activations and the
-solver stage points. `backward` walks the records in reverse and calls
-each layer's hand-written `vjp`, which chains the conditioner's backward
-pass and the discrete adjoint of the solve (`scalarmap._adjoint`).
+slab of solver stage points of each solve. `backward` walks the records in
+reverse and calls each layer's hand-written `vjp`, which chains the
+conditioner's backward pass and the discrete adjoint of the solve
+(`scalarmap._adjoint`).
 
-Records are write-once; a fresh list is built per differentiated call, so
-there is no shared state across calls.
+Records are write-once; a fresh list is built per differentiated call.
+The adjoints' scratch arrays live in one dict that `backward` makes per
+call and drops when it returns, so there is no shared state across calls.
 """
 
 from __future__ import annotations
@@ -38,10 +40,13 @@ def backward(records, x_bar, l_bar):
     `x_bar` is the cotangent of the last recorded layer's output and
     `l_bar`, shape (n,), that of every layer's log-determinant. Returns
     the cotangent of the first layer's input and the parameter gradients,
-    in reverse record order (model order for the inverse path).
+    in reverse record order (model order for the inverse path). Every
+    layer's `vjp` gets the same `work` dict, so the stacked temporaries of
+    all the solves' adjoints are allocated once per call, not once per solve.
     """
     grads = []
+    work = {}
     for rec in reversed(records):
-        x_bar, g = rec.layer.vjp(rec.params, rec.cache, x_bar, l_bar)
+        x_bar, g = rec.layer.vjp(rec.params, rec.cache, x_bar, l_bar, work)
         grads.extend(g)
     return x_bar, grads

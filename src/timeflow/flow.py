@@ -58,14 +58,16 @@ LOG_TWO_PI = float(np.log(2.0 * np.pi))
 #   forward(x, params, guard, divergence, want_log_deriv) -> (y, logdet);
 #   inverse(y, params, refine, guard, divergence, want_log_deriv, cache=None)
 #                                 -> (x, logdet);
-#   vjp(params, cache, x_bar, l_bar) -> (y_bar, param grads) of that inverse;
+#   vjp(params, cache, x_bar, l_bar, work) -> (y_bar, param grads) of that inverse;
 #   to_json() and the classmethod from_json(dim, obj) for checkpoints.
 # x and y are (n, D) batches; logdet is (n,), or None without want_log_deriv
 # (permutations always return zeros). inverse returns the log-determinant of
 # the inverse map. Given a `cache` list, inverse appends what vjp needs (the
-# conditioner activations, the parameter arrays of each solve and its stage
-# points); vjp takes the cotangents of x and of logdet, and supports the
-# unrefined inverse only.
+# conditioner activations, the parameter arrays of each solve and its slab
+# of stage points); vjp takes the cotangents of x and of logdet, and supports
+# the unrefined inverse only. `work` is the dict of scratch arrays that
+# `autodiff.backward` makes once per call and hands to every layer, so the
+# discrete adjoints of all the layers' solves share the same memory.
 
 
 @dataclass
@@ -124,11 +126,11 @@ class CouplingLayer:
         return self._coupled(y, params, _invert_block, refine, guard, divergence,
                              want_log_deriv, cache=cache)
 
-    def vjp(self, params, cache, x_bar, l_bar):
+    def vjp(self, params, cache, x_bar, l_bar, work):
         [(acts, abc, stages)] = cache
         kept_bar, out_bar = self._halves(x_bar)
         moved_bar, *abc_bar = _adjoint(self.family, abc, self.solver.reversed(), stages,
-                                       out_bar, l_bar[:, None])
+                                       out_bar, l_bar[:, None], work)
         dkept, grads = net_backward(self.conditioner, params, acts, _interleave(abc_bar))
         return self._join(kept_bar + dkept, moved_bar), grads
 
@@ -198,7 +200,7 @@ class AutoregressiveLayer:
                 logdet = contrib if logdet is None else logdet + contrib
         return np.concatenate(cols, axis=1), logdet
 
-    def vjp(self, params, cache, x_bar, l_bar):
+    def vjp(self, params, cache, x_bar, l_bar, work):
         """Walk the coordinates in reverse order: a coordinate's cotangent is
         complete once every later coordinate's conditioner pass has added
         to it. The zero-filled placeholder columns get no cotangent."""
@@ -210,7 +212,7 @@ class AutoregressiveLayer:
         for pos in range(len(cache) - 1, -1, -1):
             k, acts, abc, stages = cache[pos]
             y_bar[:, k:k + 1], *abc_bar = _adjoint(self.family, abc, cfg, stages,
-                                                   x_bar[:, k:k + 1], l_bar[:, None])
+                                                   x_bar[:, k:k + 1], l_bar[:, None], work)
             theta_bar = np.zeros((x_bar.shape[0], 3 * self.dim))
             theta_bar[:, 3 * k:3 * k + 3] = _interleave(abc_bar)
             dinput, g = net_backward(self.conditioner, params, acts, theta_bar)
@@ -262,7 +264,7 @@ class PermutationLayer:
     def inverse(self, y, params, refine, guard, divergence, want_log_deriv, cache=None):
         return y[:, self.inverse_perm], np.zeros(y.shape[0])
 
-    def vjp(self, params, cache, x_bar, l_bar):
+    def vjp(self, params, cache, x_bar, l_bar, work):
         return x_bar[:, self.perm], []
 
     def to_json(self):
@@ -378,8 +380,10 @@ def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=Tr
 
     The slope is `scalarmap.family_slope` of the family's value function,
     with dg/dv only when the log-derivative is wanted. A `stages` list
-    receives the stage points, for `scalarmap._adjoint`. Returns
-    ``(v_end, log_deriv)``; log_deriv is None unless `want_log_deriv`.
+    receives the solve's one slab of stage points, for `scalarmap._adjoint`;
+    the stage points are written straight into it, so the solve allocates
+    nothing per step. Returns ``(v_end, log_deriv)``; log_deriv is None
+    unless `want_log_deriv`.
     """
     slope = family_slope(family_functions(family)[0], a, b, c, want_log_deriv)
     y, l, _ = integrate(slope, None, x, cfg, guard=guard, want_log_deriv=want_log_deriv,

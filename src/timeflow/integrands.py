@@ -34,7 +34,8 @@ def _logistic(x, out=None):
     value is below 1e-308, so only the overflow warning is silenced. NaN
     stays NaN. Only a call without `out` silences it: a call with an `out`
     array, which every step is written into, must run under the caller's
-    ``np.errstate(over="ignore")``, as `integrate`'s slope calls do.
+    ``np.errstate(over="ignore")``, as `integrate`'s slope calls and the
+    discrete adjoint do.
     """
     x = np.asarray(x, dtype=float)
     if out is None:
@@ -46,19 +47,22 @@ def _logistic(x, out=None):
 
 # family -> (phi, dphi, d2phi) for g(v, t) = a*v + b + c*phi(v); the derivatives
 # take the values below them, dphi(v, phi) and d2phi(v, phi, dphi), so one phi
-# evaluation serves all three. phi and dphi also take an `out` array, which
-# every ufunc of their formula writes into; without one each step allocates.
+# evaluation serves all three. Each also takes an `out` array, which every ufunc
+# of its formula writes into; without one each step allocates. The quadratic's
+# phi'' is the constant 2.0, which leaves `out` alone.
 _PHI = {
     "quadratic": (lambda v, out=None: np.multiply(v, v, out=out),
                   lambda v, p, out=None: np.multiply(2.0, v, out=out),
-                  lambda v, p, dp: 2.0),
+                  lambda v, p, dp, out=None: 2.0),
     "cubic": (lambda v, out=None: np.multiply(np.multiply(v, v, out=out), v, out=out),
               lambda v, p, out=None: np.multiply(3.0, np.multiply(v, v, out=out), out=out),
-              lambda v, p, dp: 6.0 * v),
+              lambda v, p, dp, out=None: np.multiply(6.0, v, out=out)),
     "sigmoid_affine": (_logistic,
                        lambda v, s, out=None: np.multiply(s, np.subtract(1.0, s, out=out),
                                                           out=out),
-                       lambda v, s, ds: ds * (1.0 - 2.0 * s)),
+                       lambda v, s, ds, out=None: np.multiply(
+                           ds, np.subtract(1.0, np.multiply(2.0, s, out=out), out=out),
+                           out=out)),
 }
 
 
@@ -106,7 +110,8 @@ def family_functions(family: str):
 def family_phi(family: str):
     """Return ``(phi, dphi, d2phi)`` of a built-in family.
 
-    They are called as ``phi(v)``, ``dphi(v, phi)`` and ``d2phi(v, phi, dphi)``.
+    They are called as ``phi(v)``, ``dphi(v, phi)`` and ``d2phi(v, phi, dphi)``,
+    each with an optional ``out`` array as its last argument.
     With g = a*v + b + c*phi(v) they give every derivative the discrete
     adjoint needs: dg/d(a, b, c) = (v, 1, phi), d2g/dv2 = c*phi'' and
     d(dg/dv)/d(a, b, c) = (1, 0, phi').

@@ -244,16 +244,19 @@ def refine_lanes(q, y, x0, rc: RefineConfig) -> RootResult:
 
 
 def _invert(g, cfg, y, x0, rc, guard):
-    """`refine_lanes` on the forward map of `g`; a scalar y gives scalar fields."""
+    """`refine_lanes` on the forward map of `g` over the raveled lanes of y;
+    every field comes back in y's shape, and a scalar y gives scalar fields."""
     if cfg.direction != "forward":
         raise ValueError(f"{rc.method} inversion wants the forward solver config")
     y_arr = np.asarray(y, dtype=float)
-    res = refine_lanes(_map_only(g, cfg, guard), np.atleast_1d(y_arr),
-                       np.atleast_1d(np.asarray(x0, dtype=float)), rc)
+    res = refine_lanes(_map_only(g, cfg, guard), np.ravel(y_arr),
+                       np.ravel(np.asarray(x0, dtype=float)), rc)
+    fields = [np.reshape(v, y_arr.shape) for v in (res.x, res.steps, res.converged,
+                                                    res.residual, res.expansions,
+                                                    res.fell_back)]
     if y_arr.ndim == 0:
-        return RootResult(float(res.x[0]), int(res.steps[0]), bool(res.converged[0]),
-                          float(res.residual[0]), int(res.expansions[0]), bool(res.fell_back[0]))
-    return res
+        fields = [kind(v) for kind, v in zip((float, int, bool, float, int, bool), fields)]
+    return RootResult(*fields)
 
 
 def bisection_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig,

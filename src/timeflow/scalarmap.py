@@ -157,10 +157,13 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
 
     With `want_log_deriv` it also accumulates l' = dg/dv with l(0) = 0,
     using the same scheme and stage points, i.e. one pass over the
-    augmented state (v, l). If `stages` is a list, the stage points of
-    every step are appended to it, ``(v1, v2, v3, v4)`` for RK4 and
-    ``(v1,)`` for Euler; `_adjoint` differentiates a built-in-family solve
-    from them, and `forward_vjp` a custom one.
+    augmented state (v, l). If `stages` is a list, one slab of shape
+    ``(steps * s, *shape)`` is appended to it, s = 4 stage points per step
+    for RK4 (v1, v2, v3, v4) and 1 for Euler (v1): row ``s*k + i`` is stage
+    point i of step k, so the end of step k is row ``s*(k+1)``, the first
+    stage point of step k + 1 (in 'nan' mode, after the guard's NaNs).
+    Row 0 is x, broadcast to the solve's shape. `_adjoint` differentiates
+    a built-in-family solve from the slab, and `forward_vjp` a custom one.
 
     Buffers. The first slope call, at x, gets ``out=None``. Its results fix
     the shape and dtype of the solve (x, g and dg/dv promoted together, so a
@@ -171,12 +174,12 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
     a scratch array that the slope may use for phi. Later slope calls get
     ``out=(k_i, d_i or None, scratch)``; they may write into those arrays
     and return them, and the loop never writes into what a slope returns.
-    x is never written. Only what a caller keeps is allocated per step:
-    with `stages`, every stage point and step result, and with
-    `keep_trajectory`, a float copy of v. Each arithmetic step is the ufunc
-    of the plain expression on the same operands in the same order, so the
-    results are bitwise those of allocating arithmetic; a 0-d x still gives
-    numpy scalars.
+    x is never written. The stage points go into one shared array, or with
+    `stages` straight into their rows of the slab, which is allocated with
+    the other arrays; only `keep_trajectory` allocates per step, a float
+    copy of v. Each arithmetic step is the ufunc of the plain expression on
+    the same operands in the same order, so the results are bitwise those
+    of allocating arithmetic; a 0-d x still gives numpy scalars.
 
     Returns ``(v_end, log_deriv, trajectory)``.
     """
@@ -202,31 +205,37 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
         def new():
             return np.empty(shape, dtype)
 
+        s = 1 if euler else 4
         scratch, acc = new(), new()
-        point, v_out = (None, None) if keep else (new(), new())  # None: fresh, kept
-        outs = [(new(), new() if want_log_deriv else None, scratch)
-                for _ in range(1 if euler else 4)]
+        point = None if keep else new()
+        v_out = new()
+        outs = [(new(), new() if want_log_deriv else None, scratch) for _ in range(s)]
+        if keep:  # stage point i is row i; the end of step k is row s*(k+1)
+            slab = np.empty((n * s,) + shape, dtype)
+            stages.append(slab)
+            v = slab[0, ...]
+            np.copyto(v, x)
 
         for k in range(n):
             t = t0 + k * h
+            end = slab[s * (k + 1), ...] if keep and k + 1 < n else v_out
             k1, d1 = slope(v, t, outs[0]) if k else first
             if euler:
-                if keep:
-                    stages.append((v,))
                 if want_log_deriv:
                     m = np.multiply(d1, h, out=acc)
                     log_deriv = m.copy() if k == 0 else np.add(log_deriv, m, out=log_deriv)
-                v = np.add(v, np.multiply(k1, h, out=acc), out=v_out)
+                v = np.add(v, np.multiply(k1, h, out=acc), out=end)
             else:  # rk4 on the augmented state; l does not feed back into v
+                r = s * k  # v is stage point r
+                p2, p3, p4 = ((slab[r + 1, ...], slab[r + 2, ...], slab[r + 3, ...]) if keep
+                              else (point, point, point))
                 half = 0.5 * h
-                v2 = np.add(v, np.multiply(half, k1, out=point), out=point)
+                v2 = np.add(v, np.multiply(half, k1, out=p2), out=p2)
                 k2, d2 = slope(v2, t + half, outs[1])
-                v3 = np.add(v, np.multiply(half, k2, out=point), out=point)
+                v3 = np.add(v, np.multiply(half, k2, out=p3), out=p3)
                 k3, d3 = slope(v3, t + half, outs[2])
-                v4 = np.add(v, np.multiply(h, k3, out=point), out=point)
+                v4 = np.add(v, np.multiply(h, k3, out=p4), out=p4)
                 k4, d4 = slope(v4, t + h, outs[3])
-                if keep:
-                    stages.append((v, v2, v3, v4))
                 if want_log_deriv:  # (d1 + 2*d2 + 2*d3 + d4) * (h/6)
                     m = np.add(d1, np.multiply(2.0, d2, out=acc), out=acc)
                     m = np.add(m, np.multiply(2.0, d3, out=scratch), out=acc)
@@ -235,8 +244,10 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
                 # v + (h/6) * (k1 + 2*k2 + 2*k3 + k4)
                 m = np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
                 m = np.add(m, np.multiply(2.0, k3, out=scratch), out=acc)
-                v = np.add(v, np.multiply(h / 6.0, np.add(m, k4, out=acc), out=acc), out=v_out)
-            v, _ = _check_guard(v, guard, t0 + (k + 1) * h, divergence, scratch)
+                v = np.add(v, np.multiply(h / 6.0, np.add(m, k4, out=acc), out=acc), out=end)
+            checked, _ = _check_guard(v, guard, t0 + (k + 1) * h, divergence, scratch)
+            if checked is not v:  # 'nan' mode replaced the diverged lanes
+                np.copyto(v, checked)
             if keep_trajectory:
                 trajectory.append(np.array(v, dtype=float))
 
@@ -321,15 +332,27 @@ def inverse(g: Integrand, cfg: SolverConfig, y, refine=None, *,
     return InverseResult(x, steps, converged, residual, method=refine.method)
 
 
-def _adjoint(family, params, cfg, stages, cot_y, cot_l):
+def _scratch(work, name, shape, dtype):
+    """The array of `work` kept under (name, shape, dtype), made on first use."""
+    key = (name, shape, dtype)
+    if key not in work:
+        work[key] = np.empty(shape, dtype)
+    return work[key]
+
+
+def _adjoint(family, params, cfg, stages, cot_y, cot_l, work=None):
     """Reverse sweep of the solver steps over the stage points they saved.
 
     The discrete adjoint of `integrate` for g = a*v + b + c*phi(v): given
-    the cotangents of v(1) and of the log-derivative, returns those of x,
-    a, b and c, each in the broadcast shape of the solve. RK4 and Euler
-    share the sweep; they differ only in stage weights and offsets. Only
-    the chain through the stage points is sequential, so everything else
-    is evaluated at all stage points at once.
+    the slab that `integrate` appended to `stages` and the cotangents of
+    v(1) and of the log-derivative, returns those of x, a, b and c, each in
+    the broadcast shape of the solve. RK4 and Euler share the sweep; they
+    differ only in stage weights and offsets. Only the chain through the
+    stage points is sequential, so everything else is evaluated at all
+    stage points at once, in (stages, *shape) arrays taken from `work`, a
+    dict that `_scratch` fills; a caller that passes one dict to many
+    adjoints of one shape lets them share that memory. The slab is read,
+    never written, and nothing returned lives in `work`.
     """
     phi, dphi, d2phi = family_phi(family)
     a, _, c = params  # g is affine in b, so b never enters a derivative
@@ -340,49 +363,60 @@ def _adjoint(family, params, cfg, stages, cot_y, cot_l):
         weights = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
         offsets = (0.5 * h, 0.5 * h, h)
     s = len(weights)
-    points = [vi for step in stages for vi in step]
-    v = np.stack(np.broadcast_arrays(cot_y, *points)[1:])  # x may be narrower than v(1)
-    w = np.tile(weights, len(stages)).reshape((-1,) + (1,) * (v.ndim - 1))
-    # The stacked arrays are combined in place where that keeps every bit:
-    # each fresh (stages, n, k) temporary is a large heap block, and freeing
-    # many per call makes malloc return pages to the system and fault them in
-    # again on the next call.
-    p = phi(v)  # one sigmoid serves phi, phi' and phi''
-    dp = dphi(v, p)
-    jac = c * dp  # dg/dv = a + c*phi' at every stage point
-    jac += a
-    jbar = w * cot_l  # cotangent of each stage's dg/dv
-    through_jac = jbar * (c * d2phi(v, p, dp))  # reaches a stage point through its dg/dv
-    kbar = np.empty(v.shape)  # cotangents of the stage slopes k_i
-    ybar = cot_y
+    [v] = stages
+    w = np.tile(weights, cfg.steps).reshape((-1,) + (1,) * (v.ndim - 1))
+    shape = np.broadcast_shapes(v.shape, w.shape, *(np.shape(z) for z in (a, c, cot_y, cot_l)))
+    dtype = np.result_type(v, a, c, cot_y, cot_l)
+    work = {} if work is None else work
+    # Every stacked temporary is a workspace array that each ufunc writes into,
+    # on the operands of the plain expression in its order, so every bit is
+    # that of allocating arithmetic. A fresh (stages, n, k) array is a large
+    # heap block; freeing many per call makes malloc return pages to the
+    # system and fault them in again on the next call.
+    p, dp, jac, jbar, through_jac, kbar, abar = (
+        _scratch(work, name, shape, dtype)
+        for name in ("phi", "dphi", "jac", "jbar", "through_jac", "kbar", "abar"))
+    with np.errstate(over="ignore"):  # the sigmoid's exp(-v) may overflow to inf
+        phi(v, p)  # one sigmoid serves phi, phi' and phi''
+    dphi(v, p, dp)
+    np.add(np.multiply(c, dp, out=jac), a, out=jac)  # dg/dv = a + c*phi' at every stage point
+    np.multiply(w, cot_l, out=jbar)  # cotangent of each stage's dg/dv
+    # reaches a stage point through its dg/dv: jbar * (c * phi'')
+    np.multiply(jbar, np.multiply(c, d2phi(v, p, dp, through_jac), out=through_jac),
+                out=through_jac)
+    # the sequential chain, step by step in reverse, in four arrays of one stage
+    # point's shape: the cotangents of the step's end and start (swapped after
+    # every step), of a stage point, and the carry reaching k_i through the
+    # next stage point (0.0 for the last stage)
+    ybar, vbar, sbar, carry = (np.empty(shape[1:], dtype) for _ in range(4))
+    ybar[...] = cot_y
     for r0 in range(len(v) - s, -1, -s):
-        vbar = ybar
-        carry = 0.0  # cotangent reaching k_i through the next stage point
         for i in range(s - 1, -1, -1):
-            r = r0 + i
-            kbar[r] = weights[i] * ybar + carry
-            sbar = kbar[r] * jac[r] + through_jac[r]  # cotangent of stage point r
-            vbar = vbar + sbar
+            r, last = r0 + i, i == s - 1
+            kr = np.multiply(weights[i], ybar, out=kbar[r, ...])  # cotangent of k_i
+            np.add(kr, 0.0 if last else carry, out=kr)
+            np.add(np.multiply(kr, jac[r], out=sbar), through_jac[r], out=sbar)
+            np.add(ybar if last else vbar, sbar, out=vbar)
             if i:
-                carry = offsets[i - 1] * sbar
-        ybar = vbar
-    v *= kbar  # abar = sum(kbar*v + jbar)
-    v += jbar
-    p *= kbar  # cbar = sum(kbar*phi + jbar*phi')
-    dp *= jbar
-    p += dp
-    return ybar, np.sum(v, axis=0), np.sum(kbar, axis=0), np.sum(p, axis=0)
+                np.multiply(offsets[i - 1], sbar, out=carry)
+        ybar, vbar = vbar, ybar
+    np.add(np.multiply(v, kbar, out=abar), jbar, out=abar)  # abar = sum(kbar*v + jbar)
+    np.add(np.multiply(p, kbar, out=p), np.multiply(dp, jbar, out=dp), out=p)  # cbar
+    return ybar, np.sum(abar, axis=0), np.sum(kbar, axis=0), np.sum(p, axis=0)
 
 
 def _tangent(dv_fn, cfg, stages):
-    """d v(1) / dx of a solve from its stage points: the product over the steps
+    """d v(1) / dx of a solve from its stage slab: the product over the steps
     of the tangent recursion's factor tau, which needs dg/dv only."""
-    n = len(stages)
+    [slab] = stages
+    n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     t0 = 0.0 if cfg.direction == "forward" else 1.0
+    s = len(slab) // n
     dx = 1.0
-    for k, points in enumerate(stages):
+    for k in range(n):
         t = t0 + k * h
+        points = slab[s * k:s * (k + 1)]
         if cfg.scheme == "euler":
             tau = 1.0 + h * dv_fn(points[0], t)
         else:

@@ -3,9 +3,12 @@
 The loss is the mean negative log-density of a batch; gradients are exact
 reverse-mode derivatives of the discretized computation (solver steps,
 conditioner evaluations, base density). The inverse path runs once and
-keeps one record per layer; `autodiff.backward` then walks the records in
-reverse through each layer's hand-written `vjp`, whose solves go through
-the discrete adjoint of the solver steps (`scalarmap._adjoint`).
+keeps one record per layer, with one slab of stage points per solve;
+`autodiff.backward` then walks the records in reverse through each layer's
+hand-written `vjp`, whose solves go through the discrete adjoint of the
+solver steps (`scalarmap._adjoint`). The adjoints' stacked temporaries come
+from one scratch dict per `backward` call, so a training step reuses their
+memory across layers and coordinates and keeps none of it afterwards.
 
 The loop is single-threaded over batches; within a batch all examples
 are vector lanes, so gradient accumulation is bitwise deterministic.

@@ -1,6 +1,7 @@
 """Root-finding inversion methods and the step-count benchmark."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,24 @@ def test_fixed_point_falls_back_to_bisection():
     res = fixedpoint_invert(DEFAULT_BENCH_INTEGRAND, FWD, 0.5, rc)
     assert res.fell_back and res.converged and res.steps == 1
     assert res.residual <= 1e-12
+
+
+def test_two_d_targets_fall_back_lane_by_lane():
+    # 2 of these 20 lanes miss under plain fixed-point iteration; their bisection
+    # fallback used to index the (5, 4) lanes with 1-D results and raise
+    rng = np.random.default_rng(0)
+    g = Integrand("quadratic", *rng.uniform(-0.6, 0.6, 3))
+    y = rng.uniform(-1.0, 1.0, (5, 4))
+    cfg = SolverConfig(steps=8)
+    rc = RefineConfig("fixed_point", 1e-9)
+    res, flat = fixedpoint_invert(g, cfg, y, rc), fixedpoint_invert(g, cfg, y.ravel(), rc)
+    assert res.fell_back.sum() == 2 and res.converged.all()
+    for field in ("x", "steps", "converged", "residual", "expansions", "fell_back"):
+        got, want = getattr(res, field), getattr(flat, field)
+        assert got.shape == y.shape and np.array_equal(got, want.reshape(y.shape)), field
+    bis = bisection_invert(g, cfg, y, replace(rc, method="bisection"))
+    assert bis.x.shape == y.shape and bis.converged.all()
+    assert np.array_equal(bis.x, bisection_invert(g, cfg, y.ravel(), rc).x.reshape(y.shape))
 
 
 def test_trapezoid_reverse_five_nodes():

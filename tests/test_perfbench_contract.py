@@ -37,6 +37,9 @@ def _bench(workload, trace):
     return result["metrics"]
 
 
+TRAIN_SOLVES = {"fit-2d": 4, "ar-8d": 32}  # one per layer, or per layer and coordinate
+
+
 @pytest.mark.parametrize("workload", ["fit-2d", "ar-8d"])
 def test_traced_run_is_correct_and_counts(workload):
     metrics = _bench(workload, 1)
@@ -45,6 +48,11 @@ def test_traced_run_is_correct_and_counts(workload):
         assert metrics[name]["value"] > 0, name
     # one integrand evaluation per stage point: 4 layers x 16 steps x 4 RK4 stages
     assert metrics["integrands.evals.sample"]["value"] == 256
+    # one record per layer (4 transforms, 3 permutations), and training's solves
+    # make one evaluation per stage point too: the adjoint reads the saved stage
+    # points and evaluates nothing
+    assert metrics["autodiff.nodes.train"]["value"] == 7
+    assert metrics["integrands.evals.train"]["value"] == TRAIN_SOLVES[workload] * 16 * 4
 
 
 @pytest.mark.parametrize("workload", ["fit-2d", "ar-8d"])

@@ -245,6 +245,7 @@ def test_adjoint_matches_complex_step(family, scheme, direction, rng):
     x0 = rng.uniform(-1.0, 1.0, (6, 3))
     cot_y, cot_l = rng.standard_normal((2, 6, 3))
     step = 1e-30
+    work = {}  # both widths' adjoints take the same (stages, 6, 3) workspace arrays
     for width in (3, 1):  # (n, k) parameters, and (n, 1) ones shared by a row's lanes
         params = [rng.uniform(-0.6, 0.6, (6, width)) for _ in range(3)]
 
@@ -256,7 +257,7 @@ def test_adjoint_matches_complex_step(family, scheme, direction, rng):
         stages = []
         integrate(family_slope(family_functions(family)[0], *params, True), None, x0, cfg,
                   stages=stages)
-        got = _adjoint(family, params, cfg, stages, cot_y, cot_l)
+        got = _adjoint(family, params, cfg, stages, cot_y, cot_l, work)
         inputs = [x0, *params]
         for i, (g, p) in enumerate(zip(got, inputs)):
             shifted = list(inputs)
@@ -429,7 +430,8 @@ def test_stage_points_are_fresh_and_match_plain_arithmetic(family, scheme, rng):
         stages = []
         y, l, _ = integrate(slope, dv_fn, x, cfg, stages=stages)
         assert y.tobytes() == want_y.tobytes() and l.tobytes() == want_l.tobytes()
-        points = [p for step in stages for p in step]
+        [slab] = stages
+        points = list(slab)
         assert [p.tobytes() for p in points] == [
             p.tobytes() for step in want_points for p in step]
         arrays = points + [y, l]
@@ -472,13 +474,97 @@ def test_complex_b_promotes_through_the_buffers(family, scheme, rng):
     value, _ = family_functions(family)
     stages = []
     integrate(family_slope(value, a, b, c, True), None, x, cfg, stages=stages)
-    _, _, b_bar, _ = _adjoint(family, (a, b, c), cfg, stages, cot_y, cot_l)
+    real = _adjoint(family, (a, b, c), cfg, stages, cot_y, cot_l)
     step = 1e-30
     bc = b + 1j * step
     y, l, _ = integrate(family_slope(value, a, bc, c, True), None, x, cfg)
     assert y.dtype == l.dtype == complex
-    np.testing.assert_allclose((cot_y * y + cot_l * l).imag / step, b_bar,
+    np.testing.assert_allclose((cot_y * y + cot_l * l).imag / step, real[2],
                                rtol=1e-9, atol=1e-12)
+    # the adjoint of the complex solve reads a complex slab, so its workspace
+    # must be complex too: a float64 one would drop the imaginary parts
+    stages, work = [], {}
+    integrate(family_slope(value, a, bc, c, True), None, x, cfg, stages=stages)
+    [slab] = stages
+    cplx = _adjoint(family, (a, bc, c), cfg, stages, cot_y, cot_l, work)
+    assert slab.dtype == complex
+    assert work and all(arr.dtype == complex for arr in work.values())
+    for got, want in zip(cplx, real):
+        np.testing.assert_allclose(got.real, want, rtol=1e-12, atol=1e-15)
+
+
+def _allocating_adjoint(family, params, cfg, slab, cot_y, cot_l):
+    """`_adjoint` in plain allocating arithmetic, each temporary a fresh array."""
+    phi, dphi, d2phi = family_phi(family)
+    a, _, c = params
+    h = (1.0 if cfg.direction == "forward" else -1.0) / cfg.steps
+    if cfg.scheme == "euler":
+        weights, offsets = (h,), ()
+    else:
+        weights, offsets = (h / 6.0, h / 3.0, h / 3.0, h / 6.0), (0.5 * h, 0.5 * h, h)
+    s = len(weights)
+    w = np.tile(weights, cfg.steps).reshape((-1,) + (1,) * (slab.ndim - 1))
+    p = phi(slab)
+    dp = dphi(slab, p)
+    jac = c * dp + a
+    jbar = w * cot_l
+    through_jac = jbar * (c * d2phi(slab, p, dp))
+    kbar = np.empty(slab.shape)
+    ybar = cot_y
+    for r0 in range(len(slab) - s, -1, -s):
+        vbar, carry = ybar, 0.0
+        for i in range(s - 1, -1, -1):
+            r = r0 + i
+            kbar[r] = weights[i] * ybar + carry
+            sbar = kbar[r] * jac[r] + through_jac[r]
+            vbar = vbar + sbar
+            if i:
+                carry = offsets[i - 1] * sbar
+        ybar = vbar
+    return (ybar, np.sum(slab * kbar + jbar, axis=0), np.sum(kbar, axis=0),
+            np.sum(p * kbar + dp * jbar, axis=0))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_adjoint_sigmoid_runs_guarded(scheme, rng):
+    # below about -709.78 the sigmoid's exp(-v) overflows to inf, which is still
+    # well inside the guard box; the adjoint writes phi into a workspace array,
+    # so it has to silence that overflow itself
+    cfg = SolverConfig(scheme=scheme, steps=8, direction="reverse")
+    x = np.array([[-800.0, -712.0, 0.3], [-5000.0, 2.0, -0.5]])
+    params = [rng.uniform(-0.6, 0.6, x.shape) for _ in range(3)]
+    cot_y, cot_l = rng.standard_normal((2, *x.shape))
+    stages = []
+    integrate(family_slope(family_functions("sigmoid_affine")[0], *params, True), None, x,
+              cfg, stages=stages)
+    [slab] = stages
+    assert (slab < -710.0).sum() >= 3 * len(slab)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _adjoint("sigmoid_affine", params, cfg, stages, cot_y, cot_l)
+    want = _allocating_adjoint("sigmoid_affine", params, cfg, slab, cot_y, cot_l)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_stage_slab_rows_are_the_guarded_step_ends():
+    # in 'nan' mode a lane that leaves the guard box is NaN from the next step
+    # on, in the slab as in the trajectory and the result
+    g = Integrand.cubic(0.0, 0.0, 2.0)
+    x = np.array([0.1, 50.0, -0.2])
+    for cfg in (RK4_16, SolverConfig(scheme="euler", steps=16)):
+        stages = []
+        y, _, traj = integrate(family_slope(family_functions("cubic")[0], *g.params(), False),
+                               None, x, cfg, want_log_deriv=False, keep_trajectory=True,
+                               divergence="nan", stages=stages)
+        [slab] = stages
+        s = len(slab) // cfg.steps
+        assert np.isnan(y[1]) and np.isfinite(y[[0, 2]]).all()
+        assert slab[0].tobytes() == x.tobytes()
+        for k in range(1, cfg.steps):
+            assert slab[s * k].tobytes() == traj[k].tobytes()
+        first = min(k for k in range(len(traj)) if np.isnan(traj[k][1]))
+        assert first < cfg.steps and np.isnan(slab[s * first:, 1]).all()
 
 
 def test_zero_d_input_returns_scalars():

@@ -1,6 +1,11 @@
 """NLL objective, Adam, and the training loop."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,3 +253,39 @@ def test_divergent_batch_raises_with_rows():
         nll_and_grad(model, batch)
     assert err.value.indices == [2, 5]
     assert str(err.value).startswith("batch aborted: layer 6:")
+
+
+FAULT_PROBE = textwrap.dedent("""
+    import resource
+    import numpy as np
+    from timeflow import SolverConfig, build_flow, nll_and_grad
+
+    # the ar-8d benchmark architecture
+    model = build_flow(8, n_layers=4, kind="autoregressive", family="sigmoid_affine",
+                       hidden_dims=(32,), solver=SolverConfig(steps=16), seed=1)
+    batch = np.random.default_rng(0).standard_normal((256, 8))
+    for _ in range(3):
+        nll_and_grad(model, batch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(30):
+        nll_and_grad(model, batch)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 30)
+""")
+
+
+def test_training_step_reuses_memory_pages():
+    """With batch 256 and 16 RK4 steps every solve's stacked stage arrays are
+    (64, 256, 1), 128 KiB, malloc's mmap threshold. Stacking the stage points
+    and allocating the adjoint's temporaries afresh in each of the 32 solves
+    made malloc hand the pages back and fault them in again, about 6,600
+    minor faults per call; one slab per solve and one workspace per call
+    leave about 1,000-1,250, most of them the slabs' own pages."""
+    pytest.importorskip("resource")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 2500
