@@ -157,6 +157,22 @@ def _interp_rows(grid, values, queries):
     return values[:, idx - 1] * (1.0 - w) + values[:, idx] * w
 
 
+def _picard(phi, kernel, eps, x_flat, cfg):
+    """Picard iteration of v on the inner grid of [0, eps], one row per lane
+    of `x_flat`: yields (grid, v) for the start v = x, then after each of the
+    `cfg.iterations` passes. `kernel` is already at the approximant's scale."""
+    inner = _inner_grid(eps, cfg)
+    k_inner = kernel_eval(kernel, inner)[None, :]
+    queries_inner = inner * eps
+    v = np.broadcast_to(x_flat[:, None], (x_flat.size, inner.size)).copy()
+    yield inner, v
+    for _ in range(cfg.iterations):
+        v_at = _interp_rows(inner, v, queries_inner)
+        f = k_inner * (phi(v_at) - v_at)
+        v = x_flat[:, None] + cumulative_trapezoid(f, inner, axis=1, initial=0.0)
+        yield inner, v
+
+
 def eval_approximant(target: MonotoneTarget, s: float, kernel: Kernel, x,
                      cfg: PicardConfig = PicardConfig()):
     """Evaluate q_s at x (scalar or array).
@@ -179,15 +195,8 @@ def eval_approximant(target: MonotoneTarget, s: float, kernel: Kernel, x,
         out = phi(x_flat.copy())
         return float(out[0]) if scalar else out
 
-    inner = _inner_grid(eps, cfg)
-    k_inner = kernel_eval(kernel, inner)[None, :]
-    queries_inner = inner * eps
-
-    v = np.broadcast_to(x_flat[:, None], (x_flat.size, inner.size)).copy()
-    for _ in range(cfg.iterations):
-        v_at = _interp_rows(inner, v, queries_inner)
-        f = k_inner * (phi(v_at) - v_at)
-        v = x_flat[:, None] + cumulative_trapezoid(f, inner, axis=1, initial=0.0)
+    for inner, v in _picard(phi, kernel, eps, x_flat, cfg):
+        pass  # keep the last iterate
 
     outer = np.linspace(0.0, 1.0, cfg.quad_nodes)
     v_out = _interp_rows(inner, v, outer * eps)
@@ -203,19 +212,8 @@ def picard_iterates(target: MonotoneTarget, s: float, kernel: Kernel, x: float,
     eps = math.exp(-1.0 / s)
     if eps == 0.0:
         return []
-    phi = target.fn
-    inner = _inner_grid(eps, cfg)
-    k_inner = kernel_eval(kernel, inner)[None, :]
-    queries_inner = inner * eps
-    v = np.full((1, inner.size), float(x))
-    gaps = []
-    for _ in range(cfg.iterations):
-        v_at = _interp_rows(inner, v, queries_inner)
-        f = k_inner * (phi(v_at) - v_at)
-        v_new = float(x) + cumulative_trapezoid(f, inner, axis=1, initial=0.0)
-        gaps.append(float(np.max(np.abs(v_new - v))))
-        v = v_new
-    return gaps
+    vs = [v for _, v in _picard(target.fn, kernel, eps, np.array([float(x)]), cfg)]
+    return [float(np.max(np.abs(new - old))) for old, new in zip(vs, vs[1:])]
 
 
 @dataclass

@@ -31,8 +31,7 @@ from .autodiff import Node
 from .conditioner import ConditionerNet, build_masks, init_net, net_backward, net_eval
 from .integrands import family_functions
 from .inversion import refine_lanes
-from .scalarmap import (DEFAULT_GUARD, DivergenceError, SolverConfig, _adjoint, family_slope,
-                        integrate)
+from .scalarmap import DivergenceError, SolverConfig, _adjoint, family_slope, integrate
 
 __all__ = [
     "CouplingLayer",
@@ -55,12 +54,14 @@ LOG_TWO_PI = float(np.log(2.0 * np.pi))
 # Every layer class has the same six members, which the module-level
 # operations below reach without asking which kind of layer they hold:
 #   params()                      its parameter arrays, in checkpoint order;
-#   forward(x, params, guard, divergence, want_log_deriv) -> (y, logdet);
-#   inverse(y, params, refine, guard, divergence, want_log_deriv, cache=None)
-#                                 -> (x, logdet);
+#   forward(x, params, divergence, want_log_deriv) -> (y, logdet);
+#   inverse(y, params, refine, divergence, want_log_deriv, cache=None) -> (x, logdet);
 #   vjp(params, cache, x_bar, l_bar, work) -> (y_bar, param grads) of that inverse;
 #   to_json() and the classmethod from_json(dim, obj) for checkpoints.
-# x and y are (n, D) batches; logdet is (n,), or None without want_log_deriv
+# x and y are (n, D) batches; params is a parameter list in params() order, or
+# None for the layer's own; divergence is 'raise' or 'nan', applied at the
+# fixed guard box |v| <= scalarmap.GUARD (see `scalarmap.integrate`); refine is
+# a RefineConfig or None. logdet is (n,), or None without want_log_deriv
 # (permutations always return zeros). inverse returns the log-determinant of
 # the inverse map. Given a `cache` list, inverse appends what vjp needs (the
 # conditioner activations, the parameter arrays of each solve and its slab
@@ -119,12 +120,12 @@ class CouplingLayer:
             cache.append((acts, (a, b, c), stages))
         return self._join(kept, out), logdet
 
-    def forward(self, x, params, guard, divergence, want_log_deriv):
-        return self._coupled(x, params, _forward_block, guard, divergence, want_log_deriv)
+    def forward(self, x, params, divergence, want_log_deriv):
+        return self._coupled(x, params, _forward_block, divergence, want_log_deriv)
 
-    def inverse(self, y, params, refine, guard, divergence, want_log_deriv, cache=None):
-        return self._coupled(y, params, _invert_block, refine, guard, divergence,
-                             want_log_deriv, cache=cache)
+    def inverse(self, y, params, refine, divergence, want_log_deriv, cache=None):
+        return self._coupled(y, params, _invert_block, refine, divergence, want_log_deriv,
+                             cache=cache)
 
     def vjp(self, params, cache, x_bar, l_bar, work):
         [(acts, abc, stages)] = cache
@@ -176,11 +177,11 @@ class AutoregressiveLayer:
     def params(self):
         return self.conditioner.param_arrays()
 
-    def forward(self, x, params, guard, divergence, want_log_deriv):
+    def forward(self, x, params, divergence, want_log_deriv):
         a, b, c = _triples(net_eval(self.conditioner, x, params))
-        return _forward_block(self, a, b, c, x, guard, divergence, want_log_deriv)
+        return _forward_block(self, a, b, c, x, divergence, want_log_deriv)
 
-    def inverse(self, y, params, refine, guard, divergence, want_log_deriv, cache=None):
+    def inverse(self, y, params, refine, divergence, want_log_deriv, cache=None):
         """Sequential inversion in the layer's variable ordering: coordinate
         k is solved once every coordinate of lower order is known."""
         n = y.shape[0]
@@ -192,8 +193,8 @@ class AutoregressiveLayer:
             theta = net_eval(self.conditioner, np.concatenate(filled, axis=1), params,
                              acts=acts)
             a, b, c = _triples(theta[:, 3 * k:3 * k + 3])
-            cols[k], contrib = _invert_block(self, a, b, c, y[:, k:k + 1], refine, guard,
-                                             divergence, want_log_deriv, stages)
+            cols[k], contrib = _invert_block(self, a, b, c, y[:, k:k + 1], refine, divergence,
+                                             want_log_deriv, stages)
             if cache is not None:
                 cache.append((k, acts, (a, b, c), stages))
             if want_log_deriv:
@@ -258,10 +259,10 @@ class PermutationLayer:
     def params(self):
         return []
 
-    def forward(self, x, params, guard, divergence, want_log_deriv):
+    def forward(self, x, params, divergence, want_log_deriv):
         return x[:, self.perm], np.zeros(x.shape[0])
 
-    def inverse(self, y, params, refine, guard, divergence, want_log_deriv, cache=None):
+    def inverse(self, y, params, refine, divergence, want_log_deriv, cache=None):
         return y[:, self.inverse_perm], np.zeros(y.shape[0])
 
     def vjp(self, params, cache, x_bar, l_bar, work):
@@ -305,8 +306,8 @@ class FlowModel:
     def inverse(self, y, refine=None):
         return model_inverse(self, y, refine=refine)
 
-    def log_density(self, y, params=None):
-        return log_density(self, y, params=params)
+    def log_density(self, y):
+        return log_density(self, y)
 
     def sample(self, n, seed=0):
         return sample(self, n, seed)
@@ -374,8 +375,7 @@ def _logdet_sum(l):
     return None if l is None else np.sum(l, axis=1)
 
 
-def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=True,
-           stages=None):
+def _solve(family, a, b, c, x, cfg, divergence="raise", want_log_deriv=True, stages=None):
     """Solve every lane of x under the family's integrand with parameters a, b, c.
 
     The slope is `scalarmap.family_slope` of the family's value function,
@@ -386,34 +386,32 @@ def _solve(family, a, b, c, x, cfg, guard, divergence="raise", want_log_deriv=Tr
     unless `want_log_deriv`.
     """
     slope = family_slope(family_functions(family)[0], a, b, c, want_log_deriv)
-    y, l, _ = integrate(slope, None, x, cfg, guard=guard, want_log_deriv=want_log_deriv,
+    y, l, _ = integrate(slope, None, x, cfg, want_log_deriv=want_log_deriv,
                         divergence=divergence, stages=stages)
     return y, l
 
 
-def _forward_block(layer, a, b, c, xt, guard, divergence, want_log_deriv, stages=None):
+def _forward_block(layer, a, b, c, xt, divergence, want_log_deriv, stages=None):
     """Forward-integrate a block of coordinates with given parameter arrays."""
-    yt, l = _solve(layer.family, a, b, c, xt, layer.solver, guard, divergence,
-                   want_log_deriv, stages)
+    yt, l = _solve(layer.family, a, b, c, xt, layer.solver, divergence, want_log_deriv, stages)
     return yt, _logdet_sum(l)
 
 
-def _invert_block(layer, a, b, c, yt, refine, guard, divergence, want_log_deriv,
-                  stages=None):
+def _invert_block(layer, a, b, c, yt, refine, divergence, want_log_deriv, stages=None):
     """Reverse-integrate a block of coordinates with given parameter arrays.
 
-    With a `refine` method other than 'reverse_only', every (row, column)
-    lane of the block is then polished in one `refine_lanes` call, whose
-    residual is the layer's own forward solve.
+    Given a `refine` config, every (row, column) lane of the block is then
+    polished in one `refine_lanes` call, whose residual is the layer's own
+    forward solve.
     """
-    xt, l = _solve(layer.family, a, b, c, yt, layer.solver.reversed(), guard, divergence,
+    xt, l = _solve(layer.family, a, b, c, yt, layer.solver.reversed(), divergence,
                    want_log_deriv, stages)
-    if refine is None or refine.method == "reverse_only":
+    if refine is None:
         return xt, _logdet_sum(l)
     params = [np.ravel(p) for p in (a, b, c)]
 
     def q(x, lanes):
-        v, _ = _solve(layer.family, *(p[lanes] for p in params), x, layer.solver, guard,
+        v, _ = _solve(layer.family, *(p[lanes] for p in params), x, layer.solver,
                       divergence="nan", want_log_deriv=False)
         return v
 
@@ -425,19 +423,18 @@ def _invert_block(layer, a, b, c, yt, refine, guard, divergence, want_log_deriv,
     xt = res.x.reshape(yt.shape)
     if not want_log_deriv:
         return xt, None
-    _, lf = _solve(layer.family, a, b, c, xt, layer.solver, guard)  # at the refined preimage
+    _, lf = _solve(layer.family, a, b, c, xt, layer.solver)  # at the refined preimage
     return xt, _logdet_sum(-lf)
 
 
-def layer_forward(layer, x, params=None, *, guard=DEFAULT_GUARD, divergence="raise"):
+def layer_forward(layer, x):
     """Apply one layer. Returns (y, logdet) with logdet summed over
     transformed coordinates, shape (n,) for batched input."""
     xb, squeeze = _as_batch(x)
-    return _unbatch(*layer.forward(xb, params, guard, divergence, True), squeeze)
+    return _unbatch(*layer.forward(xb, None, "raise", True), squeeze)
 
 
-def layer_inverse(layer, y, params=None, refine=None, *, guard=DEFAULT_GUARD,
-                  divergence="raise"):
+def layer_inverse(layer, y, refine=None):
     """Invert one layer. Returns (x, logdet_rev) where logdet_rev is the
     log-derivative integral accumulated along the reverse trajectory (the
     log-determinant of the inverse map, i.e. minus the forward one).
@@ -446,11 +443,11 @@ def layer_inverse(layer, y, params=None, refine=None, *, guard=DEFAULT_GUARD,
     coordinate by root refinement.
     """
     yb, squeeze = _as_batch(y)
-    return _unbatch(*layer.inverse(yb, params, refine, guard, divergence, True), squeeze)
+    return _unbatch(*layer.inverse(yb, None, refine, "raise", True), squeeze)
 
 
-def _through_layers(model, x, params, guard, divergence, want_log_deriv, *,
-                    inverse=False, refine=None, records=None):
+def _through_layers(model, x, params, divergence, want_log_deriv, *, inverse=False,
+                    refine=None, records=None):
     """The one layer loop: x through every layer's forward in list order, or
     through every layer's inverse in reverse order. Returns x and the summed
     log-determinants (None without `want_log_deriv` or without layers); a
@@ -468,10 +465,9 @@ def _through_layers(model, x, params, guard, divergence, want_log_deriv, *,
             cache = records[-1].cache
         try:
             if inverse:
-                x, ld = layer.inverse(x, views[i], refine, guard, divergence, want_log_deriv,
-                                      cache)
+                x, ld = layer.inverse(x, views[i], refine, divergence, want_log_deriv, cache)
             else:
-                x, ld = layer.forward(x, views[i], guard, divergence, want_log_deriv)
+                x, ld = layer.forward(x, views[i], divergence, want_log_deriv)
         except DivergenceError as err:
             raise DivergenceError(f"layer {i}: {err}", indices=err.indices) from err
         if want_log_deriv:
@@ -479,26 +475,23 @@ def _through_layers(model, x, params, guard, divergence, want_log_deriv, *,
     return x, total
 
 
-def model_forward(model: FlowModel, x, params=None, *, guard=DEFAULT_GUARD,
-                  divergence="raise"):
+def model_forward(model: FlowModel, x):
     """Push x through all layers; returns (y, total_logdet)."""
     xb, squeeze = _as_batch(x)
-    y, total = _through_layers(model, xb, params, guard, divergence, True)
+    y, total = _through_layers(model, xb, None, "raise", True)
     if total is None:
         total = np.zeros(y.shape[0])
     return _unbatch(y, total, squeeze)
 
 
-def model_inverse(model: FlowModel, y, params=None, refine=None, *, guard=DEFAULT_GUARD):
+def model_inverse(model: FlowModel, y, refine=None):
     """Pull y back through all layer inverses; returns x only."""
     yb, squeeze = _as_batch(y)
-    x, _ = _through_layers(model, yb, params, guard, "raise", False, inverse=True,
-                           refine=refine)
+    x, _ = _through_layers(model, yb, None, "raise", False, inverse=True, refine=refine)
     return x.reshape(-1) if squeeze else x
 
 
-def log_density(model: FlowModel, y, params=None, *, guard=DEFAULT_GUARD,
-                divergence="raise"):
+def log_density(model: FlowModel, y, params=None, *, divergence="raise"):
     """Exact model log-density at y (nats).
 
     Evaluates along the inverse path: base log-density of the pulled-back
@@ -512,15 +505,14 @@ def log_density(model: FlowModel, y, params=None, *, guard=DEFAULT_GUARD,
     if divergence not in ("raise", "-inf"):
         raise ValueError("divergence must be 'raise' or '-inf'")
     yb, squeeze = _as_batch(y)
-    _, out = _log_density(model, yb, params, guard, divergence)
+    _, out = _log_density(model, yb, params, divergence)
     return out[0] if squeeze else out
 
 
-def _log_density(model, y, params, guard, divergence, records=None):
+def _log_density(model, y, params, divergence, records=None):
     """`log_density` of an (n, D) batch; returns the base point x as well."""
     mode = "raise" if divergence == "raise" else "nan"
-    x, total = _through_layers(model, y, params, guard, mode, True, inverse=True,
-                               records=records)
+    x, total = _through_layers(model, y, params, mode, True, inverse=True, records=records)
     base = -0.5 * np.sum(x * x, axis=1) - 0.5 * model.dim * LOG_TWO_PI
     out = base if total is None else base + total
     if not np.all(np.isfinite(out)):
@@ -531,21 +523,22 @@ def _log_density(model, y, params, guard, divergence, records=None):
     return x, out
 
 
-def sample(model: FlowModel, n: int, seed: int = 0, *, guard=DEFAULT_GUARD,
-           divergence="raise"):
+def sample(model: FlowModel, n: int, seed: int = 0, *, divergence="raise"):
     """Draw n base-normal vectors (seeded) and push them forward.
 
     Quadratic/cubic dynamics are only locally Lipschitz, so a trained map
     may be undefined for extreme base draws. With divergence='drop' such
     lanes are removed (the returned sample may be shorter than n) instead
-    of raising.
+    of raising; with divergence='nan' their rows come back as NaN.
     """
+    if divergence not in ("raise", "nan", "drop"):
+        raise ValueError("divergence must be 'raise', 'nan' or 'drop'")
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, model.dim))
     mode = "nan" if divergence == "drop" else divergence
-    y, _ = _through_layers(model, x, None, guard, mode, False)
+    y, _ = _through_layers(model, x, None, mode, False)
     if divergence == "drop":
         y = y[np.all(np.isfinite(y), axis=1)]
     return y
@@ -578,7 +571,7 @@ def randomize_parameters(model: FlowModel, seed=0, scale=0.4):
 
 
 def build_flow(dim, n_layers=4, kind="coupling", family="quadratic",
-               hidden_dims=(16,), solver=None, seed=0, permute=True) -> FlowModel:
+               hidden_dims=(16,), solver=None, seed=0) -> FlowModel:
     """Assemble a flow of `n_layers` transform layers.
 
     Coupling layers split at d = D//2 and alternate which half is
@@ -595,7 +588,7 @@ def build_flow(dim, n_layers=4, kind="coupling", family="quadratic",
     rng = np.random.default_rng(seed)
     layers = []
     for i in range(n_layers):
-        if i > 0 and permute:
+        if i > 0:
             layers.append(PermutationLayer(dim, rng.permutation(dim)))
         if kind == "coupling":
             d = dim // 2
@@ -668,6 +661,9 @@ def load_checkpoint(path) -> FlowModel:
         doc = json.load(fh)
     if doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+    if doc.get("version") != CHECKPOINT_VERSION:
+        raise ValueError(f"{path}: {CHECKPOINT_FORMAT} version {doc.get('version')!r}"
+                         f" is not supported (this reader reads version {CHECKPOINT_VERSION})")
     dim = int(doc["dim"])
     layers = []
     for obj in doc["layers"]:

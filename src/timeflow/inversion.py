@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .integrands import Integrand
-from .scalarmap import SolverConfig, DEFAULT_GUARD, _integrand_slope, integrate
+from .scalarmap import SolverConfig, _integrand_slope, integrate
 
 __all__ = [
     "RefineConfig",
@@ -37,7 +37,7 @@ __all__ = [
     "DEFAULT_BENCH_INTEGRAND",
 ]
 
-METHODS = ("bisection", "fixed_point", "reverse_only")
+METHODS = ("bisection", "fixed_point")
 
 # Benchmark dynamics: the map derivative stays in ~[1.2, 1.5] on the unit
 # interval, so the plain fixed-point iteration contracts without damping.
@@ -45,6 +45,7 @@ METHODS = ("bisection", "fixed_point", "reverse_only")
 DEFAULT_BENCH_INTEGRAND = Integrand.quadratic(0.2, 0.1, 0.1)
 
 _HARD_CAP = 200  # absolute ceiling on refinement loop passes per lane
+_DAMPING_FLOOR = 1.0 / 16.0  # the fixed-point damping factor is never halved below this
 
 
 @dataclass(frozen=True)
@@ -57,7 +58,6 @@ class RefineConfig:
     bracket_halfwidth: float = 0.5
     bracket_expansion: float = 2.0
     max_expansions: int = 60
-    damping_floor: float = 1.0 / 16.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -80,14 +80,14 @@ class RootResult:
     fell_back: object = False
 
 
-def _map_only(g, cfg, guard):
+def _map_only(g, cfg):
     """Forward map values without the log-derivative accumulation; a built-in
     family solves through its value-only `scalarmap.family_slope`."""
     value_fn, dv_fn = _integrand_slope(g, False)
 
     def q(x, lanes=None):  # lanes: the refinement's mask; the parameters are scalars
         y, _, _ = integrate(value_fn, dv_fn, np.asarray(x, dtype=float), cfg,
-                            guard=guard, want_log_deriv=False, divergence="nan")
+                            want_log_deriv=False, divergence="nan")
         return y
 
     return q
@@ -200,7 +200,7 @@ def _fixed_point(q, y, x0, rc):
         x = np.where(accept, prop, x)
         qx = np.where(accept, qp, qx)
         r = np.where(accept, rp, r)
-        lam = np.where(reject, np.maximum(lam * 0.5, rc.damping_floor), lam)
+        lam = np.where(reject, np.maximum(lam * 0.5, _DAMPING_FLOOR), lam)
         steps[active] += 1
         converged = np.isfinite(r) & (np.abs(r) <= rc.tolerance)
         active &= ~converged
@@ -230,8 +230,6 @@ def refine_lanes(q, y, x0, rc: RefineConfig) -> RootResult:
     """
     if rc.method == "bisection":
         return _bisect(q, y, x0, rc)
-    if rc.method != "fixed_point":
-        raise ValueError(f"refine_lanes() cannot refine by {rc.method!r}")
     x, steps, converged, residual = _fixed_point(q, y, x0, rc)
     fell_back = ~converged
     if fell_back.any():
@@ -243,13 +241,13 @@ def refine_lanes(q, y, x0, rc: RefineConfig) -> RootResult:
     return RootResult(x, steps, converged, residual, np.zeros(y.shape, dtype=int), fell_back)
 
 
-def _invert(g, cfg, y, x0, rc, guard):
+def _invert(g, cfg, y, x0, rc):
     """`refine_lanes` on the forward map of `g` over the raveled lanes of y;
     every field comes back in y's shape, and a scalar y gives scalar fields."""
     if cfg.direction != "forward":
         raise ValueError(f"{rc.method} inversion wants the forward solver config")
     y_arr = np.asarray(y, dtype=float)
-    res = refine_lanes(_map_only(g, cfg, guard), np.ravel(y_arr),
+    res = refine_lanes(_map_only(g, cfg), np.ravel(y_arr),
                        np.ravel(np.asarray(x0, dtype=float)), rc)
     fields = [np.reshape(v, y_arr.shape) for v in (res.x, res.steps, res.converged,
                                                     res.residual, res.expansions,
@@ -259,27 +257,24 @@ def _invert(g, cfg, y, x0, rc, guard):
     return RootResult(*fields)
 
 
-def bisection_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig,
-                     *, guard=DEFAULT_GUARD) -> RootResult:
+def bisection_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig) -> RootResult:
     """Invert by bracketing + bisection around y; `steps` counts halvings only.
 
     The bracket starts at [y - w, y + w] with w = rc.bracket_halfwidth and
     each failing side is widened geometrically until the monotone residual
     changes sign; expansion counts are reported separately from steps.
     """
-    return _invert(g, cfg, y, y, replace(rc, method="bisection"), guard)
+    return _invert(g, cfg, y, y, replace(rc, method="bisection"))
 
 
-def fixedpoint_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig,
-                      *, guard=DEFAULT_GUARD) -> RootResult:
+def fixedpoint_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig) -> RootResult:
     """Invert by damped fixed-point iteration, x <- x + lam*(y - q(x)).
 
     Starts from the five-node trapezoid reverse integral; the initial
     guess and its residual check are not counted as steps. Lanes that
     exhaust `max_iterations` fall back to bisection (see `refine_lanes`).
     """
-    return _invert(g, cfg, y, trapezoid_reverse(g, y), replace(rc, method="fixed_point"),
-                   guard)
+    return _invert(g, cfg, y, trapezoid_reverse(g, y), replace(rc, method="fixed_point"))
 
 
 # --- benchmark -------------------------------------------------------------
@@ -352,7 +347,7 @@ def run_bench(integrand: Integrand = DEFAULT_BENCH_INTEGRAND,
     rng = np.random.default_rng(seed)
     x_true = rng.uniform(0.0, 1.0, size=n_inputs)
     cfg = SolverConfig(scheme="rk4", steps=solver_steps, direction="forward")
-    q = _map_only(integrand, cfg, DEFAULT_GUARD)
+    q = _map_only(integrand, cfg)
     y = q(x_true)
 
     report = BenchReport(integrand=integrand, seed=seed, n_inputs=n_inputs,

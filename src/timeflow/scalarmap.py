@@ -36,14 +36,14 @@ __all__ = [
     "eval_integrand_dv",
 ]
 
-DEFAULT_GUARD = 1e6  # |v| beyond this is treated as blow-up of the dynamics
+GUARD = 1e6  # |v| beyond this is treated as blow-up of the dynamics
 
 SCHEMES = ("rk4", "euler")
 DIRECTIONS = ("forward", "reverse")
 
 
 class DivergenceError(ArithmeticError):
-    """Trajectory left the guard box |v| <= guard before reaching t = 1."""
+    """A trajectory left the guard box |v| <= GUARD (1e6) before the end of its solve."""
 
     def __init__(self, message, indices=None):
         super().__init__(message)
@@ -103,19 +103,19 @@ class VjpResult:
     dparams: tuple = (0.0, 0.0, 0.0)
 
 
-def _check_guard(v, guard, t, divergence, scratch):
-    """Detect lanes outside the guard box at time `t`. Returns updated v in
-    'nan' mode. |v| goes into `scratch`, an array of v's shape."""
+def _check_guard(v, t, divergence, scratch):
+    """Detect lanes outside the guard box |v| <= GUARD at time `t`. Returns
+    updated v in 'nan' mode. |v| goes into `scratch`, an array of v's shape."""
     raw = np.asarray(v)
-    if not raw.size or np.abs(raw, out=scratch).max() <= guard:  # NaN fails this comparison
+    if not raw.size or np.abs(raw, out=scratch).max() <= GUARD:  # NaN fails this comparison
         return v, None
-    bad = ~np.isfinite(raw) | (np.abs(raw) > guard)
+    bad = ~np.isfinite(raw) | (np.abs(raw) > GUARD)
     if divergence == "raise":
         rows = None
         if raw.ndim:  # axis 0 holds the batch rows
             rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1)).tolist()
         raise DivergenceError(
-            f"trajectory left |v| <= {guard:g} at t={t:.6g}"
+            f"trajectory left |v| <= {GUARD:g} at t={t:.6g}"
             + (f" (rows {rows})" if rows else ""),
             indices=rows,
         )
@@ -143,8 +143,8 @@ def _two_function_slope(value_fn, dv_fn, want_log_deriv):
     return slope
 
 
-def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=True,
-              keep_trajectory=False, divergence="raise", stages=None):
+def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, keep_trajectory=False,
+              divergence="raise", stages=None):
     """Integrate v' = g(v, t) across the unit interval.
 
     The loop evaluates one slope per stage point, ``slope(v, t, out)``,
@@ -154,6 +154,10 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
     reference solves pass g = ``value_fn(v, t)`` and dg/dv = ``dv_fn(v, t)``,
     which are adapted to a slope once, before the loop; ``dv_fn`` is not
     called unless `want_log_deriv`.
+
+    After every step, a lane that is not finite or has left the fixed guard
+    box |v| <= GUARD raises `DivergenceError` naming its batch rows, or with
+    ``divergence='nan'`` becomes NaN and stays NaN.
 
     With `want_log_deriv` it also accumulates l' = dg/dv with l(0) = 0,
     using the same scheme and stage points, i.e. one pass over the
@@ -245,7 +249,7 @@ def integrate(value_fn, dv_fn, x, cfg, *, guard=DEFAULT_GUARD, want_log_deriv=Tr
                 m = np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
                 m = np.add(m, np.multiply(2.0, k3, out=scratch), out=acc)
                 v = np.add(v, np.multiply(h / 6.0, np.add(m, k4, out=acc), out=acc), out=end)
-            checked, _ = _check_guard(v, guard, t0 + (k + 1) * h, divergence, scratch)
+            checked, _ = _check_guard(v, t0 + (k + 1) * h, divergence, scratch)
             if checked is not v:  # 'nan' mode replaced the diverged lanes
                 np.copyto(v, checked)
             if keep_trajectory:
@@ -285,8 +289,8 @@ def _as_output(y, scalar):
     return float(y) if scalar else y
 
 
-def forward(g: Integrand, cfg: SolverConfig, x, *, guard=DEFAULT_GUARD,
-            keep_trajectory=False, divergence="raise") -> MapResult:
+def forward(g: Integrand, cfg: SolverConfig, x, *, keep_trajectory=False,
+            divergence="raise") -> MapResult:
     """Map x to v(1) along v' = g(v, t), v(0) = x.
 
     `x` may be a scalar or an array (lanes integrate independently).
@@ -296,18 +300,17 @@ def forward(g: Integrand, cfg: SolverConfig, x, *, guard=DEFAULT_GUARD,
     if cfg.direction != "forward":
         raise ValueError("forward() needs a forward-direction SolverConfig")
     arr, scalar = _as_input(x)
-    y, log_deriv, traj = integrate(*_integrand_slope(g, True), arr, cfg, guard=guard,
+    y, log_deriv, traj = integrate(*_integrand_slope(g, True), arr, cfg,
                                    keep_trajectory=keep_trajectory, divergence=divergence)
     return MapResult(_as_output(y, scalar), _as_output(log_deriv, scalar), traj)
 
 
-def derivative(g: Integrand, cfg: SolverConfig, x, *, guard=DEFAULT_GUARD):
+def derivative(g: Integrand, cfg: SolverConfig, x):
     """d(forward)/dx = exp of the accumulated log-derivative; always > 0."""
-    return np.exp(forward(g, cfg, x, guard=guard).log_deriv)
+    return np.exp(forward(g, cfg, x).log_deriv)
 
 
-def inverse(g: Integrand, cfg: SolverConfig, y, refine=None, *,
-            guard=DEFAULT_GUARD, divergence="raise") -> InverseResult:
+def inverse(g: Integrand, cfg: SolverConfig, y, refine=None) -> InverseResult:
     """Recover x with forward(x) ~= y by integrating from t = 1 to t = 0.
 
     Reverse integration alone is a discretization-consistent inverse; pass
@@ -317,19 +320,13 @@ def inverse(g: Integrand, cfg: SolverConfig, y, refine=None, *,
     if cfg.direction != "reverse":
         raise ValueError("inverse() needs a reverse-direction SolverConfig")
     arr, scalar = _as_input(y)
-    x0, _, _ = integrate(*_integrand_slope(g, False), arr, cfg, guard=guard,
-                         want_log_deriv=False, divergence=divergence)
-    if refine is None or refine.method == "reverse_only":
+    x0, _, _ = integrate(*_integrand_slope(g, False), arr, cfg, want_log_deriv=False)
+    if refine is None:
         return InverseResult(_as_output(x0, scalar))
-    from . import inversion  # deferred: inversion builds on this module
+    from .inversion import _invert  # deferred: inversion builds on this module
 
-    q = inversion._map_only(g, cfg.reversed(), guard)
-    res = inversion.refine_lanes(q, arr.ravel(), np.ravel(x0), refine)
-    x, steps, converged, residual = (
-        np.reshape(v, arr.shape) for v in (res.x, res.steps, res.converged, res.residual))
-    if scalar:
-        x, steps, converged, residual = float(x), int(steps), bool(converged), float(residual)
-    return InverseResult(x, steps, converged, residual, method=refine.method)
+    res = _invert(g, cfg.reversed(), arr, x0, refine)
+    return InverseResult(res.x, res.steps, res.converged, res.residual, method=refine.method)
 
 
 def _scratch(work, name, shape, dtype):
@@ -429,8 +426,7 @@ def _tangent(dv_fn, cfg, stages):
     return dx
 
 
-def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet,
-                *, guard=DEFAULT_GUARD) -> VjpResult:
+def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet) -> VjpResult:
     """Reverse-mode sensitivities of (y, log_deriv) through the solver steps.
 
     Differentiates the discretized computation exactly (the gradient of
@@ -448,7 +444,7 @@ def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet,
     cot_logdet = np.broadcast_to(np.asarray(cot_logdet, dtype=float), arr.shape)
     value_fn, dv_fn = _integrand_slope(g, False)
     stages = []
-    integrate(value_fn, dv_fn, arr, cfg, guard=guard, want_log_deriv=False, stages=stages)
+    integrate(value_fn, dv_fn, arr, cfg, want_log_deriv=False, stages=stages)
     if g.family == "custom":
         if np.any(cot_logdet != 0.0):
             raise ValueError("forward_vjp of a custom integrand takes cot_logdet = 0 only")

@@ -25,7 +25,7 @@ import numpy as np
 from .autodiff import backward
 from .data import Dataset
 from .flow import FlowModel, _log_density, log_density
-from .scalarmap import DEFAULT_GUARD, DivergenceError
+from .scalarmap import DivergenceError
 
 __all__ = [
     "TrainConfig",
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
 @dataclass(frozen=True)
@@ -71,17 +72,10 @@ class AdamState:
     m: list
     v: list
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            step=0, beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def init(cls, params):
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 @dataclass
@@ -124,7 +118,7 @@ def nll_and_grad(model: FlowModel, batch):
     params = model.parameters()
     records = []
     try:
-        x, logp = _log_density(model, batch, params, DEFAULT_GUARD, "raise", records)
+        x, logp = _log_density(model, batch, params, "raise", records)
     except DivergenceError as err:
         raise DivergenceError(f"batch aborted: {err}", indices=err.indices) from err
     n = batch.shape[0]
@@ -141,7 +135,7 @@ def adam_step(state: AdamState, params, grads, lr):
         if np.shape(p) != np.shape(g):
             raise ValueError("gradient shape does not match its parameter")
     t = state.step + 1
-    b1, b2, eps = state.beta1, state.beta2, state.eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     new_m, new_v, new_params = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
         m = b1 * m + (1.0 - b1) * g
@@ -151,7 +145,7 @@ def adam_step(state: AdamState, params, grads, lr):
         new_params.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
         new_m.append(m)
         new_v.append(v)
-    return new_params, AdamState(new_m, new_v, t, b1, b2, eps)
+    return new_params, AdamState(new_m, new_v, t)
 
 
 def train(model: FlowModel, dataset: Dataset, cfg: TrainConfig):

@@ -156,6 +156,15 @@ def test_exit_codes():
         # missing checkpoint file
         assert run_cli("sample", "--checkpoint", os.path.join(td, "nope.json"),
                        "--out", os.path.join(td, "c")) == 4
+        # a checkpoint that claims another format version
+        ck = os.path.join(td, "v2.json")
+        save_checkpoint(build_flow(2, n_layers=1, hidden_dims=(4,), seed=0), ck)
+        with open(ck, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["version"] = 2
+        with open(ck, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        assert run_cli("sample", "--checkpoint", ck, "--out", os.path.join(td, "d")) == 4
         # usage errors come from argparse
         with pytest.raises(SystemExit) as err:
             run_cli("train", "--no-such-flag")

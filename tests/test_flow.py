@@ -236,6 +236,14 @@ def test_sample_identity_model_is_base_draw():
     assert np.array_equal(draws, expected)
 
 
+def test_sample_rejects_unknown_divergence_mode_naming_every_mode():
+    model = FlowModel(2, [constant_scale_layer(0.5)])
+    with pytest.raises(ValueError) as err:
+        sample(model, 4, divergence="bogus")
+    for mode in ("'raise'", "'nan'", "'drop'"):
+        assert mode in str(err.value)
+
+
 def constant_shift_layer(b, transform_upper):
     net = ConditionerNet([1, 3], [np.zeros((1, 3))], [np.array([0.0, b, 0.0])])
     return CouplingLayer(2, 1, transform_upper, "quadratic", net, SOLVER)
@@ -393,6 +401,18 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, rng):
     y0, ld0 = model_forward(model, x)
     y1, ld1 = model_forward(loaded, x)
     assert np.array_equal(y0, y1) and np.array_equal(ld0, ld1)
+
+
+def test_checkpoint_of_another_version_is_refused(tmp_path):
+    model = build_flow(2, n_layers=2, hidden_dims=(4,), seed=0)
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text())
+    doc["version"] = 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value) and "version 2" in str(err.value)
 
 
 def test_layer_validation():

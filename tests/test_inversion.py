@@ -21,7 +21,6 @@ from timeflow.inversion import (
     _map_only,
     trapezoid_reverse,
 )
-from timeflow.scalarmap import DEFAULT_GUARD
 
 FWD = SolverConfig(steps=16)
 IDENTITY = Integrand.quadratic(0, 0, 0)
@@ -32,6 +31,8 @@ TOLERANCES = (1e-3, 1e-4, 1e-5, 1e-6)
 def test_refine_config_validation():
     with pytest.raises(ValueError):
         RefineConfig(method="newton")
+    with pytest.raises(ValueError):  # an unrefined inverse is refine=None
+        RefineConfig(method="reverse_only")
     with pytest.raises(ValueError):
         RefineConfig(tolerance=0.0)
     with pytest.raises(ValueError):
@@ -87,7 +88,7 @@ def test_failed_fallback_keeps_fixed_point_x():
                       bracket_halfwidth=1e-9, max_expansions=0)
     g = DEFAULT_BENCH_INTEGRAND
     y = forward(g, FWD, np.array([0.3, 0.7])).y
-    x, _, converged, residual = _fixed_point(_map_only(g, FWD, DEFAULT_GUARD), y,
+    x, _, converged, residual = _fixed_point(_map_only(g, FWD), y,
                                              trapezoid_reverse(g, y), rc)
     assert not converged.any()
     res = fixedpoint_invert(g, FWD, y, rc)

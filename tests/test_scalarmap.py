@@ -10,7 +10,7 @@ from conftest import FAMILIES, draw_stable_cases
 from timeflow import scalarmap
 from timeflow.integrands import _logistic, family_functions, family_phi
 from timeflow.inversion import _map_only, refine_lanes
-from timeflow.scalarmap import DEFAULT_GUARD, _adjoint, family_slope, integrate
+from timeflow.scalarmap import _adjoint, family_slope, integrate
 from timeflow import (
     DivergenceError,
     Integrand,
@@ -303,7 +303,7 @@ def test_slope_path_matches_two_function_path(family, scheme, direction, want_lo
             cots = [np.broadcast_to(w, np.shape(z)) for w in (0.7, -0.4)]
             dx, *dp = _adjoint(family, g.params(), cfg, stages, *cots)
             vjp = forward_vjp(g, cfg, z, 0.7, -0.4)
-            pairs = [(_map_only(g, cfg, DEFAULT_GUARD)(z), want_y), (vjp.dx, dx),
+            pairs = [(_map_only(g, cfg)(z), want_y), (vjp.dx, dx),
                      (vjp.dparams, [float(np.sum(p)) for p in dp])]
             scalars = [vjp.dx]
         elif not want_log_deriv:
@@ -354,7 +354,7 @@ def test_only_forward_asks_for_dg_dv(family, scheme, monkeypatch, rng):
     for run, with_dv in ((lambda: forward(g, cfg, x), True),
                          (lambda: forward_vjp(g, cfg, x, 1.0, 0.5), False),
                          (lambda: inverse(g, cfg.reversed(), x), False),
-                         (lambda: _map_only(g, cfg, DEFAULT_GUARD)(x), False)):
+                         (lambda: _map_only(g, cfg)(x), False)):
         calls.clear()
         run()
         assert calls == [with_dv] * points
