@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,6 +42,9 @@ __all__ = [
 
 TARGET_KINDS = ("affine", "softplus_shift", "arctan_blend", "custom")
 KERNEL_KINDS = ("constant", "gaussian")
+# the inner grid on [0, eps]: eps * INNER_RATIO**j for j < INNER_LEVELS, plus 0
+INNER_RATIO = 0.5
+INNER_LEVELS = 80
 
 
 @dataclass(frozen=True)
@@ -91,19 +94,17 @@ class MonotoneTarget:
 class Kernel:
     """Positive weight on [0, 1] with unit integral.
 
-    constant: kappa(t) = 1. gaussian: kappa(t) = C * exp(-t^2 / scale)
-    with C fixed by the unit-mass condition (in closed form via erf; the
-    tests cross-check it against adaptive quadrature).
+    constant: kappa(t) = 1. gaussian: kappa(t) = C * exp(-t^2 / s) at the
+    approximant's scale s, with C fixed by the unit-mass condition (in
+    closed form via erf; the tests cross-check it against adaptive
+    quadrature).
     """
 
     kind: str = "constant"
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.scale <= 0:
-            raise ValueError("kernel scale must be positive")
 
 
 def _gaussian_norm(scale):
@@ -112,12 +113,14 @@ def _gaussian_norm(scale):
     return 1.0 / (0.5 * math.sqrt(math.pi) * root * erf(1.0 / root))
 
 
-def kernel_eval(kernel: Kernel, t):
-    """Evaluate the kernel at t in [0, 1] (scalar or array)."""
+def kernel_eval(kernel: Kernel, t, scale):
+    """Evaluate the kernel at scale > 0 and t in [0, 1] (scalar or array)."""
+    if scale <= 0:
+        raise ValueError("kernel scale must be positive")
     t = np.asarray(t, dtype=float)
     if kernel.kind == "constant":
         return np.ones_like(t)
-    return _gaussian_norm(kernel.scale) * np.exp(-t * t / kernel.scale)
+    return _gaussian_norm(scale) * np.exp(-t * t / scale)
 
 
 @dataclass(frozen=True)
@@ -125,26 +128,22 @@ class PicardConfig:
     """Resolution of the approximant solver.
 
     `quad_nodes` composite-trapezoid points for the outer integral over
-    [0, 1]; the inner grid on [0, eps] is geometric with the given ratio
-    and level count (plus the exact node at 0).
+    [0, 1]; the inner grid on [0, eps] is the fixed geometric one of
+    `INNER_RATIO` and `INNER_LEVELS` (plus the exact node at 0).
     """
 
     iterations: int = 3
     quad_nodes: int = 257
-    inner_ratio: float = 0.5
-    inner_levels: int = 80
 
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.quad_nodes < 2 or self.inner_levels < 2:
-            raise ValueError("node counts must be >= 2")
-        if not 0.0 < self.inner_ratio < 1.0:
-            raise ValueError("inner_ratio must lie in (0, 1)")
+        if self.quad_nodes < 2:
+            raise ValueError("quad_nodes must be >= 2")
 
 
-def _inner_grid(eps, cfg):
-    pts = eps * cfg.inner_ratio ** np.arange(cfg.inner_levels - 1, -1, -1)
+def _inner_grid(eps):
+    pts = eps * INNER_RATIO ** np.arange(INNER_LEVELS - 1, -1, -1)
     grid = np.concatenate([[0.0], pts])
     return np.unique(grid)  # collapse any underflowed duplicates
 
@@ -157,12 +156,12 @@ def _interp_rows(grid, values, queries):
     return values[:, idx - 1] * (1.0 - w) + values[:, idx] * w
 
 
-def _picard(phi, kernel, eps, x_flat, cfg):
+def _picard(phi, kernel, s, eps, x_flat, cfg):
     """Picard iteration of v on the inner grid of [0, eps], one row per lane
     of `x_flat`: yields (grid, v) for the start v = x, then after each of the
-    `cfg.iterations` passes. `kernel` is already at the approximant's scale."""
-    inner = _inner_grid(eps, cfg)
-    k_inner = kernel_eval(kernel, inner)[None, :]
+    `cfg.iterations` passes, with the kernel at the approximant's scale s."""
+    inner = _inner_grid(eps)
+    k_inner = kernel_eval(kernel, inner, s)[None, :]
     queries_inner = inner * eps
     v = np.broadcast_to(x_flat[:, None], (x_flat.size, inner.size)).copy()
     yield inner, v
@@ -184,7 +183,6 @@ def eval_approximant(target: MonotoneTarget, s: float, kernel: Kernel, x,
     """
     if s <= 0:
         raise ValueError("s must be positive")
-    kernel = replace(kernel, scale=s)
     x_arr = np.asarray(x, dtype=float)
     scalar = x_arr.ndim == 0
     x_flat = np.atleast_1d(x_arr).astype(float)
@@ -195,12 +193,12 @@ def eval_approximant(target: MonotoneTarget, s: float, kernel: Kernel, x,
         out = phi(x_flat.copy())
         return float(out[0]) if scalar else out
 
-    for inner, v in _picard(phi, kernel, eps, x_flat, cfg):
+    for inner, v in _picard(phi, kernel, s, eps, x_flat, cfg):
         pass  # keep the last iterate
 
     outer = np.linspace(0.0, 1.0, cfg.quad_nodes)
     v_out = _interp_rows(inner, v, outer * eps)
-    h = kernel_eval(kernel, outer)[None, :] * (phi(v_out) - v_out)
+    h = kernel_eval(kernel, outer, s)[None, :] * (phi(v_out) - v_out)
     q = x_flat + trapezoid(h, outer, axis=1)
     return float(q[0]) if scalar else q
 
@@ -208,11 +206,12 @@ def eval_approximant(target: MonotoneTarget, s: float, kernel: Kernel, x,
 def picard_iterates(target: MonotoneTarget, s: float, kernel: Kernel, x: float,
                     cfg: PicardConfig = PicardConfig()):
     """Sup-norm distances between successive Picard iterates (diagnostic)."""
-    kernel = replace(kernel, scale=s)
+    if s <= 0:
+        raise ValueError("s must be positive")
     eps = math.exp(-1.0 / s)
     if eps == 0.0:
         return []
-    vs = [v for _, v in _picard(target.fn, kernel, eps, np.array([float(x)]), cfg)]
+    vs = [v for _, v in _picard(target.fn, kernel, s, eps, np.array([float(x)]), cfg)]
     return [float(np.max(np.abs(new - old))) for old, new in zip(vs, vs[1:])]
 
 

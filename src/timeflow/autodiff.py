@@ -1,12 +1,12 @@
 """The reverse walk over a flow's layers.
 
 Training runs the inverse path once with one `Node` per layer, in the order
-the layers ran. Each record holds the layer, the parameter arrays it used
-and the cache its `inverse` filled: the conditioner activations and the
-slab of solver stage points of each solve. `backward` walks the records in
-reverse and calls each layer's hand-written `vjp`, which chains the
-conditioner's backward pass and the discrete adjoint of the solve
-(`scalarmap._adjoint`).
+the layers ran. Each record holds the layer and the cache its `inverse`
+filled: the conditioner activations and the slab of solver stage points of
+each solve. The layer's parameters are the arrays it holds, so the record
+need not carry them. `backward` walks the records in reverse and calls each
+layer's hand-written `vjp`, which chains the conditioner's backward pass and
+the discrete adjoint of the solve (`scalarmap._adjoint`).
 
 Records are write-once; a fresh list is built per differentiated call.
 The adjoints' scratch arrays live in one dict that `backward` makes per
@@ -21,11 +21,10 @@ import numpy as np
 class Node:
     """One layer's record on the inverse path."""
 
-    __slots__ = ("layer", "params", "cache")
+    __slots__ = ("layer", "cache")
 
-    def __init__(self, layer, params):
+    def __init__(self, layer):
         self.layer = layer
-        self.params = params
         self.cache = []
 
 
@@ -47,6 +46,6 @@ def backward(records, x_bar, l_bar):
     grads = []
     work = {}
     for rec in reversed(records):
-        x_bar, g = rec.layer.vjp(rec.params, rec.cache, x_bar, l_bar, work)
+        x_bar, g = rec.layer.vjp(rec.cache, x_bar, l_bar, work)
         grads.extend(g)
     return x_bar, grads

@@ -6,9 +6,9 @@ triples in the output vector. Plain networks serve coupling layers; masked
 networks enforce the autoregressive property, where the triple for
 coordinate k may only read coordinates of strictly lower order.
 
-Evaluation is a pure function of (network, input); parameter arrays are
-only ever replaced wholesale by the training loop, never mutated during
-evaluation.
+Evaluation is a pure function of (network, input): it always reads the
+network's own arrays, which are only ever replaced wholesale by the
+training loop, never mutated during evaluation.
 """
 
 from __future__ import annotations
@@ -68,15 +68,12 @@ class ConditionerNet:
         return out
 
     def set_param_arrays(self, arrays):
-        n = len(self.weights)
-        if len(arrays) != 2 * n:
-            raise ValueError("wrong number of parameter arrays")
-        for i in range(n):
-            w, b = arrays[2 * i], arrays[2 * i + 1]
-            if w.shape != self.weights[i].shape or b.shape != self.biases[i].shape:
-                raise ValueError(f"layer {i} replacement shapes do not match")
-            self.weights[i] = w
-            self.biases[i] = b
+        """Replace the parameters, given in `param_arrays` order. Nothing is
+        replaced unless the count and every shape match."""
+        if [np.shape(p) for p in arrays] != [p.shape for p in self.param_arrays()]:
+            raise ValueError("parameter arrays do not match this network's count and shapes")
+        self.weights[:] = arrays[0::2]
+        self.biases[:] = arrays[1::2]
 
 
 def init_net(layer_dims, seed=0, activation="tanh", masks=None) -> ConditionerNet:
@@ -98,13 +95,13 @@ def init_net(layer_dims, seed=0, activation="tanh", masks=None) -> ConditionerNe
     return ConditionerNet(list(layer_dims), weights, biases, activation, masks)
 
 
-def net_eval(net: ConditionerNet, x, params=None, *, acts=None):
-    """Affine-then-activation composition; the last layer stays linear.
+def net_eval(net: ConditionerNet, x, *, acts=None):
+    """Affine-then-activation composition of the net's own weights and
+    biases; the last layer stays linear.
 
-    `x` is a vector or an (n, in_dim) batch. `params` optionally overrides
-    the parameter arrays (same order as `param_arrays`). If `acts` is a
-    list, the input of every affine layer is appended to it, which is what
-    `net_backward` differentiates from.
+    `x` is a vector or an (n, in_dim) batch. If `acts` is a list, the input
+    of every affine layer is appended to it, which is what `net_backward`
+    differentiates from.
 
     Each layer is computed in one fresh buffer: the product ``h @ w`` is
     allocated once, and the bias and the activation are applied to it in
@@ -112,9 +109,6 @@ def net_eval(net: ConditionerNet, x, params=None, *, acts=None):
     buffer is not reused across layers, because `acts` keeps every layer's
     input alive for the backward pass.
     """
-    arrs = net.param_arrays() if params is None else params
-    if len(arrs) != 2 * len(net.weights):
-        raise ValueError("params has the wrong length")
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
     h = np.atleast_2d(x)
@@ -124,7 +118,7 @@ def net_eval(net: ConditionerNet, x, params=None, *, acts=None):
         )
     n_layers = len(net.weights)
     for i in range(n_layers):
-        w, b = arrs[2 * i], arrs[2 * i + 1]
+        w, b = net.weights[i], net.biases[i]
         if net.masks is not None:
             w = w * net.masks[i]
         if acts is not None:
@@ -139,20 +133,20 @@ def net_eval(net: ConditionerNet, x, params=None, *, acts=None):
     return h.reshape(-1) if squeeze else h
 
 
-def net_backward(net: ConditionerNet, params, acts, cotangent):
-    """Reverse pass of a batched `net_eval` with `params` from the `acts` it collected.
+def net_backward(net: ConditionerNet, acts, cotangent):
+    """Reverse pass of a batched `net_eval` from the `acts` it collected.
 
     Returns ``(dinput, dparams)`` for an (n, out_dim) output cotangent,
     with dparams ordered like `param_arrays`; gradients of masked-out
     weights are exactly zero.
     """
     g = cotangent
-    grads = [None] * len(params)
+    grads = [None] * (2 * len(net.weights))
     for i in range(len(net.weights) - 1, -1, -1):
         if i < len(net.weights) - 1:  # through the activation; acts[i + 1] is its output
             out = acts[i + 1]
             g = g * (1.0 - out * out) if net.activation == "tanh" else g * (out > 0.0)
-        w = params[2 * i]
+        w = net.weights[i]
         dw = acts[i].T @ g
         if net.masks is not None:
             w, dw = w * net.masks[i], dw * net.masks[i]
@@ -171,7 +165,7 @@ def net_vjp(net: ConditionerNet, x, cotangent):
     acts = []
     net_eval(net, x, acts=acts)
     cot = np.asarray(cotangent, dtype=float).reshape(acts[0].shape[0], net.out_dim)
-    dinput, dparams = net_backward(net, net.param_arrays(), acts, cot)
+    dinput, dparams = net_backward(net, acts, cot)
     return dinput.reshape(x.shape), dparams
 
 

@@ -21,6 +21,7 @@ lanes processed together with deterministic ordering.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -51,24 +52,29 @@ __all__ = [
 LOG_TWO_PI = float(np.log(2.0 * np.pi))
 
 
+def _base_log_density(x):
+    """Standard-normal log-density of each row of the (n, D) batch x."""
+    return -0.5 * np.sum(x * x, axis=1) - 0.5 * x.shape[1] * LOG_TWO_PI
+
+
 # Every layer class has the same six members, which the module-level
 # operations below reach without asking which kind of layer they hold:
 #   params()                      its parameter arrays, in checkpoint order;
-#   forward(x, params, divergence, want_log_deriv) -> (y, logdet);
-#   inverse(y, params, refine, divergence, want_log_deriv, cache=None) -> (x, logdet);
-#   vjp(params, cache, x_bar, l_bar, work) -> (y_bar, param grads) of that inverse;
+#   forward(x, divergence, want_log_deriv) -> (y, logdet);
+#   inverse(y, refine, divergence, want_log_deriv, cache=None) -> (x, logdet);
+#   vjp(cache, x_bar, l_bar, work) -> (y_bar, param grads) of that inverse;
 #   to_json() and the classmethod from_json(dim, obj) for checkpoints.
-# x and y are (n, D) batches; params is a parameter list in params() order, or
-# None for the layer's own; divergence is 'raise' or 'nan', applied at the
-# fixed guard box |v| <= scalarmap.GUARD (see `scalarmap.integrate`); refine is
-# a RefineConfig or None. logdet is (n,), or None without want_log_deriv
+# A layer always computes with the arrays its params() returns. x and y are
+# (n, D) batches; divergence is 'raise' or 'nan', applied at the fixed guard
+# box |v| <= scalarmap.GUARD (see `scalarmap.integrate`); refine is a
+# RefineConfig or None. logdet is (n,), or None without want_log_deriv
 # (permutations always return zeros). inverse returns the log-determinant of
 # the inverse map. Given a `cache` list, inverse appends what vjp needs (the
-# conditioner activations, the parameter arrays of each solve and its slab
-# of stage points); vjp takes the cotangents of x and of logdet, and supports
-# the unrefined inverse only. `work` is the dict of scratch arrays that
-# `autodiff.backward` makes once per call and hands to every layer, so the
-# discrete adjoints of all the layers' solves share the same memory.
+# conditioner activations, the integrand parameters a, b, c of each solve and
+# its slab of stage points); vjp takes the cotangents of x and of logdet, and
+# supports the unrefined inverse only. `work` is the dict of scratch arrays
+# that `autodiff.backward` makes once per call and hands to every layer, so
+# the discrete adjoints of all the layers' solves share the same memory.
 
 
 @dataclass
@@ -109,30 +115,29 @@ class CouplingLayer:
     def _join(self, kept, moved):
         return np.concatenate([kept, moved] if self.transform_upper else [moved, kept], axis=1)
 
-    def _coupled(self, x, params, block, *args, cache=None):
+    def _coupled(self, x, block, *args, cache=None):
         """Split x, map one block by ``block(self, a, b, c, moved, *args, stages)``
         with parameters conditioned on the other, and join the blocks again."""
         kept, moved = self._halves(x)
         acts, stages = ([], []) if cache is not None else (None, None)
-        a, b, c = _triples(net_eval(self.conditioner, kept, params, acts=acts))
+        a, b, c = _triples(net_eval(self.conditioner, kept, acts=acts))
         out, logdet = block(self, a, b, c, moved, *args, stages)
         if cache is not None:
             cache.append((acts, (a, b, c), stages))
         return self._join(kept, out), logdet
 
-    def forward(self, x, params, divergence, want_log_deriv):
-        return self._coupled(x, params, _forward_block, divergence, want_log_deriv)
+    def forward(self, x, divergence, want_log_deriv):
+        return self._coupled(x, _forward_block, divergence, want_log_deriv)
 
-    def inverse(self, y, params, refine, divergence, want_log_deriv, cache=None):
-        return self._coupled(y, params, _invert_block, refine, divergence, want_log_deriv,
-                             cache=cache)
+    def inverse(self, y, refine, divergence, want_log_deriv, cache=None):
+        return self._coupled(y, _invert_block, refine, divergence, want_log_deriv, cache=cache)
 
-    def vjp(self, params, cache, x_bar, l_bar, work):
+    def vjp(self, cache, x_bar, l_bar, work):
         [(acts, abc, stages)] = cache
         kept_bar, out_bar = self._halves(x_bar)
         moved_bar, *abc_bar = _adjoint(self.family, abc, self.solver.reversed(), stages,
                                        out_bar, l_bar[:, None], work)
-        dkept, grads = net_backward(self.conditioner, params, acts, _interleave(abc_bar))
+        dkept, grads = net_backward(self.conditioner, acts, _interleave(abc_bar))
         return self._join(kept_bar + dkept, moved_bar), grads
 
     def to_json(self):
@@ -177,11 +182,11 @@ class AutoregressiveLayer:
     def params(self):
         return self.conditioner.param_arrays()
 
-    def forward(self, x, params, divergence, want_log_deriv):
-        a, b, c = _triples(net_eval(self.conditioner, x, params))
+    def forward(self, x, divergence, want_log_deriv):
+        a, b, c = _triples(net_eval(self.conditioner, x))
         return _forward_block(self, a, b, c, x, divergence, want_log_deriv)
 
-    def inverse(self, y, params, refine, divergence, want_log_deriv, cache=None):
+    def inverse(self, y, refine, divergence, want_log_deriv, cache=None):
         """Sequential inversion in the layer's variable ordering: coordinate
         k is solved once every coordinate of lower order is known."""
         n = y.shape[0]
@@ -190,8 +195,7 @@ class AutoregressiveLayer:
         for k in self.ordering.tolist():
             filled = [np.zeros((n, 1)) if col is None else col for col in cols]
             acts, stages = ([], []) if cache is not None else (None, None)
-            theta = net_eval(self.conditioner, np.concatenate(filled, axis=1), params,
-                             acts=acts)
+            theta = net_eval(self.conditioner, np.concatenate(filled, axis=1), acts=acts)
             a, b, c = _triples(theta[:, 3 * k:3 * k + 3])
             cols[k], contrib = _invert_block(self, a, b, c, y[:, k:k + 1], refine, divergence,
                                              want_log_deriv, stages)
@@ -201,7 +205,7 @@ class AutoregressiveLayer:
                 logdet = contrib if logdet is None else logdet + contrib
         return np.concatenate(cols, axis=1), logdet
 
-    def vjp(self, params, cache, x_bar, l_bar, work):
+    def vjp(self, cache, x_bar, l_bar, work):
         """Walk the coordinates in reverse order: a coordinate's cotangent is
         complete once every later coordinate's conditioner pass has added
         to it. The zero-filled placeholder columns get no cotangent."""
@@ -216,7 +220,7 @@ class AutoregressiveLayer:
                                                    x_bar[:, k:k + 1], l_bar[:, None], work)
             theta_bar = np.zeros((x_bar.shape[0], 3 * self.dim))
             theta_bar[:, 3 * k:3 * k + 3] = _interleave(abc_bar)
-            dinput, g = net_backward(self.conditioner, params, acts, theta_bar)
+            dinput, g = net_backward(self.conditioner, acts, theta_bar)
             known = order[:pos]
             x_bar[:, known] += dinput[:, known]
             grads = g if grads is None else [s + t for s, t in zip(grads, g)]
@@ -259,13 +263,13 @@ class PermutationLayer:
     def params(self):
         return []
 
-    def forward(self, x, params, divergence, want_log_deriv):
+    def forward(self, x, divergence, want_log_deriv):
         return x[:, self.perm], np.zeros(x.shape[0])
 
-    def inverse(self, y, params, refine, divergence, want_log_deriv, cache=None):
+    def inverse(self, y, refine, divergence, want_log_deriv, cache=None):
         return y[:, self.inverse_perm], np.zeros(y.shape[0])
 
-    def vjp(self, params, cache, x_bar, l_bar, work):
+    def vjp(self, cache, x_bar, l_bar, work):
         return x_bar[:, self.perm], []
 
     def to_json(self):
@@ -316,27 +320,16 @@ class FlowModel:
         return [p for layer in self.layers for p in layer.params()]
 
     def set_parameters(self, arrays):
+        """Replace the arrays of `parameters`, in that order. Nothing is
+        replaced unless the count and every shape match."""
+        if [np.shape(p) for p in arrays] != [p.shape for p in self.parameters()]:
+            raise ValueError("parameter arrays do not match this model's count and shapes")
         i = 0
         for layer in self.layers:
             n = len(layer.params())
             if n:
                 layer.conditioner.set_param_arrays(arrays[i:i + n])
                 i += n
-        if i != len(arrays):
-            raise ValueError("wrong number of parameter arrays for this model")
-
-
-def _split_params(model, params):
-    """Per-layer views into a flat parameter list (None passes through)."""
-    views = []
-    i = 0
-    for layer in model.layers:
-        n = len(layer.params())
-        views.append(None if params is None else params[i:i + n])
-        i += n
-    if params is not None and i != len(params):
-        raise ValueError("parameter list length does not match the model")
-    return views
 
 
 def _as_batch(x):
@@ -431,7 +424,7 @@ def layer_forward(layer, x):
     """Apply one layer. Returns (y, logdet) with logdet summed over
     transformed coordinates, shape (n,) for batched input."""
     xb, squeeze = _as_batch(x)
-    return _unbatch(*layer.forward(xb, None, "raise", True), squeeze)
+    return _unbatch(*layer.forward(xb, "raise", True), squeeze)
 
 
 def layer_inverse(layer, y, refine=None):
@@ -443,10 +436,10 @@ def layer_inverse(layer, y, refine=None):
     coordinate by root refinement.
     """
     yb, squeeze = _as_batch(y)
-    return _unbatch(*layer.inverse(yb, None, refine, "raise", True), squeeze)
+    return _unbatch(*layer.inverse(yb, refine, "raise", True), squeeze)
 
 
-def _through_layers(model, x, params, divergence, want_log_deriv, *, inverse=False,
+def _through_layers(model, x, divergence, want_log_deriv, *, inverse=False,
                     refine=None, records=None):
     """The one layer loop: x through every layer's forward in list order, or
     through every layer's inverse in reverse order. Returns x and the summed
@@ -454,20 +447,19 @@ def _through_layers(model, x, params, divergence, want_log_deriv, *, inverse=Fal
     `DivergenceError` is re-raised naming the layer. On the inverse path a
     `records` list receives one `autodiff.Node` per layer, in the order the
     layers ran, for `autodiff.backward`."""
-    views = _split_params(model, params)
     order = range(len(model.layers))
     total = None
     for i in reversed(order) if inverse else order:
         layer = model.layers[i]
         cache = None
         if records is not None:
-            records.append(Node(layer, views[i]))
+            records.append(Node(layer))
             cache = records[-1].cache
         try:
             if inverse:
-                x, ld = layer.inverse(x, views[i], refine, divergence, want_log_deriv, cache)
+                x, ld = layer.inverse(x, refine, divergence, want_log_deriv, cache)
             else:
-                x, ld = layer.forward(x, views[i], divergence, want_log_deriv)
+                x, ld = layer.forward(x, divergence, want_log_deriv)
         except DivergenceError as err:
             raise DivergenceError(f"layer {i}: {err}", indices=err.indices) from err
         if want_log_deriv:
@@ -478,7 +470,7 @@ def _through_layers(model, x, params, divergence, want_log_deriv, *, inverse=Fal
 def model_forward(model: FlowModel, x):
     """Push x through all layers; returns (y, total_logdet)."""
     xb, squeeze = _as_batch(x)
-    y, total = _through_layers(model, xb, None, "raise", True)
+    y, total = _through_layers(model, xb, "raise", True)
     if total is None:
         total = np.zeros(y.shape[0])
     return _unbatch(y, total, squeeze)
@@ -487,7 +479,7 @@ def model_forward(model: FlowModel, x):
 def model_inverse(model: FlowModel, y, refine=None):
     """Pull y back through all layer inverses; returns x only."""
     yb, squeeze = _as_batch(y)
-    x, _ = _through_layers(model, yb, None, "raise", False, inverse=True, refine=refine)
+    x, _ = _through_layers(model, yb, "raise", False, inverse=True, refine=refine)
     return x.reshape(-1) if squeeze else x
 
 
@@ -496,6 +488,8 @@ def log_density(model: FlowModel, y, params=None, *, divergence="raise"):
 
     Evaluates along the inverse path: base log-density of the pulled-back
     point plus the per-layer reverse-direction log-derivative integrals.
+    Given `params` (arrays in `model.parameters()` order), it evaluates a
+    copy of the model set to them; the model passed in is left as it is.
 
     A point whose reverse trajectory leaves the guard box lies outside the
     model's image and has density zero; this raises by default, while
@@ -504,16 +498,19 @@ def log_density(model: FlowModel, y, params=None, *, divergence="raise"):
     """
     if divergence not in ("raise", "-inf"):
         raise ValueError("divergence must be 'raise' or '-inf'")
+    if params is not None:
+        model = copy.deepcopy(model)
+        model.set_parameters(params)
     yb, squeeze = _as_batch(y)
-    _, out = _log_density(model, yb, params, divergence)
+    _, out = _log_density(model, yb, divergence)
     return out[0] if squeeze else out
 
 
-def _log_density(model, y, params, divergence, records=None):
+def _log_density(model, y, divergence, records=None):
     """`log_density` of an (n, D) batch; returns the base point x as well."""
     mode = "raise" if divergence == "raise" else "nan"
-    x, total = _through_layers(model, y, params, mode, True, inverse=True, records=records)
-    base = -0.5 * np.sum(x * x, axis=1) - 0.5 * model.dim * LOG_TWO_PI
+    x, total = _through_layers(model, y, mode, True, inverse=True, records=records)
+    base = _base_log_density(x)
     out = base if total is None else base + total
     if not np.all(np.isfinite(out)):
         if divergence == "raise":
@@ -538,7 +535,7 @@ def sample(model: FlowModel, n: int, seed: int = 0, *, divergence="raise"):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, model.dim))
     mode = "nan" if divergence == "drop" else divergence
-    y, _ = _through_layers(model, x, None, mode, False)
+    y, _ = _through_layers(model, x, mode, False)
     if divergence == "drop":
         y = y[np.all(np.isfinite(y), axis=1)]
     return y

@@ -45,19 +45,19 @@ METHODS = ("bisection", "fixed_point")
 DEFAULT_BENCH_INTEGRAND = Integrand.quadratic(0.2, 0.1, 0.1)
 
 _HARD_CAP = 200  # absolute ceiling on refinement loop passes per lane
+_BRACKET_HALFWIDTH = 0.5  # bisection's first bracket is [center - w, center + w]
+_BRACKET_EXPANSION = 2.0  # a side that misses the root is widened by this factor...
+_MAX_EXPANSIONS = 60  # ...at most this many times
 _DAMPING_FLOOR = 1.0 / 16.0  # the fixed-point damping factor is never halved below this
 
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """How to polish an inverse: method, residual tolerance, iteration caps."""
+    """How to polish an inverse: method, residual tolerance, fixed-point pass cap."""
 
     method: str = "fixed_point"
     tolerance: float = 1e-10
     max_iterations: int = 50
-    bracket_halfwidth: float = 0.5
-    bracket_expansion: float = 2.0
-    max_expansions: int = 60
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -66,8 +66,6 @@ class RefineConfig:
             raise ValueError("tolerance must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.bracket_expansion <= 1:
-            raise ValueError("bracket_expansion must be > 1")
 
 
 @dataclass
@@ -93,18 +91,15 @@ def _map_only(g, cfg):
     return q
 
 
-def trapezoid_reverse(g: Integrand, y, nodes: int = 5):
-    """Coarse explicit-trapezoid reverse integration from t=1 to t=0.
-
-    With the default five nodes this is the cheap initial guess for the
-    fixed-point iteration.
+def trapezoid_reverse(g: Integrand, y):
+    """Coarse explicit-trapezoid reverse integration from t=1 to t=0 on
+    five nodes: the cheap initial guess for the fixed-point iteration.
     """
     value_fn, _ = g.functions()
     v = np.asarray(y, dtype=float).copy()
-    n = nodes - 1
-    h = -1.0 / n
+    h = -0.25
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n):
+        for k in range(4):
             t = 1.0 + k * h
             k1 = value_fn(v, t)
             k2 = value_fn(v + h * k1, t + h)
@@ -116,26 +111,26 @@ def _bisect(q, y, center, rc):
     """Vectorized bisection on a bracket grown geometrically around `center`.
 
     The bracket starts at [center - w, center + w] with w =
-    rc.bracket_halfwidth, and each failing side is widened until the
+    `_BRACKET_HALFWIDTH`, and each failing side is widened until the
     monotone residual changes sign; expansions are counted apart from the
     halvings in `steps`. Halving stops once the bracket width and the
     residual are both <= rc.tolerance.
     """
-    w_lo = np.full(y.shape, rc.bracket_halfwidth)
+    w_lo = np.full(y.shape, _BRACKET_HALFWIDTH)
     w_hi = w_lo.copy()
     lo = center - w_lo
     hi = center + w_hi
     q_lo = q(lo, np.ones(y.shape, dtype=bool))
     q_hi = q(hi, np.ones(y.shape, dtype=bool))
     expansions = np.zeros(y.shape, dtype=int)
-    for _ in range(rc.max_expansions):
+    for _ in range(_MAX_EXPANSIONS):
         bad_lo = ~(q_lo <= y)
         bad_hi = ~(q_hi >= y)
         bad = bad_lo | bad_hi
         if not bad.any():
             break
-        w_lo = np.where(bad_lo, w_lo * rc.bracket_expansion, w_lo)
-        w_hi = np.where(bad_hi, w_hi * rc.bracket_expansion, w_hi)
+        w_lo = np.where(bad_lo, w_lo * _BRACKET_EXPANSION, w_lo)
+        w_hi = np.where(bad_hi, w_hi * _BRACKET_EXPANSION, w_hi)
         lo = np.where(bad_lo, center - w_lo, lo)
         hi = np.where(bad_hi, center + w_hi, hi)
         if bad_lo.any():
@@ -260,7 +255,7 @@ def _invert(g, cfg, y, x0, rc):
 def bisection_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig) -> RootResult:
     """Invert by bracketing + bisection around y; `steps` counts halvings only.
 
-    The bracket starts at [y - w, y + w] with w = rc.bracket_halfwidth and
+    The bracket starts at [y - w, y + w] with w = `_BRACKET_HALFWIDTH` and
     each failing side is widened geometrically until the monotone residual
     changes sign; expansion counts are reported separately from steps.
     """
@@ -286,7 +281,6 @@ class BenchRow:
     method: str
     mean_steps: float
     failures: int
-    mean_expansions: float = 0.0
 
 
 @dataclass
@@ -335,8 +329,7 @@ def run_bench(integrand: Integrand = DEFAULT_BENCH_INTEGRAND,
               tolerances=(1e-3, 1e-4, 1e-5, 1e-6),
               n_inputs: int = 1000,
               seed: int = 0,
-              solver_steps: int = 16,
-              max_iterations: int = 100) -> BenchReport:
+              solver_steps: int = 16) -> BenchReport:
     """Average refinement steps of both methods over random unit-interval inputs.
 
     Inputs x are drawn uniformly from (0, 1), mapped forward to targets
@@ -353,8 +346,7 @@ def run_bench(integrand: Integrand = DEFAULT_BENCH_INTEGRAND,
     report = BenchReport(integrand=integrand, seed=seed, n_inputs=n_inputs,
                          solver_steps=solver_steps)
     for tol in tolerances:
-        rc = RefineConfig(method="fixed_point", tolerance=tol,
-                          max_iterations=max_iterations)
+        rc = RefineConfig(method="fixed_point", tolerance=tol, max_iterations=100)
         fp = fixedpoint_invert(integrand, cfg, y, rc)
         ok = fp.converged & ~fp.fell_back
         report.rows.append(BenchRow(
@@ -362,14 +354,11 @@ def run_bench(integrand: Integrand = DEFAULT_BENCH_INTEGRAND,
             mean_steps=float(np.mean(fp.steps[ok])) if ok.any() else float("nan"),
             failures=int(np.sum(~ok)),
         ))
-        rcb = RefineConfig(method="bisection", tolerance=tol,
-                           max_iterations=max_iterations)
-        bi = bisection_invert(integrand, cfg, y, rcb)
+        bi = bisection_invert(integrand, cfg, y, rc)  # it replaces the method
         okb = bi.converged
         report.rows.append(BenchRow(
             tolerance=tol, method="bisection",
             mean_steps=float(np.mean(bi.steps[okb])) if okb.any() else float("nan"),
             failures=int(np.sum(~okb)),
-            mean_expansions=float(np.mean(bi.expansions)),
         ))
     return report

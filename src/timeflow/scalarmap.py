@@ -108,7 +108,7 @@ def _check_guard(v, t, divergence, scratch):
     updated v in 'nan' mode. |v| goes into `scratch`, an array of v's shape."""
     raw = np.asarray(v)
     if not raw.size or np.abs(raw, out=scratch).max() <= GUARD:  # NaN fails this comparison
-        return v, None
+        return v
     bad = ~np.isfinite(raw) | (np.abs(raw) > GUARD)
     if divergence == "raise":
         rows = None
@@ -119,7 +119,7 @@ def _check_guard(v, t, divergence, scratch):
             + (f" (rows {rows})" if rows else ""),
             indices=rows,
         )
-    return np.where(bad, np.nan, raw), bad
+    return np.where(bad, np.nan, raw)
 
 
 def _two_function_slope(value_fn, dv_fn, want_log_deriv):
@@ -249,7 +249,7 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, keep_trajectory=F
                 m = np.add(k1, np.multiply(2.0, k2, out=acc), out=acc)
                 m = np.add(m, np.multiply(2.0, k3, out=scratch), out=acc)
                 v = np.add(v, np.multiply(h / 6.0, np.add(m, k4, out=acc), out=acc), out=end)
-            checked, _ = _check_guard(v, t0 + (k + 1) * h, divergence, scratch)
+            checked = _check_guard(v, t0 + (k + 1) * h, divergence, scratch)
             if checked is not v:  # 'nan' mode replaced the diverged lanes
                 np.copyto(v, checked)
             if keep_trajectory:

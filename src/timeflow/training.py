@@ -3,7 +3,9 @@
 The loss is the mean negative log-density of a batch; gradients are exact
 reverse-mode derivatives of the discretized computation (solver steps,
 conditioner evaluations, base density). The inverse path runs once and
-keeps one record per layer, with one slab of stage points per solve;
+keeps one record per layer, with one slab of stage points per solve
+(a layer computes with the parameters it holds, so `train` writes every
+Adam update back with `FlowModel.set_parameters`);
 `autodiff.backward` then walks the records in reverse through each layer's
 hand-written `vjp`, whose solves go through the discrete adjoint of the
 solver steps (`scalarmap._adjoint`). The adjoints' stacked temporaries come
@@ -17,14 +19,13 @@ Identical seeds give identical histories.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import backward
 from .data import Dataset
-from .flow import FlowModel, _log_density, log_density
+from .flow import FlowModel, _base_log_density, _log_density, log_density
 from .scalarmap import DivergenceError
 
 __all__ = [
@@ -38,7 +39,6 @@ __all__ = [
     "identity_nll",
 ]
 
-LOG_TWO_PI = float(np.log(2.0 * np.pi))
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
 
 
@@ -101,8 +101,7 @@ def _nll_or_inf(model, rows):
 
 def identity_nll(rows) -> float:
     """NLL of the data under the untransformed standard-normal base."""
-    rows = np.asarray(rows, dtype=float)
-    return float(np.mean(0.5 * np.sum(rows * rows, axis=1) + 0.5 * rows.shape[1] * LOG_TWO_PI))
+    return float(-np.mean(_base_log_density(np.asarray(rows, dtype=float))))
 
 
 def nll_and_grad(model: FlowModel, batch):
@@ -115,10 +114,9 @@ def nll_and_grad(model: FlowModel, batch):
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[0] == 0:
         raise ValueError("batch must be a nonempty (n, D) matrix")
-    params = model.parameters()
     records = []
     try:
-        x, logp = _log_density(model, batch, params, "raise", records)
+        x, logp = _log_density(model, batch, "raise", records)
     except DivergenceError as err:
         raise DivergenceError(f"batch aborted: {err}", indices=err.indices) from err
     n = batch.shape[0]

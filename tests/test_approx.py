@@ -29,27 +29,26 @@ C1_QUADRATURE = 1.3390033289820868
 
 
 def test_constant_kernel_is_one():
-    assert np.all(kernel_eval(CONST, np.linspace(0, 1, 11)) == 1.0)
+    assert np.all(kernel_eval(CONST, np.linspace(0, 1, 11), 1.0) == 1.0)
 
 
 def test_gaussian_kernel_unit_mass_vs_quadrature():
     for s in (0.2, 0.5, 1.0, 3.0):
-        k = Kernel("gaussian", s)
-        mass, err = quad(lambda t: kernel_eval(k, t), 0.0, 1.0,
+        mass, err = quad(lambda t: kernel_eval(GAUSS, t, s), 0.0, 1.0,
                          epsabs=1e-12, epsrel=1e-12)
         assert err < 1e-10
         assert abs(mass - 1.0) < 1e-10
 
 
 def test_gaussian_normalization_frozen_value():
-    assert kernel_eval(Kernel("gaussian", 1.0), 0.0) == pytest.approx(
+    assert kernel_eval(GAUSS, 0.0, 1.0) == pytest.approx(
         C1_QUADRATURE, abs=1e-12)
 
 
 def test_kernel_positive_on_unit_interval():
     t = np.linspace(0, 1, 101)
     for s in (0.1, 1.0):
-        assert np.all(kernel_eval(Kernel("gaussian", s), t) > 0.0)
+        assert np.all(kernel_eval(GAUSS, t, s) > 0.0)
 
 
 def test_target_constructors_validate():
@@ -151,9 +150,9 @@ def test_picard_config_validation():
     with pytest.raises(ValueError):
         PicardConfig(iterations=0)
     with pytest.raises(ValueError):
-        PicardConfig(inner_ratio=1.5)
-    with pytest.raises(ValueError):
         eval_approximant(AFFINE, -1.0, CONST, 0.0)
+    with pytest.raises(ValueError):
+        kernel_eval(GAUSS, 0.5, 0.0)
 
 
 def test_import_timeflow_loads_no_scipy():
@@ -167,3 +166,10 @@ def test_import_timeflow_loads_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_every_exported_name_resolves():
+    import timeflow
+
+    for name in timeflow.__all__:
+        assert getattr(timeflow, name) is not None, name

@@ -455,3 +455,39 @@ def test_flow_operations_leave_inputs_and_parameters_unchanged():
         assert y.tobytes() == before.tobytes()
         for p, q in zip(model.parameters(), params):
             assert p.tobytes() == q.tobytes()
+
+
+def test_log_density_with_params_is_that_of_a_model_set_to_them():
+    rng = np.random.default_rng(5)
+    for kind, family in (("coupling", "quadratic"), ("autoregressive", "cubic")):
+        model = build_flow(3, n_layers=2, kind=kind, family=family, hidden_dims=(6,),
+                           solver=SOLVER, seed=2)
+        randomize_parameters(model, seed=3, scale=0.2)
+        before = [p.copy() for p in model.parameters()]
+        params = [p + 0.01 * rng.standard_normal(p.shape) for p in before]
+        y = rng.standard_normal((7, 3))
+        got = log_density(model, y, params=params)
+        for p, q in zip(model.parameters(), before):
+            assert p.tobytes() == q.tobytes()
+        model.set_parameters(params)
+        assert got.tobytes() == log_density(model, y).tobytes()
+
+
+@pytest.mark.parametrize("change", ["one too many", "one too few", "wrong shape"])
+def test_set_parameters_rejects_a_mismatch_and_changes_nothing(change):
+    model = build_flow(3, n_layers=3, kind="coupling", hidden_dims=(6,), solver=SOLVER, seed=2)
+    randomize_parameters(model, seed=3, scale=0.2)
+    before = [p.copy() for p in model.parameters()]
+    arrays = [p + 1.0 for p in before]
+    if change == "one too many":
+        arrays.append(np.zeros(1))
+    elif change == "one too few":
+        arrays.pop()
+    else:
+        arrays[-1] = np.zeros(arrays[-1].size + 1)
+    with pytest.raises(ValueError):
+        model.set_parameters(arrays)
+    with pytest.raises(ValueError):  # a network alone checks before it writes, too
+        model.layers[0].conditioner.set_param_arrays(arrays[:2] + [np.zeros((1, 1))] * 2)
+    for p, q in zip(model.parameters(), before):
+        assert p.tobytes() == q.tobytes()

@@ -18,7 +18,7 @@ from timeflow import (
 from timeflow.inversion import (
     DEFAULT_BENCH_INTEGRAND,
     _fixed_point,
-    _map_only,
+    refine_lanes,
     trapezoid_reverse,
 )
 
@@ -35,8 +35,6 @@ def test_refine_config_validation():
         RefineConfig(method="reverse_only")
     with pytest.raises(ValueError):
         RefineConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        RefineConfig(bracket_expansion=1.0)
 
 
 def test_bisection_identity_step_formula():
@@ -82,16 +80,17 @@ def test_fixedpoint_shift_exact_from_initial_guess():
 
 
 def test_failed_fallback_keeps_fixed_point_x():
-    # one pass leaves the lane short of the tolerance, and the bisection
-    # fallback's bracket is too narrow to hold the root and may not grow
-    rc = RefineConfig(method="fixed_point", tolerance=1e-12, max_iterations=1,
-                      bracket_halfwidth=1e-9, max_expansions=0)
-    g = DEFAULT_BENCH_INTEGRAND
-    y = forward(g, FWD, np.array([0.3, 0.7])).y
-    x, _, converged, residual = _fixed_point(_map_only(g, FWD), y,
-                                             trapezoid_reverse(g, y), rc)
+    # a flat residual has no root: the fixed-point pass leaves every lane
+    # short of the tolerance, and the bisection fallback never brackets one
+    rc = RefineConfig(method="fixed_point", tolerance=1e-12, max_iterations=1)
+    y = np.array([0.3, 0.7])
+
+    def q(x, lanes):
+        return np.zeros_like(x)
+
+    x, _, converged, residual = _fixed_point(q, y, np.zeros(2), rc)
     assert not converged.any()
-    res = fixedpoint_invert(g, FWD, y, rc)
+    res = refine_lanes(q, y, np.zeros(2), rc)
     assert res.fell_back.all() and not res.converged.any()
     assert np.array_equal(res.x, x)
     assert np.array_equal(res.residual, residual)

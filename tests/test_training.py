@@ -233,9 +233,9 @@ def test_criterion_9_model_records_one_node_per_layer(monkeypatch):
     built = []
     init = autodiff.Node.__init__
 
-    def counted(node, layer, params):
+    def counted(node, layer):
         built.append(layer)
-        init(node, layer, params)
+        init(node, layer)
 
     monkeypatch.setattr(autodiff.Node, "__init__", counted)
     nll_and_grad(model, batch)
