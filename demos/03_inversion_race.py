@@ -23,8 +23,8 @@ for tol in (1e-3, 1e-6, 1e-9):
     bi = bisection_invert(g, cfg, y, rc)
     rc = RefineConfig(method="fixed_point", tolerance=tol)
     fp = fixedpoint_invert(g, cfg, y, rc)
-    print(f"  tol {tol:7.0e}:  bisection {bi.steps:2d} steps (err {abs(bi.x - x_true):.1e})"
-          f"   fixed-point {fp.steps:2d} steps (err {abs(fp.x - x_true):.1e})")
+    print(f"  tol {tol:7.0e}:  bisection {bi.iterations:2d} steps (err {abs(bi.x - x_true):.1e})"
+          f"   fixed-point {fp.iterations:2d} steps (err {abs(fp.x - x_true):.1e})")
 
 # the averaged benchmark over 1000 uniform inputs
 print()

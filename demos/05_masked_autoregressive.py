@@ -15,6 +15,8 @@ from timeflow.flow import (
     AutoregressiveLayer,
     layer_forward,
     layer_inverse,
+    model_forward,
+    model_inverse,
     randomize_parameters,
 )
 
@@ -56,6 +58,6 @@ model = build_flow(D, n_layers=3, kind="autoregressive", family="sigmoid_affine"
                    hidden_dims=(10,), seed=7)
 randomize_parameters(model, seed=8, scale=0.3)
 xs = rng.standard_normal((256, D))
-ys, _ = model.forward(xs)
+ys, _ = model_forward(model, xs)
 print(f"\n3-layer masked flow round trip over 256 points:"
-      f" {np.max(np.abs(model.inverse(ys) - xs)):.2e}")
+      f" {np.max(np.abs(model_inverse(model, ys) - xs)):.2e}")

@@ -5,11 +5,11 @@ log-densities.
 
 __version__ = "0.1.0"
 
-from .integrands import Integrand, NonFiniteError, eval_integrand, eval_integrand_dv
+from .integrands import Integrand, NonFiniteError
 from .scalarmap import (
     DivergenceError,
-    InverseResult,
     MapResult,
+    RootResult,
     SolverConfig,
     derivative,
     forward,
@@ -63,11 +63,9 @@ def __getattr__(name):
 __all__ = [
     "Integrand",
     "NonFiniteError",
-    "eval_integrand",
-    "eval_integrand_dv",
     "SolverConfig",
     "MapResult",
-    "InverseResult",
+    "RootResult",
     "DivergenceError",
     "forward",
     "inverse",

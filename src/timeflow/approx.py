@@ -158,18 +158,17 @@ def _interp_rows(grid, values, queries):
 
 def _picard(phi, kernel, s, eps, x_flat, cfg):
     """Picard iteration of v on the inner grid of [0, eps], one row per lane
-    of `x_flat`: yields (grid, v) for the start v = x, then after each of the
-    `cfg.iterations` passes, with the kernel at the approximant's scale s."""
+    of `x_flat`, from the start v = x with the kernel at the approximant's
+    scale s: returns (grid, v) after `cfg.iterations` passes."""
     inner = _inner_grid(eps)
     k_inner = kernel_eval(kernel, inner, s)[None, :]
     queries_inner = inner * eps
     v = np.broadcast_to(x_flat[:, None], (x_flat.size, inner.size)).copy()
-    yield inner, v
     for _ in range(cfg.iterations):
         v_at = _interp_rows(inner, v, queries_inner)
         f = k_inner * (phi(v_at) - v_at)
         v = x_flat[:, None] + cumulative_trapezoid(f, inner, axis=1, initial=0.0)
-        yield inner, v
+    return inner, v
 
 
 def eval_approximant(target: MonotoneTarget, s: float, kernel: Kernel, x,
@@ -193,26 +192,12 @@ def eval_approximant(target: MonotoneTarget, s: float, kernel: Kernel, x,
         out = phi(x_flat.copy())
         return float(out[0]) if scalar else out
 
-    for inner, v in _picard(phi, kernel, s, eps, x_flat, cfg):
-        pass  # keep the last iterate
-
+    inner, v = _picard(phi, kernel, s, eps, x_flat, cfg)
     outer = np.linspace(0.0, 1.0, cfg.quad_nodes)
     v_out = _interp_rows(inner, v, outer * eps)
     h = kernel_eval(kernel, outer, s)[None, :] * (phi(v_out) - v_out)
     q = x_flat + trapezoid(h, outer, axis=1)
     return float(q[0]) if scalar else q
-
-
-def picard_iterates(target: MonotoneTarget, s: float, kernel: Kernel, x: float,
-                    cfg: PicardConfig = PicardConfig()):
-    """Sup-norm distances between successive Picard iterates (diagnostic)."""
-    if s <= 0:
-        raise ValueError("s must be positive")
-    eps = math.exp(-1.0 / s)
-    if eps == 0.0:
-        return []
-    vs = [v for _, v in _picard(target.fn, kernel, s, eps, np.array([float(x)]), cfg)]
-    return [float(np.max(np.abs(new - old))) for old, new in zip(vs, vs[1:])]
 
 
 @dataclass

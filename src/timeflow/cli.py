@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import importlib.metadata
 import json
+import math
 import os
 import sys
 
@@ -116,10 +117,6 @@ def _cmd_train(args):
     _require(errors, len(split) == 3 and all(f >= 0 for f in split) and sum(split) <= 1 + 1e-9,
              f"--split must be three nonnegative fractions summing to <= 1, got {args.split}")
     _require(errors, args.layers >= 1, "--layers must be >= 1")
-    _require(errors, args.kind in ("coupling", "autoregressive"),
-             f"--kind must be coupling or autoregressive, got {args.kind}")
-    _require(errors, args.family in ("quadratic", "cubic", "sigmoid_affine"),
-             f"--family must be a built-in integrand family, got {args.family}")
     _require(errors, args.epochs >= 0, "--epochs must be >= 0")
     _require(errors, args.batch_size >= 1, "--batch-size must be >= 1")
     _require(errors, args.lr > 0, "--lr must be > 0")
@@ -205,7 +202,8 @@ def _cmd_sample(args):
 def _cmd_invert_bench(args):
     errors = []
     coeffs = _parse_floats(args.coeffs)
-    _require(errors, len(coeffs) == 3, f"--coeffs must be 'a,b,c', got {args.coeffs}")
+    _require(errors, len(coeffs) == 3 and all(map(math.isfinite, coeffs)),
+             f"--coeffs must be three finite values 'a,b,c', got {args.coeffs}")
     tolerances = _parse_floats(args.tolerances)
     _require(errors, tolerances and all(t > 0 for t in tolerances),
              "--tolerances must be positive values")
@@ -226,14 +224,13 @@ def _cmd_universality(args):
     errors = []
     scales = _parse_floats(args.s)
     _require(errors, len(scales) >= 4, "--s needs at least 4 scales to fit a rate")
+    _require(errors, all(s > 0 for s in scales), f"--s scales must be > 0, got {args.s}")
     interval = _parse_floats(args.interval)
     _require(errors, len(interval) == 2 and interval[0] < interval[1],
              f"--interval must be 'lo,hi' with lo < hi, got {args.interval}")
-    _require(errors, args.target in ("affine", "softplus", "arctan"),
-             f"--target must be affine, softplus or arctan, got {args.target}")
-    _require(errors, args.kernel in ("constant", "gaussian"),
-             f"--kernel must be constant or gaussian, got {args.kernel}")
     _require(errors, args.grid >= 2, "--grid must be >= 2")
+    _require(errors, args.iterations >= 1, "--iterations must be >= 1")
+    _require(errors, args.quad_nodes >= 2, "--quad-nodes must be >= 2")
     if args.target == "affine":
         _require(errors, args.alpha > 0, "--alpha must be > 0 for the affine target")
     _check(errors)
@@ -485,26 +482,34 @@ _COMMANDS = {
 
 
 def _apply_config_file(parser, argv):
-    """Load --config JSON (and --preset for train) as parser defaults."""
+    """Load --config JSON (and --preset for train) as parser defaults. Each
+    file is one JSON object whose keys are the subcommand's flags; a value
+    must lie within its flag's `choices`, as on the command line."""
     probe, _ = parser.parse_known_args(argv)
-    defaults = {}
     preset = getattr(probe, "preset", None)
-    if preset:
-        path = _preset_path(preset)
-        if not os.path.exists(path):
-            raise ConfigError(f"unknown preset {preset!r}")
-        with open(path, "r", encoding="utf-8") as fh:
-            defaults.update(json.load(fh))
+    paths = [_preset_path(preset)] if preset else []
+    if paths and not os.path.exists(paths[0]):
+        raise ConfigError(f"unknown preset {preset!r}")
     if getattr(probe, "config", None):
-        with open(probe.config, "r", encoding="utf-8") as fh:
-            defaults.update(json.load(fh))
-    if defaults:
-        known = {a.dest for a in parser._subparsers._group_actions[0]
-                 .choices[probe.command]._actions}
-        unknown = set(defaults) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        parser._subparsers._group_actions[0].choices[probe.command].set_defaults(**defaults)
+        paths.append(probe.config)
+    defaults = {}
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{path}: a config file holds one JSON object")
+        defaults.update(doc)
+    command = parser._subparsers._group_actions[0].choices[probe.command]
+    actions = {a.dest: a for a in command._actions}
+    errors = []
+    for key, value in sorted(defaults.items()):
+        if key not in actions:
+            errors.append(f"unknown config key {key!r}")
+        elif actions[key].choices and value not in actions[key].choices:
+            errors.append(f"config key {key!r} must be one of {actions[key].choices},"
+                          f" got {value!r}")
+    _check(errors)
+    command.set_defaults(**defaults)
 
 
 def run(argv=None) -> int:
@@ -530,9 +535,5 @@ def run(argv=None) -> int:
         return EXIT_NUMERIC
 
 
-def main(argv=None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -20,12 +20,11 @@ import numpy as np
 
 __all__ = ["ConditionerNet", "init_net", "net_eval", "net_backward", "net_vjp", "build_masks"]
 
-ACTIVATIONS = ("tanh", "relu")
-
 
 @dataclass
 class ConditionerNet:
-    """Dense MLP; weights are (fan_in, fan_out), final layer is linear.
+    """Dense MLP with tanh hidden layers; weights are (fan_in, fan_out),
+    final layer is linear.
 
     `masks`, when present, are multiplied into the weights at every
     evaluation, so masked connections stay dead regardless of training.
@@ -34,12 +33,9 @@ class ConditionerNet:
     layer_dims: list
     weights: list
     biases: list
-    activation: str = "tanh"
     masks: Optional[list] = None
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         dims = self.layer_dims
         if len(self.weights) != len(dims) - 1 or len(self.biases) != len(dims) - 1:
             raise ValueError("weights/biases do not match layer_dims")
@@ -76,7 +72,7 @@ class ConditionerNet:
         self.biases[:] = arrays[1::2]
 
 
-def init_net(layer_dims, seed=0, activation="tanh", masks=None) -> ConditionerNet:
+def init_net(layer_dims, seed=0, masks=None) -> ConditionerNet:
     """Seeded initialization: uniform +-sqrt(6/(fan_in+fan_out)) hidden
     weights, zero biases, and an all-zero final layer so a freshly built
     flow layer starts as the identity map."""
@@ -92,19 +88,19 @@ def init_net(layer_dims, seed=0, activation="tanh", masks=None) -> ConditionerNe
             w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
         weights.append(w)
         biases.append(np.zeros(fan_out))
-    return ConditionerNet(list(layer_dims), weights, biases, activation, masks)
+    return ConditionerNet(list(layer_dims), weights, biases, masks)
 
 
 def net_eval(net: ConditionerNet, x, *, acts=None):
-    """Affine-then-activation composition of the net's own weights and
-    biases; the last layer stays linear.
+    """Affine-then-tanh composition of the net's own weights and biases;
+    the last layer stays linear.
 
     `x` is a vector or an (n, in_dim) batch. If `acts` is a list, the input
     of every affine layer is appended to it, which is what `net_backward`
     differentiates from.
 
     Each layer is computed in one fresh buffer: the product ``h @ w`` is
-    allocated once, and the bias and the activation are applied to it in
+    allocated once, and the bias and the tanh are applied to it in
     place, so no (n, width) temporaries are made and freed per layer. The
     buffer is not reused across layers, because `acts` keeps every layer's
     input alive for the backward pass.
@@ -126,10 +122,7 @@ def net_eval(net: ConditionerNet, x, *, acts=None):
         h = h @ w
         h += b
         if i < n_layers - 1:
-            if net.activation == "tanh":
-                np.tanh(h, out=h)
-            else:
-                np.maximum(h, 0.0, out=h)
+            np.tanh(h, out=h)
     return h.reshape(-1) if squeeze else h
 
 
@@ -143,9 +136,9 @@ def net_backward(net: ConditionerNet, acts, cotangent):
     g = cotangent
     grads = [None] * (2 * len(net.weights))
     for i in range(len(net.weights) - 1, -1, -1):
-        if i < len(net.weights) - 1:  # through the activation; acts[i + 1] is its output
+        if i < len(net.weights) - 1:  # through the tanh; acts[i + 1] is its output
             out = acts[i + 1]
-            g = g * (1.0 - out * out) if net.activation == "tanh" else g * (out > 0.0)
+            g = g * (1.0 - out * out)
         w = net.weights[i]
         dw = acts[i].T @ g
         if net.masks is not None:

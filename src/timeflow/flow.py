@@ -303,19 +303,6 @@ class FlowModel:
             if layer.dim != self.dim:
                 raise ValueError(f"layer {i} has dimension {layer.dim}, expected {self.dim}")
 
-    # convenience method forms of the module-level operations
-    def forward(self, x):
-        return model_forward(self, x)
-
-    def inverse(self, y, refine=None):
-        return model_inverse(self, y, refine=refine)
-
-    def log_density(self, y):
-        return log_density(self, y)
-
-    def sample(self, n, seed=0):
-        return sample(self, n, seed)
-
     def parameters(self):
         return [p for layer in self.layers for p in layer.params()]
 
@@ -592,13 +579,11 @@ def build_flow(dim, n_layers=4, kind="coupling", family="quadratic",
             upper = i % 2 == 0
             n_pass = d if upper else dim - d
             n_trans = dim - n_pass
-            net = init_net([n_pass, *hidden_dims, 3 * n_trans],
-                           seed=rng, activation="tanh")
+            net = init_net([n_pass, *hidden_dims, 3 * n_trans], seed=rng)
             layers.append(CouplingLayer(dim, d, upper, family, net, solver))
         else:
             masks = build_masks(dim, list(hidden_dims))
-            net = init_net([dim, *hidden_dims, 3 * dim], seed=rng,
-                           activation="tanh", masks=masks)
+            net = init_net([dim, *hidden_dims, 3 * dim], seed=rng, masks=masks)
             layers.append(AutoregressiveLayer(dim, family, net, solver))
     return FlowModel(dim, layers)
 
@@ -620,20 +605,22 @@ def _solver_from_json(obj):
 def _net_to_json(net: ConditionerNet):
     return {
         "layer_dims": list(net.layer_dims),
-        "activation": net.activation,
+        "activation": "tanh",
         "weights": [w.ravel().tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
 
 
 def _net_from_json(obj, masks=None):
+    if obj["activation"] != "tanh":
+        raise ValueError(f"unsupported conditioner activation {obj['activation']!r}")
     dims = [int(d) for d in obj["layer_dims"]]
     weights = [
         np.asarray(flat, dtype=float).reshape(dims[i], dims[i + 1])
         for i, flat in enumerate(obj["weights"])
     ]
     biases = [np.asarray(b, dtype=float) for b in obj["biases"]]
-    return ConditionerNet(dims, weights, biases, obj["activation"], masks)
+    return ConditionerNet(dims, weights, biases, masks)
 
 
 def save_checkpoint(model: FlowModel, path):
@@ -654,18 +641,27 @@ def save_checkpoint(model: FlowModel, path):
 
 
 def load_checkpoint(path) -> FlowModel:
+    """Read a model that `save_checkpoint` wrote. A missing key or a value of
+    the wrong type raises ValueError naming the file and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: {CHECKPOINT_FORMAT} version {doc.get('version')!r}"
                          f" is not supported (this reader reads version {CHECKPOINT_VERSION})")
-    dim = int(doc["dim"])
-    layers = []
-    for obj in doc["layers"]:
-        cls = LAYER_KINDS.get(obj["kind"])
-        if cls is None:
-            raise ValueError(f"{path}: unknown layer kind {obj['kind']!r}")
-        layers.append(cls.from_json(dim, obj))
+    key, where = "dim", ""
+    try:
+        dim = int(doc["dim"])
+        key, layers = "layers", []
+        for i, obj in enumerate(doc["layers"]):
+            where = f" (layer {i})"
+            cls = LAYER_KINDS.get(obj["kind"])
+            if cls is None:
+                raise ValueError(f"unknown layer kind {obj['kind']!r}")
+            layers.append(cls.from_json(dim, obj))
+    except KeyError as err:
+        raise ValueError(f"{path}: missing key {err.args[0]!r}{where}") from None
+    except (TypeError, ValueError, IndexError) as err:
+        raise ValueError(f"{path}: bad {key!r}{where}: {err}") from None
     return FlowModel(dim, layers)

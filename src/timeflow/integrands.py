@@ -23,7 +23,8 @@ FAMILIES = ("quadratic", "cubic", "sigmoid_affine", "custom")
 
 
 class NonFiniteError(ArithmeticError):
-    """An integrand evaluation produced a non-finite value."""
+    """A CLI run's numeric check failed (every draw diverged, or a gradient
+    check or round trip missed its tolerance); the CLI exits with status 5."""
 
 
 def _logistic(x, out=None):
@@ -174,26 +175,3 @@ class Integrand:
         a, b, c = self.params()
         return (lambda v, t: value(a, b, c, v, t)), (lambda v, t: dv(a, b, c, v, t))
 
-
-def eval_integrand(g: Integrand, v, t):
-    """Evaluate g(v, t); a non-finite result is reported, not propagated."""
-    value_fn, _ = g.functions()
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        out = value_fn(v, t)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(
-            f"integrand {g.family} returned a non-finite value at v={v!r}, t={t!r}"
-        )
-    return out
-
-
-def eval_integrand_dv(g: Integrand, v, t):
-    """Evaluate the partial derivative of g with respect to v."""
-    _, dv_fn = g.functions()
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below instead
-        out = dv_fn(v, t)
-    if not np.all(np.isfinite(out)):
-        raise NonFiniteError(
-            f"integrand {g.family} derivative non-finite at v={v!r}, t={t!r}"
-        )
-    return out

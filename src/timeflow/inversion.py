@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .integrands import Integrand
-from .scalarmap import SolverConfig, _integrand_slope, integrate
+from .scalarmap import RootResult, SolverConfig, _integrand_slope, integrate
 
 __all__ = [
     "RefineConfig",
@@ -68,16 +68,6 @@ class RefineConfig:
             raise ValueError("max_iterations must be >= 1")
 
 
-@dataclass
-class RootResult:
-    x: object
-    steps: object
-    converged: object
-    residual: object
-    expansions: object = 0
-    fell_back: object = False
-
-
 def _map_only(g, cfg):
     """Forward map values without the log-derivative accumulation; a built-in
     family solves through its value-only `scalarmap.family_slope`."""
@@ -112,9 +102,9 @@ def _bisect(q, y, center, rc):
 
     The bracket starts at [center - w, center + w] with w =
     `_BRACKET_HALFWIDTH`, and each failing side is widened until the
-    monotone residual changes sign; expansions are counted apart from the
-    halvings in `steps`. Halving stops once the bracket width and the
-    residual are both <= rc.tolerance.
+    monotone residual changes sign. Only the halvings count as
+    `iterations`; they stop once the bracket width and the residual are
+    both <= rc.tolerance.
     """
     w_lo = np.full(y.shape, _BRACKET_HALFWIDTH)
     w_hi = w_lo.copy()
@@ -122,12 +112,10 @@ def _bisect(q, y, center, rc):
     hi = center + w_hi
     q_lo = q(lo, np.ones(y.shape, dtype=bool))
     q_hi = q(hi, np.ones(y.shape, dtype=bool))
-    expansions = np.zeros(y.shape, dtype=int)
     for _ in range(_MAX_EXPANSIONS):
         bad_lo = ~(q_lo <= y)
         bad_hi = ~(q_hi >= y)
-        bad = bad_lo | bad_hi
-        if not bad.any():
+        if not (bad_lo.any() or bad_hi.any()):
             break
         w_lo = np.where(bad_lo, w_lo * _BRACKET_EXPANSION, w_lo)
         w_hi = np.where(bad_hi, w_hi * _BRACKET_EXPANSION, w_hi)
@@ -137,7 +125,6 @@ def _bisect(q, y, center, rc):
             q_lo[bad_lo] = q(lo[bad_lo], bad_lo)
         if bad_hi.any():
             q_hi[bad_hi] = q(hi[bad_hi], bad_hi)
-        expansions[bad] += 1
 
     active = (q_lo <= y) & (q_hi >= y)  # lanes without a bracket are never bisected
     steps = np.zeros(y.shape, dtype=int)
@@ -159,7 +146,7 @@ def _bisect(q, y, center, rc):
         done = active & ((hi - lo) <= rc.tolerance) & (np.abs(r) <= rc.tolerance)
         active &= ~done
     converged = ~active & np.isfinite(residual)
-    return RootResult(x, steps, converged, residual, expansions, np.zeros(y.shape, dtype=bool))
+    return RootResult(x, steps, converged, residual, np.zeros(y.shape, dtype=bool))
 
 
 def _fixed_point(q, y, x0, rc):
@@ -220,7 +207,7 @@ def refine_lanes(q, y, x0, rc: RefineConfig) -> RootResult:
     boolean mask `lanes`, whose values are `x`. 'bisection' brackets
     around x0. 'fixed_point' iterates from x0, and every lane that misses
     the tolerance falls back to bisection around its fixed-point x (flagged
-    in `fell_back`; `steps` keeps the fixed-point count). A lane whose
+    in `fell_back`; `iterations` keeps the fixed-point count). A lane whose
     fallback fails too keeps its fixed-point x and residual.
     """
     if rc.method == "bisection":
@@ -233,7 +220,7 @@ def refine_lanes(q, y, x0, rc: RefineConfig) -> RootResult:
         x[mended] = fb.x[fb.converged]
         residual[mended] = fb.residual[fb.converged]
         converged[mended] = True
-    return RootResult(x, steps, converged, residual, np.zeros(y.shape, dtype=int), fell_back)
+    return RootResult(x, steps, converged, residual, fell_back)
 
 
 def _invert(g, cfg, y, x0, rc):
@@ -244,20 +231,19 @@ def _invert(g, cfg, y, x0, rc):
     y_arr = np.asarray(y, dtype=float)
     res = refine_lanes(_map_only(g, cfg), np.ravel(y_arr),
                        np.ravel(np.asarray(x0, dtype=float)), rc)
-    fields = [np.reshape(v, y_arr.shape) for v in (res.x, res.steps, res.converged,
-                                                    res.residual, res.expansions,
-                                                    res.fell_back)]
+    fields = [np.reshape(v, y_arr.shape) for v in (res.x, res.iterations, res.converged,
+                                                    res.residual, res.fell_back)]
     if y_arr.ndim == 0:
-        fields = [kind(v) for kind, v in zip((float, int, bool, float, int, bool), fields)]
+        fields = [kind(v) for kind, v in zip((float, int, bool, float, bool), fields)]
     return RootResult(*fields)
 
 
 def bisection_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig) -> RootResult:
-    """Invert by bracketing + bisection around y; `steps` counts halvings only.
+    """Invert by bracketing + bisection around y; `iterations` counts halvings only.
 
     The bracket starts at [y - w, y + w] with w = `_BRACKET_HALFWIDTH` and
     each failing side is widened geometrically until the monotone residual
-    changes sign; expansion counts are reported separately from steps.
+    changes sign; widening is not counted.
     """
     return _invert(g, cfg, y, y, replace(rc, method="bisection"))
 
@@ -266,8 +252,8 @@ def fixedpoint_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig) -> R
     """Invert by damped fixed-point iteration, x <- x + lam*(y - q(x)).
 
     Starts from the five-node trapezoid reverse integral; the initial
-    guess and its residual check are not counted as steps. Lanes that
-    exhaust `max_iterations` fall back to bisection (see `refine_lanes`).
+    guess and its residual check are not counted in `iterations`. Lanes
+    that exhaust `max_iterations` fall back to bisection (see `refine_lanes`).
     """
     return _invert(g, cfg, y, trapezoid_reverse(g, y), replace(rc, method="fixed_point"))
 
@@ -351,14 +337,14 @@ def run_bench(integrand: Integrand = DEFAULT_BENCH_INTEGRAND,
         ok = fp.converged & ~fp.fell_back
         report.rows.append(BenchRow(
             tolerance=tol, method="fixed_point",
-            mean_steps=float(np.mean(fp.steps[ok])) if ok.any() else float("nan"),
+            mean_steps=float(np.mean(fp.iterations[ok])) if ok.any() else float("nan"),
             failures=int(np.sum(~ok)),
         ))
         bi = bisection_invert(integrand, cfg, y, rc)  # it replaces the method
         okb = bi.converged
         report.rows.append(BenchRow(
             tolerance=tol, method="bisection",
-            mean_steps=float(np.mean(bi.steps[okb])) if okb.any() else float("nan"),
+            mean_steps=float(np.mean(bi.iterations[okb])) if okb.any() else float("nan"),
             failures=int(np.sum(~okb)),
         ))
     return report

@@ -19,21 +19,18 @@ from typing import Optional
 
 import numpy as np
 
-from .integrands import (Integrand, eval_integrand, eval_integrand_dv, family_functions,
-                         family_phi)
+from .integrands import Integrand, family_functions, family_phi
 
 __all__ = [
     "SolverConfig",
     "MapResult",
-    "InverseResult",
+    "RootResult",
     "VjpResult",
     "DivergenceError",
     "forward",
     "inverse",
     "derivative",
     "forward_vjp",
-    "eval_integrand",
-    "eval_integrand_dv",
 ]
 
 GUARD = 1e6  # |v| beyond this is treated as blow-up of the dynamics
@@ -86,15 +83,19 @@ class MapResult:
 
 
 @dataclass
-class InverseResult:
-    x: object
-    iterations: int = 0
-    converged: Optional[bool] = None
-    residual: Optional[float] = None
-    method: str = "reverse_integration"
+class RootResult:
+    """An inverse x of y and, lane by lane, how its refinement went.
 
-    def __float__(self):
-        return float(self.x)
+    `iterations` counts bisection halvings or fixed-point passes; `fell_back`
+    flags lanes that fell back from fixed point to bisection (see
+    `inversion.refine_lanes`). Unrefined: iterations=0, converged=residual=None.
+    """
+
+    x: object
+    iterations: object = 0
+    converged: object = None
+    residual: object = None
+    fell_back: object = False
 
 
 @dataclass
@@ -310,7 +311,7 @@ def derivative(g: Integrand, cfg: SolverConfig, x):
     return np.exp(forward(g, cfg, x).log_deriv)
 
 
-def inverse(g: Integrand, cfg: SolverConfig, y, refine=None) -> InverseResult:
+def inverse(g: Integrand, cfg: SolverConfig, y, refine=None) -> RootResult:
     """Recover x with forward(x) ~= y by integrating from t = 1 to t = 0.
 
     Reverse integration alone is a discretization-consistent inverse; pass
@@ -322,11 +323,10 @@ def inverse(g: Integrand, cfg: SolverConfig, y, refine=None) -> InverseResult:
     arr, scalar = _as_input(y)
     x0, _, _ = integrate(*_integrand_slope(g, False), arr, cfg, want_log_deriv=False)
     if refine is None:
-        return InverseResult(_as_output(x0, scalar))
+        return RootResult(_as_output(x0, scalar))
     from .inversion import _invert  # deferred: inversion builds on this module
 
-    res = _invert(g, cfg.reversed(), arr, x0, refine)
-    return InverseResult(res.x, res.steps, res.converged, res.residual, method=refine.method)
+    return _invert(g, cfg.reversed(), arr, x0, refine)
 
 
 def _scratch(work, name, shape, dtype):

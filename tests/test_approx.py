@@ -17,7 +17,7 @@ from timeflow import (
     eval_approximant,
     kernel_eval,
 )
-from timeflow.approx import picard_iterates
+from timeflow.approx import _picard
 
 AFFINE = MonotoneTarget.affine(2.0, 1.0)
 CONST = Kernel("constant")
@@ -93,9 +93,13 @@ def test_underflow_scale_returns_target_exactly():
 def test_picard_iterates_contract_fast():
     # argument rescaling gives contraction ~ (L+1)*exp(-2/s) between
     # successive iterate gaps: at least 10x per iteration for s <= 1/3
+    x = np.array([0.7])
     for s in (1.0 / 3.0, 0.25):
-        gaps = picard_iterates(AFFINE, s, CONST, 0.7,
-                               PicardConfig(iterations=4))
+        eps = math.exp(-1.0 / s)
+        iterates = [x[:, None]] + [
+            _picard(AFFINE.fn, CONST, s, eps, x, PicardConfig(iterations=k))[1]
+            for k in range(1, 5)]
+        gaps = [float(np.max(np.abs(new - old))) for old, new in zip(iterates, iterates[1:])]
         for a, b in zip(gaps, gaps[1:]):
             if a == 0.0:
                 continue
@@ -169,7 +173,13 @@ def test_import_timeflow_loads_no_scipy():
 
 
 def test_every_exported_name_resolves():
+    import importlib
+    import pkgutil
+
     import timeflow
 
-    for name in timeflow.__all__:
-        assert getattr(timeflow, name) is not None, name
+    modules = [timeflow] + [importlib.import_module(f"timeflow.{m.name}")
+                            for m in pkgutil.iter_modules(timeflow.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert getattr(module, name, None) is not None, (module.__name__, name)

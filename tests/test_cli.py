@@ -1,7 +1,9 @@
 """End-to-end smoke tests of every CLI subcommand."""
 
+import importlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,15 @@ TRAIN_TINY = [
     "--hidden", "6", "--epochs", "2", "--batch-size", "128", "--lr", "0.005",
     "--seed", "3",
 ]
+
+
+def test_console_script_target_is_callable():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    for target in scripts.values():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr, None)), target
 
 
 def test_train_smoke(tmp_path):
@@ -165,6 +176,28 @@ def test_exit_codes():
         with open(ck, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert run_cli("sample", "--checkpoint", ck, "--out", os.path.join(td, "d")) == 4
+        # malformed checkpoints: a missing key, or an activation other than tanh
+        for spoil in (lambda d: d.pop("dim"), lambda d: d["layers"][0].pop("kind"),
+                      lambda d: d["layers"][0]["conditioner"].update(activation="relu")):
+            save_checkpoint(build_flow(2, n_layers=1, hidden_dims=(4,), seed=0), ck)
+            with open(ck, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            spoil(doc)
+            with open(ck, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            assert run_cli("sample", "--checkpoint", ck, "--out", os.path.join(td, "d")) == 4
+        # config-file values are held to their flags' choices, and a config
+        # file holds one JSON object
+        cfg = os.path.join(td, "cfg.json")
+        for command, doc in (("roundtrip", {"kind": "nope"}), ("roundtrip", {"family": "nope"}),
+                             ("train", {"scheme": "midpoint"}), ("train", [1, 2])):
+            with open(cfg, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            assert run_cli(command, "--config", cfg, "--out", os.path.join(td, "e")) == 3
+        # values that fail up-front checks
+        for argv in (("universality", "--iterations", "0"), ("universality", "--quad-nodes", "1"),
+                     ("universality", "--s", "0,1,2,3"), ("invert-bench", "--coeffs", "nan,0,0")):
+            assert run_cli(*argv, "--out", os.path.join(td, "f")) == 3
         # usage errors come from argparse
         with pytest.raises(SystemExit) as err:
             run_cli("train", "--no-such-flag")

@@ -415,6 +415,27 @@ def test_checkpoint_of_another_version_is_refused(tmp_path):
     assert str(path) in str(err.value) and "version 2" in str(err.value)
 
 
+@pytest.mark.parametrize("spoil,named", [
+    (lambda doc: doc.pop("dim"), "'dim'"),
+    (lambda doc: doc.update(dim=None), "'dim'"),
+    (lambda doc: doc.update(layers=5), "'layers'"),
+    (lambda doc: doc["layers"][1].pop("kind"), "'kind'"),
+    (lambda doc: doc["layers"][0].pop("solver"), "'solver'"),
+    (lambda doc: doc["layers"].__setitem__(2, []), "'layers' (layer 2)"),
+    (lambda doc: doc["layers"][0]["conditioner"].update(activation="relu"), "'relu'"),
+], ids=["no-dim", "dim-null", "layers-int", "no-kind", "no-solver", "layer-list", "relu"])
+def test_malformed_checkpoint_is_refused(tmp_path, spoil, named):
+    model = build_flow(2, n_layers=2, hidden_dims=(4,), seed=0)
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text())
+    spoil(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value) and named in str(err.value)
+
+
 def test_layer_validation():
     net = init_net([1, 3], seed=0)
     with pytest.raises(ValueError):
