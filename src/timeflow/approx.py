@@ -49,38 +49,34 @@ INNER_LEVELS = 80
 
 @dataclass(frozen=True)
 class MonotoneTarget:
-    """A strictly increasing continuous function with a known (or declared)
-    Lipschitz constant on the study interval."""
+    """A strictly increasing continuous function on the study interval."""
 
     kind: str
     fn: Callable
-    lipschitz: float
 
     def __post_init__(self):
         if self.kind not in TARGET_KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
-        if self.lipschitz <= 0:
-            raise ValueError("Lipschitz constant must be positive")
 
     @classmethod
     def affine(cls, alpha, beta):
         if alpha <= 0:
             raise ValueError("affine target needs alpha > 0")
-        return cls("affine", lambda x: alpha * x + beta, float(alpha))
+        return cls("affine", lambda x: alpha * x + beta)
 
     @classmethod
     def softplus_shift(cls):
         # x + log(1 + e^x); derivative 1 + sigmoid(x) in (1, 2)
-        return cls("softplus_shift", lambda x: x + np.logaddexp(0.0, x), 2.0)
+        return cls("softplus_shift", lambda x: x + np.logaddexp(0.0, x))
 
     @classmethod
     def arctan_blend(cls):
         # x + arctan(x); derivative 1 + 1/(1 + x^2) in (1, 2]
-        return cls("arctan_blend", lambda x: x + np.arctan(x), 2.0)
+        return cls("arctan_blend", lambda x: x + np.arctan(x))
 
     @classmethod
-    def custom(cls, fn, lipschitz):
-        return cls("custom", fn, float(lipschitz))
+    def custom(cls, fn):
+        return cls("custom", fn)
 
     def check_increasing(self, interval, n=201):
         lo, hi = interval

@@ -481,10 +481,23 @@ _COMMANDS = {
 }
 
 
+def _config_value(action, value):
+    """`value` converted with its flag's type (str for a flag without one), or
+    None if it does not convert. A string parses as argparse parses the flag's
+    text; any other value must convert to an equal one, so 1 passes for a
+    float flag, while 1.5 fails for an int flag and null or true fail everywhere."""
+    try:
+        converted = (action.type or str)(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    ok = isinstance(value, str) or (converted == value and not isinstance(value, bool))
+    return converted if ok else None
+
+
 def _apply_config_file(parser, argv):
-    """Load --config JSON (and --preset for train) as parser defaults. Each
-    file is one JSON object whose keys are the subcommand's flags; a value
-    must lie within its flag's `choices`, as on the command line."""
+    """Load --config JSON (and --preset for train) as parser defaults. Each file
+    is one JSON object whose keys are the subcommand's flags; a value must
+    convert with its flag's type and lie within its `choices`, as on the command line."""
     probe, _ = parser.parse_known_args(argv)
     preset = getattr(probe, "preset", None)
     paths = [_preset_path(preset)] if preset else []
@@ -495,7 +508,10 @@ def _apply_config_file(parser, argv):
     defaults = {}
     for path in paths:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            try:
+                doc = json.load(fh)
+            except ValueError as err:  # not JSON, or not UTF-8 text
+                raise ConfigError(f"{path}: not a JSON file: {err}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: a config file holds one JSON object")
         defaults.update(doc)
@@ -503,10 +519,15 @@ def _apply_config_file(parser, argv):
     actions = {a.dest: a for a in command._actions}
     errors = []
     for key, value in sorted(defaults.items()):
-        if key not in actions:
+        action = actions.get(key)
+        defaults[key] = None if action is None else _config_value(action, value)
+        if action is None:
             errors.append(f"unknown config key {key!r}")
-        elif actions[key].choices and value not in actions[key].choices:
-            errors.append(f"config key {key!r} must be one of {actions[key].choices},"
+        elif defaults[key] is None:
+            errors.append(f"config key {key!r} must be of type"
+                          f" {(action.type or str).__name__}, got {value!r}")
+        elif action.choices and defaults[key] not in action.choices:
+            errors.append(f"config key {key!r} must be one of {action.choices},"
                           f" got {value!r}")
     _check(errors)
     command.set_defaults(**defaults)

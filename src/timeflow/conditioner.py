@@ -162,26 +162,20 @@ def net_vjp(net: ConditionerNet, x, cotangent):
     return dinput.reshape(x.shape), dparams
 
 
-def build_masks(D: int, hidden_dims, ordering=None):
-    """Connectivity masks making a [D, *hidden_dims, 3*D] net autoregressive.
+def build_masks(D: int, hidden_dims):
+    """Connectivity masks making a [D, *hidden_dims, 3*D] net autoregressive
+    in the coordinate order 0..D-1 (a flow reorders with permutation layers).
 
-    Unit orders: input i carries the order given by `ordering` (identity
-    by default), hidden units cycle round-robin through 1..D-1, and the
-    three outputs for coordinate i carry its input order. Hidden masks
-    connect order(out) >= order(in); the output mask requires a strict
-    inequality, so the triple for the k-th variable in the ordering reads
-    only variables 1..k-1, and the first variable reads nothing.
+    Unit orders: input i carries order i + 1, hidden units cycle
+    round-robin through 1..D-1, and the three outputs for coordinate i
+    carry its input order. Hidden masks connect order(out) >= order(in);
+    the output mask requires a strict inequality, so the triple for
+    coordinate k reads only coordinates 0..k-1, and coordinate 0 reads
+    nothing.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
-    if ordering is None:
-        in_order = np.arange(1, D + 1)
-    else:
-        ordering = np.asarray(ordering, dtype=int)
-        if sorted(ordering.tolist()) != list(range(D)):
-            raise ValueError("ordering must be a permutation of 0..D-1")
-        in_order = np.empty(D, dtype=int)
-        in_order[ordering] = np.arange(1, D + 1)
+    in_order = np.arange(1, D + 1)
     span = max(D - 1, 1)
     orders = [in_order]
     for width in hidden_dims:

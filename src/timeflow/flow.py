@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -69,12 +68,13 @@ def _base_log_density(x):
 # box |v| <= scalarmap.GUARD (see `scalarmap.integrate`); refine is a
 # RefineConfig or None. logdet is (n,), or None without want_log_deriv
 # (permutations always return zeros). inverse returns the log-determinant of
-# the inverse map. Given a `cache` list, inverse appends what vjp needs (the
-# conditioner activations, the integrand parameters a, b, c of each solve and
-# its slab of stage points); vjp takes the cotangents of x and of logdet, and
-# supports the unrefined inverse only. `work` is the dict of scratch arrays
-# that `autodiff.backward` makes once per call and hands to every layer, so
-# the discrete adjoints of all the layers' solves share the same memory.
+# the inverse map. Given a `cache` list, inverse appends what vjp needs, one
+# ``(acts, (a, b, c), slab)`` per solve: the conditioner activations, the
+# integrand parameters and the slab of stage points that `_solve` returned;
+# vjp takes the cotangents of x and of logdet, and supports the unrefined
+# inverse only. `work` is the dict of scratch arrays that `autodiff.backward`
+# makes once per call and hands to every layer, so the discrete adjoints of
+# all the layers' solves share the same memory.
 
 
 @dataclass
@@ -115,27 +115,26 @@ class CouplingLayer:
     def _join(self, kept, moved):
         return np.concatenate([kept, moved] if self.transform_upper else [moved, kept], axis=1)
 
-    def _coupled(self, x, block, *args, cache=None):
-        """Split x, map one block by ``block(self, a, b, c, moved, *args, stages)``
-        with parameters conditioned on the other, and join the blocks again."""
+    def forward(self, x, divergence, want_log_deriv):
         kept, moved = self._halves(x)
-        acts, stages = ([], []) if cache is not None else (None, None)
-        a, b, c = _triples(net_eval(self.conditioner, kept, acts=acts))
-        out, logdet = block(self, a, b, c, moved, *args, stages)
-        if cache is not None:
-            cache.append((acts, (a, b, c), stages))
+        a, b, c = _triples(net_eval(self.conditioner, kept))
+        out, logdet, _ = _solve(self, a, b, c, moved, self.solver, divergence, want_log_deriv)
         return self._join(kept, out), logdet
 
-    def forward(self, x, divergence, want_log_deriv):
-        return self._coupled(x, _forward_block, divergence, want_log_deriv)
-
     def inverse(self, y, refine, divergence, want_log_deriv, cache=None):
-        return self._coupled(y, _invert_block, refine, divergence, want_log_deriv, cache=cache)
+        kept, moved = self._halves(y)
+        acts = [] if cache is not None else None
+        a, b, c = _triples(net_eval(self.conditioner, kept, acts=acts))
+        out, logdet, slab = _invert_block(self, a, b, c, moved, refine, divergence,
+                                          want_log_deriv, cache is not None)
+        if cache is not None:
+            cache.append((acts, (a, b, c), slab))
+        return self._join(kept, out), logdet
 
     def vjp(self, cache, x_bar, l_bar, work):
-        [(acts, abc, stages)] = cache
+        [(acts, abc, slab)] = cache
         kept_bar, out_bar = self._halves(x_bar)
-        moved_bar, *abc_bar = _adjoint(self.family, abc, self.solver.reversed(), stages,
+        moved_bar, *abc_bar = _adjoint(self.family, abc, self.solver.reversed(), slab,
                                        out_bar, l_bar[:, None], work)
         dkept, grads = net_backward(self.conditioner, acts, _interleave(abc_bar))
         return self._join(kept_bar + dkept, moved_bar), grads
@@ -159,70 +158,62 @@ class CouplingLayer:
 @dataclass
 class AutoregressiveLayer:
     """Transform every coordinate; the masked conditioner supplies the
-    (a, b, c) triple for coordinate k from coordinates of lower order."""
+    (a, b, c) triple for coordinate k from coordinates 0..k-1. The order is
+    fixed: `build_flow` reorders coordinates with permutation layers."""
 
     dim: int
     family: str
     conditioner: ConditionerNet
     solver: SolverConfig = field(default_factory=SolverConfig)
-    ordering: Optional[np.ndarray] = None  # rank -> variable index
 
     def __post_init__(self):
         if self.conditioner.masks is None:
             raise ValueError("autoregressive layers need a masked conditioner")
         if self.conditioner.in_dim != self.dim or self.conditioner.out_dim != 3 * self.dim:
             raise ValueError("masked conditioner must map D inputs to 3*D outputs")
-        if self.ordering is None:
-            self.ordering = np.arange(self.dim)
-        else:
-            self.ordering = np.asarray(self.ordering, dtype=int)
-            if sorted(self.ordering.tolist()) != list(range(self.dim)):
-                raise ValueError("ordering must be a permutation of 0..D-1")
 
     def params(self):
         return self.conditioner.param_arrays()
 
     def forward(self, x, divergence, want_log_deriv):
         a, b, c = _triples(net_eval(self.conditioner, x))
-        return _forward_block(self, a, b, c, x, divergence, want_log_deriv)
+        return _solve(self, a, b, c, x, self.solver, divergence, want_log_deriv)[:2]
 
     def inverse(self, y, refine, divergence, want_log_deriv, cache=None):
-        """Sequential inversion in the layer's variable ordering: coordinate
-        k is solved once every coordinate of lower order is known."""
-        n = y.shape[0]
-        cols = [None] * self.dim
+        """Sequential inversion: coordinate k is solved once coordinates
+        0..k-1 are known. x starts at zero, and every conditioner pass reads
+        a copy of it, because the cached activations keep their input."""
+        x = np.zeros(y.shape)
         logdet = None
-        for k in self.ordering.tolist():
-            filled = [np.zeros((n, 1)) if col is None else col for col in cols]
-            acts, stages = ([], []) if cache is not None else (None, None)
-            theta = net_eval(self.conditioner, np.concatenate(filled, axis=1), acts=acts)
+        for k in range(self.dim):
+            acts = [] if cache is not None else None
+            theta = net_eval(self.conditioner, x.copy(), acts=acts)
             a, b, c = _triples(theta[:, 3 * k:3 * k + 3])
-            cols[k], contrib = _invert_block(self, a, b, c, y[:, k:k + 1], refine, divergence,
-                                             want_log_deriv, stages)
+            x[:, k:k + 1], contrib, slab = _invert_block(
+                self, a, b, c, y[:, k:k + 1], refine, divergence, want_log_deriv,
+                cache is not None)
             if cache is not None:
-                cache.append((k, acts, (a, b, c), stages))
+                cache.append((acts, (a, b, c), slab))
             if want_log_deriv:
                 logdet = contrib if logdet is None else logdet + contrib
-        return np.concatenate(cols, axis=1), logdet
+        return x, logdet
 
     def vjp(self, cache, x_bar, l_bar, work):
         """Walk the coordinates in reverse order: a coordinate's cotangent is
         complete once every later coordinate's conditioner pass has added
-        to it. The zero-filled placeholder columns get no cotangent."""
+        to it. Pass k reads coordinates 0..k-1 only; the others were zero."""
         x_bar = x_bar.copy()
         y_bar = np.empty_like(x_bar)
         grads = None
         cfg = self.solver.reversed()
-        order = self.ordering.tolist()
-        for pos in range(len(cache) - 1, -1, -1):
-            k, acts, abc, stages = cache[pos]
-            y_bar[:, k:k + 1], *abc_bar = _adjoint(self.family, abc, cfg, stages,
+        for k in range(len(cache) - 1, -1, -1):
+            acts, abc, slab = cache[k]
+            y_bar[:, k:k + 1], *abc_bar = _adjoint(self.family, abc, cfg, slab,
                                                    x_bar[:, k:k + 1], l_bar[:, None], work)
             theta_bar = np.zeros((x_bar.shape[0], 3 * self.dim))
             theta_bar[:, 3 * k:3 * k + 3] = _interleave(abc_bar)
             dinput, g = net_backward(self.conditioner, acts, theta_bar)
-            known = order[:pos]
-            x_bar[:, known] += dinput[:, known]
+            x_bar[:, :k] += dinput[:, :k]
             grads = g if grads is None else [s + t for s, t in zip(grads, g)]
         return y_bar, grads
 
@@ -230,18 +221,20 @@ class AutoregressiveLayer:
         return {
             "kind": "autoregressive",
             "family": self.family,
-            "ordering": self.ordering.tolist(),
+            "ordering": list(range(self.dim)),  # kept for the format; always 0..D-1
             "solver": _solver_to_json(self.solver),
             "conditioner": _net_to_json(self.conditioner),
         }
 
     @classmethod
     def from_json(cls, dim, obj):
-        ordering = np.asarray(obj["ordering"], dtype=int)
+        if obj["ordering"] != list(range(dim)):
+            raise ValueError(f"ordering {obj['ordering']!r} is not 0..{dim - 1};"
+                             " permutation layers reorder coordinates")
         dims = [int(d) for d in obj["conditioner"]["layer_dims"]]
-        masks = build_masks(dim, dims[1:-1], ordering=ordering)
-        return cls(dim, obj["family"], _net_from_json(obj["conditioner"], masks=masks),
-                   _solver_from_json(obj["solver"]), ordering)
+        return cls(dim, obj["family"],
+                   _net_from_json(obj["conditioner"], masks=build_masks(dim, dims[1:-1])),
+                   _solver_from_json(obj["solver"]))
 
 
 @dataclass
@@ -256,10 +249,6 @@ class PermutationLayer:
         if sorted(self.perm.tolist()) != list(range(self.dim)):
             raise ValueError("perm must be a bijection on 0..D-1")
 
-    @property
-    def inverse_perm(self):
-        return np.argsort(self.perm)
-
     def params(self):
         return []
 
@@ -267,7 +256,7 @@ class PermutationLayer:
         return x[:, self.perm], np.zeros(x.shape[0])
 
     def inverse(self, y, refine, divergence, want_log_deriv, cache=None):
-        return y[:, self.inverse_perm], np.zeros(y.shape[0])
+        return y[:, np.argsort(self.perm)], np.zeros(y.shape[0])
 
     def vjp(self, cache, x_bar, l_bar, work):
         return x_bar[:, self.perm], []
@@ -319,11 +308,13 @@ class FlowModel:
                 i += n
 
 
-def _as_batch(x):
+def _as_batch(x, dim):
+    """x as an (n, dim) float batch, and whether it was a single row."""
     arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        return arr.reshape(1, -1), True
-    return arr, False
+    batch = arr.reshape(1, -1) if arr.ndim == 1 else arr
+    if batch.ndim != 2 or batch.shape[1] != dim:
+        raise ValueError(f"expected rows of width {dim}, got an input of shape {arr.shape}")
+    return batch, arr.ndim == 1
 
 
 def _unbatch(x, logdet, squeeze):
@@ -351,49 +342,38 @@ def _interleave(abc):
     return theta
 
 
-def _logdet_sum(l):
-    return None if l is None else np.sum(l, axis=1)
-
-
-def _solve(family, a, b, c, x, cfg, divergence="raise", want_log_deriv=True, stages=None):
-    """Solve every lane of x under the family's integrand with parameters a, b, c.
+def _solve(layer, a, b, c, x, cfg, divergence="raise", want_log_deriv=True, keep_stages=False):
+    """Solve every lane of x under the layer's family with parameters a, b, c.
 
     The slope is `scalarmap.family_slope` of the family's value function,
-    with dg/dv only when the log-derivative is wanted. A `stages` list
-    receives the solve's one slab of stage points, for `scalarmap._adjoint`;
-    the stage points are written straight into it, so the solve allocates
-    nothing per step. Returns ``(v_end, log_deriv)``; log_deriv is None
-    unless `want_log_deriv`.
+    with dg/dv only when the log-derivative is wanted. Returns ``(v_end,
+    logdet, slab)``: logdet sums each row's log-derivatives (None unless
+    `want_log_deriv`), and slab is the solve's stage points for
+    `scalarmap._adjoint` (None unless `keep_stages`); they are written
+    straight into it, so the solve allocates nothing per step.
     """
-    slope = family_slope(family_functions(family)[0], a, b, c, want_log_deriv)
-    y, l, _ = integrate(slope, None, x, cfg, want_log_deriv=want_log_deriv,
-                        divergence=divergence, stages=stages)
-    return y, l
+    slope = family_slope(family_functions(layer.family)[0], a, b, c, want_log_deriv)
+    y, l, slab = integrate(slope, None, x, cfg, want_log_deriv=want_log_deriv,
+                           divergence=divergence, keep_stages=keep_stages)
+    return y, None if l is None else np.sum(l, axis=1), slab
 
 
-def _forward_block(layer, a, b, c, xt, divergence, want_log_deriv, stages=None):
-    """Forward-integrate a block of coordinates with given parameter arrays."""
-    yt, l = _solve(layer.family, a, b, c, xt, layer.solver, divergence, want_log_deriv, stages)
-    return yt, _logdet_sum(l)
-
-
-def _invert_block(layer, a, b, c, yt, refine, divergence, want_log_deriv, stages=None):
-    """Reverse-integrate a block of coordinates with given parameter arrays.
+def _invert_block(layer, a, b, c, yt, refine, divergence, want_log_deriv, keep_stages):
+    """`_solve` in reverse time for a block of coordinates, the layer's inverse.
 
     Given a `refine` config, every (row, column) lane of the block is then
     polished in one `refine_lanes` call, whose residual is the layer's own
-    forward solve.
+    forward solve, and the log-determinant is taken at the refined preimage.
     """
-    xt, l = _solve(layer.family, a, b, c, yt, layer.solver.reversed(), divergence,
-                   want_log_deriv, stages)
+    xt, logdet, slab = _solve(layer, a, b, c, yt, layer.solver.reversed(), divergence,
+                              want_log_deriv, keep_stages)
     if refine is None:
-        return xt, _logdet_sum(l)
+        return xt, logdet, slab
     params = [np.ravel(p) for p in (a, b, c)]
 
     def q(x, lanes):
-        v, _ = _solve(layer.family, *(p[lanes] for p in params), x, layer.solver,
-                      divergence="nan", want_log_deriv=False)
-        return v
+        return _solve(layer, *(p[lanes] for p in params), x, layer.solver,
+                      divergence="nan", want_log_deriv=False)[0]
 
     res = refine_lanes(q, np.ravel(yt), np.ravel(xt), refine)
     if not np.all(res.converged):
@@ -401,16 +381,15 @@ def _invert_block(layer, a, b, c, yt, refine, divergence, want_log_deriv, stages
         raise DivergenceError(f"inverse refinement did not converge (rows {rows})",
                               indices=rows)
     xt = res.x.reshape(yt.shape)
-    if not want_log_deriv:
-        return xt, None
-    _, lf = _solve(layer.family, a, b, c, xt, layer.solver)  # at the refined preimage
-    return xt, _logdet_sum(-lf)
+    if want_log_deriv:  # 0 - sum, so that a zero sum gives +0.0, as summing -l does
+        logdet = 0.0 - _solve(layer, a, b, c, xt, layer.solver)[1]
+    return xt, logdet, slab
 
 
 def layer_forward(layer, x):
     """Apply one layer. Returns (y, logdet) with logdet summed over
     transformed coordinates, shape (n,) for batched input."""
-    xb, squeeze = _as_batch(x)
+    xb, squeeze = _as_batch(x, layer.dim)
     return _unbatch(*layer.forward(xb, "raise", True), squeeze)
 
 
@@ -422,7 +401,7 @@ def layer_inverse(layer, y, refine=None):
     `refine` (a RefineConfig) optionally polishes each transformed
     coordinate by root refinement.
     """
-    yb, squeeze = _as_batch(y)
+    yb, squeeze = _as_batch(y, layer.dim)
     return _unbatch(*layer.inverse(yb, refine, "raise", True), squeeze)
 
 
@@ -456,7 +435,7 @@ def _through_layers(model, x, divergence, want_log_deriv, *, inverse=False,
 
 def model_forward(model: FlowModel, x):
     """Push x through all layers; returns (y, total_logdet)."""
-    xb, squeeze = _as_batch(x)
+    xb, squeeze = _as_batch(x, model.dim)
     y, total = _through_layers(model, xb, "raise", True)
     if total is None:
         total = np.zeros(y.shape[0])
@@ -465,7 +444,7 @@ def model_forward(model: FlowModel, x):
 
 def model_inverse(model: FlowModel, y, refine=None):
     """Pull y back through all layer inverses; returns x only."""
-    yb, squeeze = _as_batch(y)
+    yb, squeeze = _as_batch(y, model.dim)
     x, _ = _through_layers(model, yb, "raise", False, inverse=True, refine=refine)
     return x.reshape(-1) if squeeze else x
 
@@ -488,7 +467,7 @@ def log_density(model: FlowModel, y, params=None, *, divergence="raise"):
     if params is not None:
         model = copy.deepcopy(model)
         model.set_parameters(params)
-    yb, squeeze = _as_batch(y)
+    yb, squeeze = _as_batch(y, model.dim)
     _, out = _log_density(model, yb, divergence)
     return out[0] if squeeze else out
 
@@ -641,10 +620,13 @@ def save_checkpoint(model: FlowModel, path):
 
 
 def load_checkpoint(path) -> FlowModel:
-    """Read a model that `save_checkpoint` wrote. A missing key or a value of
-    the wrong type raises ValueError naming the file and the key."""
+    """Read a model that `save_checkpoint` wrote. A file that is not JSON, a missing
+    key or a value of the wrong type raises ValueError naming the file and the key."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as err:  # not JSON, or not UTF-8 text
+            raise ValueError(f"{path}: not a JSON file: {err}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ValueError(f"{path}: not a {CHECKPOINT_FORMAT} file")
     if doc.get("version") != CHECKPOINT_VERSION:

@@ -144,8 +144,8 @@ def _two_function_slope(value_fn, dv_fn, want_log_deriv):
     return slope
 
 
-def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, keep_trajectory=False,
-              divergence="raise", stages=None):
+def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise",
+              keep_stages=False):
     """Integrate v' = g(v, t) across the unit interval.
 
     The loop evaluates one slope per stage point, ``slope(v, t, out)``,
@@ -162,13 +162,14 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, keep_trajectory=F
 
     With `want_log_deriv` it also accumulates l' = dg/dv with l(0) = 0,
     using the same scheme and stage points, i.e. one pass over the
-    augmented state (v, l). If `stages` is a list, one slab of shape
-    ``(steps * s, *shape)`` is appended to it, s = 4 stage points per step
-    for RK4 (v1, v2, v3, v4) and 1 for Euler (v1): row ``s*k + i`` is stage
-    point i of step k, so the end of step k is row ``s*(k+1)``, the first
-    stage point of step k + 1 (in 'nan' mode, after the guard's NaNs).
-    Row 0 is x, broadcast to the solve's shape. `_adjoint` differentiates
-    a built-in-family solve from the slab, and `forward_vjp` a custom one.
+    augmented state (v, l). With `keep_stages` the solve also returns its
+    slab of stage points, shape ``(steps * s, *shape)``, s = 4 stage points
+    per step for RK4 (v1, v2, v3, v4) and 1 for Euler (v1): row ``s*k + i``
+    is stage point i of step k, so the end of step k is row ``s*(k+1)``,
+    the first stage point of step k + 1 (in 'nan' mode, after the guard's
+    NaNs). Row 0 is x, broadcast to the solve's shape. `_adjoint`
+    differentiates a built-in-family solve from the slab, `_tangent` a
+    custom one, and `forward` reads its trajectory from the step rows.
 
     Buffers. The first slope call, at x, gets ``out=None``. Its results fix
     the shape and dtype of the solve (x, g and dg/dv promoted together, so a
@@ -180,13 +181,14 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, keep_trajectory=F
     ``out=(k_i, d_i or None, scratch)``; they may write into those arrays
     and return them, and the loop never writes into what a slope returns.
     x is never written. The stage points go into one shared array, or with
-    `stages` straight into their rows of the slab, which is allocated with
-    the other arrays; only `keep_trajectory` allocates per step, a float
-    copy of v. Each arithmetic step is the ufunc of the plain expression on
-    the same operands in the same order, so the results are bitwise those
-    of allocating arithmetic; a 0-d x still gives numpy scalars.
+    `keep_stages` straight into their rows of the slab, which is allocated
+    with the other arrays, so the loop allocates nothing per step. Each
+    arithmetic step is the ufunc of the plain expression on the same
+    operands in the same order, so the results are bitwise those of
+    allocating arithmetic; a 0-d x still gives numpy scalars.
 
-    Returns ``(v_end, log_deriv, trajectory)``.
+    Returns ``(v_end, log_deriv, slab)``; log_deriv is None without
+    `want_log_deriv`, and slab is None without `keep_stages`.
     """
     if divergence not in ("raise", "nan"):
         raise ValueError("divergence must be 'raise' or 'nan'")
@@ -196,10 +198,8 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, keep_trajectory=F
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     t0 = 0.0 if cfg.direction == "forward" else 1.0
     euler = cfg.scheme == "euler"
-    keep = stages is not None
     v = x
-    log_deriv = None
-    trajectory = [np.array(x, dtype=float)] if keep_trajectory else None
+    log_deriv = slab = None
 
     with np.errstate(over="ignore", invalid="ignore"):
         first = slope(x, t0, None)
@@ -212,18 +212,17 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, keep_trajectory=F
 
         s = 1 if euler else 4
         scratch, acc = new(), new()
-        point = None if keep else new()
+        point = None if keep_stages else new()
         v_out = new()
         outs = [(new(), new() if want_log_deriv else None, scratch) for _ in range(s)]
-        if keep:  # stage point i is row i; the end of step k is row s*(k+1)
+        if keep_stages:  # stage point i is row i; the end of step k is row s*(k+1)
             slab = np.empty((n * s,) + shape, dtype)
-            stages.append(slab)
             v = slab[0, ...]
             np.copyto(v, x)
 
         for k in range(n):
             t = t0 + k * h
-            end = slab[s * (k + 1), ...] if keep and k + 1 < n else v_out
+            end = slab[s * (k + 1), ...] if keep_stages and k + 1 < n else v_out
             k1, d1 = slope(v, t, outs[0]) if k else first
             if euler:
                 if want_log_deriv:
@@ -232,8 +231,8 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, keep_trajectory=F
                 v = np.add(v, np.multiply(k1, h, out=acc), out=end)
             else:  # rk4 on the augmented state; l does not feed back into v
                 r = s * k  # v is stage point r
-                p2, p3, p4 = ((slab[r + 1, ...], slab[r + 2, ...], slab[r + 3, ...]) if keep
-                              else (point, point, point))
+                p2, p3, p4 = ((slab[r + 1, ...], slab[r + 2, ...], slab[r + 3, ...])
+                              if keep_stages else (point, point, point))
                 half = 0.5 * h
                 v2 = np.add(v, np.multiply(half, k1, out=p2), out=p2)
                 k2, d2 = slope(v2, t + half, outs[1])
@@ -253,15 +252,10 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, keep_trajectory=F
             checked = _check_guard(v, t0 + (k + 1) * h, divergence, scratch)
             if checked is not v:  # 'nan' mode replaced the diverged lanes
                 np.copyto(v, checked)
-            if keep_trajectory:
-                trajectory.append(np.array(v, dtype=float))
 
-    if not want_log_deriv:
-        log_deriv = None
-    elif not shape:  # a 0-d solve returns numpy scalars, as plain arithmetic does
+    if want_log_deriv and not shape:  # a 0-d solve returns numpy scalars, as arithmetic does
         log_deriv = log_deriv[()]
-    traj = np.stack(trajectory) if keep_trajectory else None
-    return (v[()] if not shape else v), log_deriv, traj
+    return (v[()] if not shape else v), log_deriv, slab
 
 
 def family_slope(value, a, b, c, want_dv):
@@ -301,8 +295,10 @@ def forward(g: Integrand, cfg: SolverConfig, x, *, keep_trajectory=False,
     if cfg.direction != "forward":
         raise ValueError("forward() needs a forward-direction SolverConfig")
     arr, scalar = _as_input(x)
-    y, log_deriv, traj = integrate(*_integrand_slope(g, True), arr, cfg,
-                                   keep_trajectory=keep_trajectory, divergence=divergence)
+    y, log_deriv, slab = integrate(*_integrand_slope(g, True), arr, cfg,
+                                   divergence=divergence, keep_stages=keep_trajectory)
+    traj = None if slab is None else np.concatenate(  # v at every step's start, then v(1)
+        (slab[::len(slab) // cfg.steps], y[None])).astype(float, copy=False)
     return MapResult(_as_output(y, scalar), _as_output(log_deriv, scalar), traj)
 
 
@@ -337,11 +333,11 @@ def _scratch(work, name, shape, dtype):
     return work[key]
 
 
-def _adjoint(family, params, cfg, stages, cot_y, cot_l, work=None):
+def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     """Reverse sweep of the solver steps over the stage points they saved.
 
-    The discrete adjoint of `integrate` for g = a*v + b + c*phi(v): given
-    the slab that `integrate` appended to `stages` and the cotangents of
+    The discrete adjoint of `integrate` for g = a*v + b + c*phi(v): given the
+    slab that `integrate` returned with `keep_stages` and the cotangents of
     v(1) and of the log-derivative, returns those of x, a, b and c, each in
     the broadcast shape of the solve. RK4 and Euler share the sweep; they
     differ only in stage weights and offsets. Only the chain through the
@@ -360,10 +356,9 @@ def _adjoint(family, params, cfg, stages, cot_y, cot_l, work=None):
         weights = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
         offsets = (0.5 * h, 0.5 * h, h)
     s = len(weights)
-    [v] = stages
-    w = np.tile(weights, cfg.steps).reshape((-1,) + (1,) * (v.ndim - 1))
-    shape = np.broadcast_shapes(v.shape, w.shape, *(np.shape(z) for z in (a, c, cot_y, cot_l)))
-    dtype = np.result_type(v, a, c, cot_y, cot_l)
+    w = np.tile(weights, cfg.steps).reshape((-1,) + (1,) * (slab.ndim - 1))
+    shape = np.broadcast_shapes(slab.shape, w.shape, *(np.shape(z) for z in (a, c, cot_y, cot_l)))
+    dtype = np.result_type(slab, a, c, cot_y, cot_l)
     work = {} if work is None else work
     # Every stacked temporary is a workspace array that each ufunc writes into,
     # on the operands of the plain expression in its order, so every bit is
@@ -374,12 +369,12 @@ def _adjoint(family, params, cfg, stages, cot_y, cot_l, work=None):
         _scratch(work, name, shape, dtype)
         for name in ("phi", "dphi", "jac", "jbar", "through_jac", "kbar", "abar"))
     with np.errstate(over="ignore"):  # the sigmoid's exp(-v) may overflow to inf
-        phi(v, p)  # one sigmoid serves phi, phi' and phi''
-    dphi(v, p, dp)
+        phi(slab, p)  # one sigmoid serves phi, phi' and phi''
+    dphi(slab, p, dp)
     np.add(np.multiply(c, dp, out=jac), a, out=jac)  # dg/dv = a + c*phi' at every stage point
     np.multiply(w, cot_l, out=jbar)  # cotangent of each stage's dg/dv
     # reaches a stage point through its dg/dv: jbar * (c * phi'')
-    np.multiply(jbar, np.multiply(c, d2phi(v, p, dp, through_jac), out=through_jac),
+    np.multiply(jbar, np.multiply(c, d2phi(slab, p, dp, through_jac), out=through_jac),
                 out=through_jac)
     # the sequential chain, step by step in reverse, in four arrays of one stage
     # point's shape: the cotangents of the step's end and start (swapped after
@@ -387,7 +382,7 @@ def _adjoint(family, params, cfg, stages, cot_y, cot_l, work=None):
     # next stage point (0.0 for the last stage)
     ybar, vbar, sbar, carry = (np.empty(shape[1:], dtype) for _ in range(4))
     ybar[...] = cot_y
-    for r0 in range(len(v) - s, -1, -s):
+    for r0 in range(len(slab) - s, -1, -s):
         for i in range(s - 1, -1, -1):
             r, last = r0 + i, i == s - 1
             kr = np.multiply(weights[i], ybar, out=kbar[r, ...])  # cotangent of k_i
@@ -397,15 +392,14 @@ def _adjoint(family, params, cfg, stages, cot_y, cot_l, work=None):
             if i:
                 np.multiply(offsets[i - 1], sbar, out=carry)
         ybar, vbar = vbar, ybar
-    np.add(np.multiply(v, kbar, out=abar), jbar, out=abar)  # abar = sum(kbar*v + jbar)
+    np.add(np.multiply(slab, kbar, out=abar), jbar, out=abar)  # abar = sum(kbar*v + jbar)
     np.add(np.multiply(p, kbar, out=p), np.multiply(dp, jbar, out=dp), out=p)  # cbar
     return ybar, np.sum(abar, axis=0), np.sum(kbar, axis=0), np.sum(p, axis=0)
 
 
-def _tangent(dv_fn, cfg, stages):
+def _tangent(dv_fn, cfg, slab):
     """d v(1) / dx of a solve from its stage slab: the product over the steps
     of the tangent recursion's factor tau, which needs dg/dv only."""
-    [slab] = stages
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     t0 = 0.0 if cfg.direction == "forward" else 1.0
@@ -443,13 +437,12 @@ def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet) -> VjpRes
     cot_y = np.broadcast_to(np.asarray(cot_y, dtype=float), arr.shape)
     cot_logdet = np.broadcast_to(np.asarray(cot_logdet, dtype=float), arr.shape)
     value_fn, dv_fn = _integrand_slope(g, False)
-    stages = []
-    integrate(value_fn, dv_fn, arr, cfg, want_log_deriv=False, stages=stages)
+    _, _, slab = integrate(value_fn, dv_fn, arr, cfg, want_log_deriv=False, keep_stages=True)
     if g.family == "custom":
         if np.any(cot_logdet != 0.0):
             raise ValueError("forward_vjp of a custom integrand takes cot_logdet = 0 only")
-        dx, dparams = cot_y * _tangent(dv_fn, cfg, stages), (0.0, 0.0, 0.0)
+        dx, dparams = cot_y * _tangent(dv_fn, cfg, slab), (0.0, 0.0, 0.0)
     else:
-        dx, *dp = _adjoint(g.family, g.params(), cfg, stages, cot_y, cot_logdet)
+        dx, *dp = _adjoint(g.family, g.params(), cfg, slab, cot_y, cot_logdet)
         dparams = tuple(float(np.sum(p)) for p in dp)
     return VjpResult(dx=_as_output(dx, scalar), dparams=dparams)

@@ -112,8 +112,9 @@ def nll_and_grad(model: FlowModel, batch):
     whole batch; the error message carries the offending indices.
     """
     batch = np.asarray(batch, dtype=float)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise ValueError("batch must be a nonempty (n, D) matrix")
+    if batch.ndim != 2 or batch.shape[0] == 0 or batch.shape[1] != model.dim:
+        raise ValueError(f"batch must be a nonempty (n, {model.dim}) matrix,"
+                         f" got shape {batch.shape}")
     records = []
     try:
         x, logp = _log_density(model, batch, "raise", records)

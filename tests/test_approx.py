@@ -55,7 +55,7 @@ def test_target_constructors_validate():
     with pytest.raises(ValueError):
         MonotoneTarget.affine(0.0, 1.0)
     with pytest.raises(ValueError):
-        MonotoneTarget.custom(lambda x: -x, 1.0).check_increasing((-1, 1))
+        MonotoneTarget.custom(lambda x: -x).check_increasing((-1, 1))
     MonotoneTarget.softplus_shift().check_increasing((-3, 3))
     MonotoneTarget.arctan_blend().check_increasing((-3, 3))
 

@@ -10,6 +10,7 @@ import pytest
 
 from timeflow import build_flow, load_checkpoint, save_checkpoint
 from timeflow.cli import run
+from timeflow.flow import randomize_parameters
 
 
 def run_cli(*argv):
@@ -115,6 +116,41 @@ def test_universality_smoke(tmp_path, capsys):
     assert (out / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize("target", ["softplus", "arctan"])
+def test_universality_nonaffine_targets(tmp_path, capsys, target):
+    out = tmp_path / "uni"
+    assert run_cli("universality", "--target", target, "--s", "0.5,0.333,0.25,0.2",
+                   "--out", str(out)) == 0
+    printed = capsys.readouterr().out
+    slope = float(printed.split("fitted slope of log(sup_error) vs 1/s:")[1].split()[0])
+    assert 0.9 <= slope <= 1.1
+    assert len((out / "convergence.csv").read_text().splitlines()) == 5
+
+
+def test_train_on_a_csv_dataset(tmp_path, capsys):
+    rows = np.random.default_rng(0).standard_normal((120, 3)) * [1.0, 2.0, 0.5]
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,c\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()))
+    out = tmp_path / "run"
+    assert run_cli("train", "--dataset", f"csv:{data}", "--layers", "2", "--hidden", "4",
+                   "--kind", "autoregressive", "--family", "sigmoid_affine", "--epochs", "2",
+                   "--solver-steps", "4", "--out", str(out)) == 0
+    assert "(120 rows, dim 3)" in capsys.readouterr().out
+    assert load_checkpoint(out / "checkpoint.json").dim == 3
+    assert len((out / "history.csv").read_text().splitlines()) == 3
+
+
+def test_roundtrip_of_a_checkpoint(tmp_path):
+    model = build_flow(3, n_layers=2, kind="autoregressive", family="sigmoid_affine",
+                       hidden_dims=(5,), seed=4)
+    ck = tmp_path / "m.json"
+    save_checkpoint(randomize_parameters(model, seed=5, scale=0.3), ck)
+    out = tmp_path / "rt"
+    assert run_cli("roundtrip", "--checkpoint", str(ck), "--n", "20", "--out", str(out)) == 0
+    header, row = (out / "roundtrip.csv").read_text().splitlines()
+    assert row.split(",")[0] == "20" and float(row.split(",")[1]) < 1e-6
+
+
 def test_gradcheck_smoke(tmp_path, capsys):
     out = tmp_path / "grad"
     assert run_cli("gradcheck", "--seed", "7", "--out", str(out)) == 0
@@ -186,11 +222,15 @@ def test_exit_codes():
             with open(ck, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
             assert run_cli("sample", "--checkpoint", ck, "--out", os.path.join(td, "d")) == 4
-        # config-file values are held to their flags' choices, and a config
-        # file holds one JSON object
+        # config-file values are held to their flags' types and choices, and a
+        # config file holds one JSON object
         cfg = os.path.join(td, "cfg.json")
         for command, doc in (("roundtrip", {"kind": "nope"}), ("roundtrip", {"family": "nope"}),
-                             ("train", {"scheme": "midpoint"}), ("train", [1, 2])):
+                             ("train", {"scheme": "midpoint"}), ("train", [1, 2]),
+                             ("train", {"layers": None}), ("train", {"epochs": 1.5}),
+                             ("gradcheck", {"seed": "x"}), ("roundtrip", {"tol": "big"}),
+                             ("train", {"hidden": 24}), ("train", {"kind": None}),
+                             ("train", {"epochs": True})):
             with open(cfg, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
             assert run_cli(command, "--config", cfg, "--out", os.path.join(td, "e")) == 3
@@ -204,6 +244,32 @@ def test_exit_codes():
         assert err.value.code == 2
         with pytest.raises(SystemExit):
             run_cli("not-a-command")
+
+
+def test_config_values_convert_with_their_flags_types(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"layers": None, "epochs": 1.5, "lr": "fast"}))
+    assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "x")) == 3
+    err = capsys.readouterr().err
+    assert all(f"config key {k!r}" in err for k in ("layers", "epochs", "lr"))
+    # a string parses as on the command line; a whole float passes for an int
+    # flag's type only if it converts to an equal value, and 1 passes for a float
+    cfg.write_text(json.dumps({"epochs": "0", "n": 200.0, "lr": 1, "layers": 1,
+                               "hidden": "4"}))
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(cfg), "--out", str(out)) == 0
+    config = json.loads((out / "manifest.json").read_text())["config"]
+    assert (config["epochs"], config["n"], config["lr"]) == (0, 200, 1.0)
+    assert type(config["n"]) is int and type(config["lr"]) is float
+
+
+def test_a_file_that_is_not_json_is_named(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json")
+    assert run_cli("train", "--config", str(bad), "--out", str(tmp_path / "x")) == 3
+    assert str(bad) in capsys.readouterr().err
+    assert run_cli("sample", "--checkpoint", str(bad), "--out", str(tmp_path / "y")) == 4
+    assert str(bad) in capsys.readouterr().err
 
 
 def test_density_grid_requires_2d_model(tmp_path):

@@ -218,17 +218,6 @@ def test_masks_product_strictly_lower_triangular(rng):
                     assert np.all(block == 0.0), (D, hidden, i, k)
 
 
-def test_masks_with_ordering_permutation():
-    ordering = np.array([2, 0, 1])  # variable 2 first, then 0, then 1
-    masks = build_masks(3, [9], ordering=ordering)
-    product = (masks[0] @ masks[1] > 0).astype(float)
-    # variable 2 has rank 1: its output block reads nothing
-    assert np.all(product[:, 6:9] == 0.0)
-    # variable 0 has rank 2: may read only variable 2
-    assert np.all(product[[0, 1], 0:3] == 0.0)
-    assert np.any(product[2, 0:3] > 0.0)
-
-
 def test_finite_difference_jacobian_honors_mask_zeros(rng):
     D = 4
     masks = build_masks(D, [8])
@@ -262,5 +251,3 @@ def test_mask_gradients_exactly_zero(rng):
 def test_build_masks_rejects_bad_inputs():
     with pytest.raises(ValueError):
         build_masks(0, [4])
-    with pytest.raises(ValueError):
-        build_masks(3, [4], ordering=[0, 1, 1])

@@ -26,6 +26,7 @@ from timeflow import (
 )
 from timeflow.flow import _triples, model_forward, model_inverse, randomize_parameters
 from timeflow.inversion import RefineConfig
+from timeflow.training import nll_and_grad
 
 SOLVER = SolverConfig(steps=16)
 LOG_TWO_PI = math.log(2 * math.pi)
@@ -436,6 +437,21 @@ def test_malformed_checkpoint_is_refused(tmp_path, spoil, named):
     assert str(path) in str(err.value) and named in str(err.value)
 
 
+def test_autoregressive_checkpoint_with_another_ordering_is_refused(tmp_path):
+    # a layer has the one coordinate order 0..D-1; permutation layers reorder
+    model = build_flow(2, n_layers=2, kind="autoregressive", hidden_dims=(4,), seed=0)
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    doc = json.loads(path.read_text())
+    assert doc["layers"][2]["ordering"] == [0, 1]
+    doc["layers"][2]["ordering"] = [1, 0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value) and "(layer 2)" in str(err.value)
+    assert "[1, 0]" in str(err.value)
+
+
 def test_layer_validation():
     net = init_net([1, 3], seed=0)
     with pytest.raises(ValueError):
@@ -512,3 +528,22 @@ def test_set_parameters_rejects_a_mismatch_and_changes_nothing(change):
         model.layers[0].conditioner.set_param_arrays(arrays[:2] + [np.zeros((1, 1))] * 2)
     for p, q in zip(model.parameters(), before):
         assert p.tobytes() == q.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["coupling", "autoregressive"])
+def test_flow_operations_check_the_input_width(kind, rng):
+    model = build_flow(3, n_layers=2, kind=kind, family="sigmoid_affine", hidden_dims=(5,),
+                       seed=0)
+    randomize_parameters(model, seed=1, scale=0.3)
+    layer = model.layers[0]
+    operations = [lambda z: log_density(model, z), lambda z: model_inverse(model, z),
+                  lambda z: model_forward(model, z), lambda z: layer_forward(layer, z),
+                  lambda z: layer_inverse(layer, z)]
+    for z in (rng.standard_normal((6, 4)), rng.standard_normal((6, 2)), np.zeros(4)):
+        for op in operations:
+            with pytest.raises(ValueError) as err:
+                op(z)
+            assert "width 3" in str(err.value) and str(z.shape) in str(err.value)
+    with pytest.raises(ValueError) as err:
+        nll_and_grad(model, rng.standard_normal((6, 4)))
+    assert "(n, 3)" in str(err.value) and "(6, 4)" in str(err.value)

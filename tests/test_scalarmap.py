@@ -253,10 +253,9 @@ def test_adjoint_matches_complex_step(family, scheme, direction, rng):
                                 lambda v, t: a + c * dphi(v, phi(v)), x, cfg)
             return cot_y * y + cot_l * l
 
-        stages = []
-        integrate(family_slope(family_functions(family)[0], *params, True), None, x0, cfg,
-                  stages=stages)
-        got = _adjoint(family, params, cfg, stages, cot_y, cot_l, work)
+        _, _, slab = integrate(family_slope(family_functions(family)[0], *params, True), None,
+                               x0, cfg, keep_stages=True)
+        got = _adjoint(family, params, cfg, slab, cot_y, cot_l, work)
         inputs = [x0, *params]
         for i, (g, p) in enumerate(zip(got, inputs)):
             shifted = list(inputs)
@@ -297,10 +296,10 @@ def test_slope_path_matches_two_function_path(family, scheme, direction, want_lo
             res = forward(g, cfg, z)
             pairs, scalars = [(res.y, want_y), (res.log_deriv, want_l)], [res.y, res.log_deriv]
         elif direction == "forward":
-            stages = []
-            integrate(*g.functions(), np.asarray(z), cfg, want_log_deriv=False, stages=stages)
+            _, _, slab = integrate(*g.functions(), np.asarray(z), cfg, want_log_deriv=False,
+                                   keep_stages=True)
             cots = [np.broadcast_to(w, np.shape(z)) for w in (0.7, -0.4)]
-            dx, *dp = _adjoint(family, g.params(), cfg, stages, *cots)
+            dx, *dp = _adjoint(family, g.params(), cfg, slab, *cots)
             vjp = forward_vjp(g, cfg, z, 0.7, -0.4)
             pairs = [(_map_only(g, cfg)(z), want_y), (vjp.dx, dx),
                      (vjp.dparams, [float(np.sum(p)) for p in dp])]
@@ -426,10 +425,8 @@ def test_stage_points_are_fresh_and_match_plain_arithmetic(family, scheme, rng):
     for slope, dv_fn in (
             (family_slope(value, *params, True), None),
             (lambda v, t: value(*params, v, t), lambda v, t: dv(*params, v, t))):
-        stages = []
-        y, l, _ = integrate(slope, dv_fn, x, cfg, stages=stages)
+        y, l, slab = integrate(slope, dv_fn, x, cfg, keep_stages=True)
         assert y.tobytes() == want_y.tobytes() and l.tobytes() == want_l.tobytes()
-        [slab] = stages
         points = list(slab)
         assert [p.tobytes() for p in points] == [
             p.tobytes() for step in want_points for p in step]
@@ -446,10 +443,11 @@ def test_solver_leaves_inputs_unchanged(rng):
     before = x.copy()
     g = Integrand.sigmoid_affine(0.3, -0.2, 0.5)
     for cfg in (RK4_16, SolverConfig(scheme="euler", steps=5)):
-        for kw in ({}, {"want_log_deriv": False}, {"keep_trajectory": True},
+        for kw in ({}, {"want_log_deriv": False}, {"keep_stages": True},
                    {"divergence": "nan"}):
             integrate(*g.functions(), x, cfg, **kw)
-            forward(g, cfg, x, **{k: w for k, w in kw.items() if k != "want_log_deriv"})
+            forward(g, cfg, x, keep_trajectory=kw.get("keep_stages", False),
+                    divergence=kw.get("divergence", "raise"))
             forward_vjp(g, cfg, x, 1.0, 0.5)
             inverse(g, cfg.reversed(), x)
             assert x.tobytes() == before.tobytes()
@@ -471,9 +469,8 @@ def test_complex_b_promotes_through_the_buffers(family, scheme, rng):
     a, b, c = (rng.uniform(-0.6, 0.6, (6, 2)) for _ in range(3))
     cot_y, cot_l = rng.standard_normal((2, 6, 2))
     value, _ = family_functions(family)
-    stages = []
-    integrate(family_slope(value, a, b, c, True), None, x, cfg, stages=stages)
-    real = _adjoint(family, (a, b, c), cfg, stages, cot_y, cot_l)
+    _, _, slab = integrate(family_slope(value, a, b, c, True), None, x, cfg, keep_stages=True)
+    real = _adjoint(family, (a, b, c), cfg, slab, cot_y, cot_l)
     step = 1e-30
     bc = b + 1j * step
     y, l, _ = integrate(family_slope(value, a, bc, c, True), None, x, cfg)
@@ -482,10 +479,9 @@ def test_complex_b_promotes_through_the_buffers(family, scheme, rng):
                                rtol=1e-9, atol=1e-12)
     # the adjoint of the complex solve reads a complex slab, so its workspace
     # must be complex too: a float64 one would drop the imaginary parts
-    stages, work = [], {}
-    integrate(family_slope(value, a, bc, c, True), None, x, cfg, stages=stages)
-    [slab] = stages
-    cplx = _adjoint(family, (a, bc, c), cfg, stages, cot_y, cot_l, work)
+    work = {}
+    _, _, slab = integrate(family_slope(value, a, bc, c, True), None, x, cfg, keep_stages=True)
+    cplx = _adjoint(family, (a, bc, c), cfg, slab, cot_y, cot_l, work)
     assert slab.dtype == complex
     assert work and all(arr.dtype == complex for arr in work.values())
     for got, want in zip(cplx, real):
@@ -533,14 +529,12 @@ def test_adjoint_sigmoid_runs_guarded(scheme, rng):
     x = np.array([[-800.0, -712.0, 0.3], [-5000.0, 2.0, -0.5]])
     params = [rng.uniform(-0.6, 0.6, x.shape) for _ in range(3)]
     cot_y, cot_l = rng.standard_normal((2, *x.shape))
-    stages = []
-    integrate(family_slope(family_functions("sigmoid_affine")[0], *params, True), None, x,
-              cfg, stages=stages)
-    [slab] = stages
+    _, _, slab = integrate(family_slope(family_functions("sigmoid_affine")[0], *params, True),
+                           None, x, cfg, keep_stages=True)
     assert (slab < -710.0).sum() >= 3 * len(slab)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = _adjoint("sigmoid_affine", params, cfg, stages, cot_y, cot_l)
+        got = _adjoint("sigmoid_affine", params, cfg, slab, cot_y, cot_l)
     want = _allocating_adjoint("sigmoid_affine", params, cfg, slab, cot_y, cot_l)
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
@@ -548,22 +542,36 @@ def test_adjoint_sigmoid_runs_guarded(scheme, rng):
 
 def test_stage_slab_rows_are_the_guarded_step_ends():
     # in 'nan' mode a lane that leaves the guard box is NaN from the next step
-    # on, in the slab as in the trajectory and the result
+    # on, in the slab as in the result; until then every step row is v at the
+    # start of that step in plain arithmetic
     g = Integrand.cubic(0.0, 0.0, 2.0)
     x = np.array([0.1, 50.0, -0.2])
     for cfg in (RK4_16, SolverConfig(scheme="euler", steps=16)):
-        stages = []
-        y, _, traj = integrate(family_slope(family_functions("cubic")[0], *g.params(), False),
-                               None, x, cfg, want_log_deriv=False, keep_trajectory=True,
-                               divergence="nan", stages=stages)
-        [slab] = stages
+        y, _, slab = integrate(family_slope(family_functions("cubic")[0], *g.params(), False),
+                               None, x, cfg, want_log_deriv=False, divergence="nan",
+                               keep_stages=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_y, _, points = _reference_solve(*g.functions(), x, cfg)
         s = len(slab) // cfg.steps
+        rows, starts = list(slab[::s]) + [y], [step[0] for step in points] + [want_y]
         assert np.isnan(y[1]) and np.isfinite(y[[0, 2]]).all()
-        assert slab[0].tobytes() == x.tobytes()
-        for k in range(1, cfg.steps):
-            assert slab[s * k].tobytes() == traj[k].tobytes()
-        first = min(k for k in range(len(traj)) if np.isnan(traj[k][1]))
-        assert first < cfg.steps and np.isnan(slab[s * first:, 1]).all()
+        first = min(k for k, v in enumerate(starts) if not abs(v[1]) <= scalarmap.GUARD)
+        assert 0 < first < cfg.steps
+        for k, (row, want) in enumerate(zip(rows, starts)):
+            assert row[[0, 2]].tobytes() == want[[0, 2]].tobytes()
+            assert np.isnan(row[1]) if k >= first else row[1] == want[1]
+        assert np.isnan(slab[s * first:, 1]).all()
+
+
+def test_forward_trajectory_is_every_step_start_and_the_end(rng):
+    g = Integrand.sigmoid_affine(0.4, -0.2, 0.9)
+    for cfg in (RK4_16, SolverConfig(scheme="euler", steps=5)):
+        for x in (rng.uniform(-2, 2, (3, 2)), 0.7):
+            res = forward(g, cfg, x, keep_trajectory=True)
+            _, _, points = _reference_solve(*g.functions(), np.asarray(x), cfg)
+            want = np.stack([step[0] for step in points] + [np.asarray(res.y)])
+            assert res.trajectory.dtype == float and res.trajectory.shape == want.shape
+            assert res.trajectory.tobytes() == want.tobytes()
 
 
 def test_zero_d_input_returns_scalars():

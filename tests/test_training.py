@@ -28,7 +28,7 @@ from timeflow import (
 from timeflow.data import TWO_GAUSSIANS_CENTERS, TWO_GAUSSIANS_STD
 from timeflow import autodiff
 from timeflow.flow import randomize_parameters
-from timeflow.training import identity_nll
+from timeflow.training import _nll_or_inf, identity_nll
 
 LOG_TWO_PI = math.log(2 * math.pi)
 SOLVER = SolverConfig(steps=16)
@@ -158,6 +158,62 @@ def test_zero_epochs_returns_unchanged_model():
     assert history == []
     for a, b in zip(before, model.parameters()):
         assert np.array_equal(a, b)
+
+
+def _diverging_run(monkeypatch, epochs, patience):
+    """`train` on a quadratic coupling flow whose 20th Adam batch (epoch 7)
+    diverges at this learning rate; returns (model, history, DivergenceErrors seen)."""
+    from timeflow import training
+
+    raised = []
+
+    def spied(model, batch):
+        try:
+            return nll_and_grad(model, batch)
+        except DivergenceError as err:
+            raised.append(err)
+            raise
+
+    monkeypatch.setattr(training, "nll_and_grad", spied)
+    ds = toy2d("two_gaussians", 200, seed=7)
+    model = build_flow(2, n_layers=2, family="quadratic", hidden_dims=(6,),
+                       solver=SolverConfig(steps=8), seed=7)
+    cfg = TrainConfig(epochs=epochs, batch_size=64, learning_rate=0.05, seed=7,
+                      patience=patience)
+    return (*train(model, ds, cfg), raised)
+
+
+def test_train_ends_on_a_diverging_batch_with_the_best_parameters(monkeypatch):
+    model, history, raised = _diverging_run(monkeypatch, epochs=10, patience=50)
+    assert len(raised) == 1 and "batch aborted" in str(raised[0])
+    assert [r.epoch for r in history] == [1, 2, 3, 4, 5, 6]  # epoch 7 never completed
+    best = min(history, key=lambda r: r.val_nll).epoch
+    assert best == 5
+    # the parameters are those after the best epoch, as a run that stops there leaves them
+    stopped, _, raised = _diverging_run(monkeypatch, epochs=best, patience=50)
+    assert not raised
+    for a, b in zip(model.parameters(), stopped.parameters()):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_train_stops_when_patience_runs_out(monkeypatch):
+    model, history, raised = _diverging_run(monkeypatch, epochs=10, patience=2)
+    assert not raised
+    vals = [r.val_nll for r in history]
+    assert len(history) == 3 and vals[0] < min(vals[1:])  # two epochs without a gain
+    first, _, _ = _diverging_run(monkeypatch, epochs=1, patience=2)
+    for a, b in zip(model.parameters(), first.parameters()):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_nll_of_rows_outside_the_model_image_is_infinite():
+    model = build_flow(2, n_layers=2, family="quadratic", hidden_dims=(6,), seed=1)
+    randomize_parameters(model, seed=2, scale=0.5)
+    rows = np.array([[0.1, -0.2], [3e5, -3e5]])
+    with pytest.raises(DivergenceError):
+        nll(model, rows)
+    assert _nll_or_inf(model, rows) == math.inf
+    assert _nll_or_inf(model, rows[:1]) == nll(model, rows[:1]) < math.inf
 
 
 def test_training_deterministic():
