@@ -21,7 +21,6 @@ the empirical convergence rate.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -213,17 +212,6 @@ class ConvergenceStudy:
         for s, err in zip(self.scales, self.sup_errors):
             log_err = math.log(err) if err > 0 else float("-inf")
             yield (s, 1.0 / s, err, log_err)
-
-    def to_csv(self, path=None):
-        buf = io.StringIO()
-        buf.write("s,inv_s,sup_error,log_error\n")
-        for s, inv_s, err, log_err in self.rows():
-            buf.write(f"{s!r},{inv_s!r},{err!r},{log_err!r}\n")
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
 
     def summary(self):
         if self.slope is None:

@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import astuple
 
 import numpy as np
 
@@ -53,12 +54,15 @@ class ConfigError(ValueError):
     """Invalid run configuration; message lists every problem found."""
 
 
-def _parse_floats(text):
-    return [float(part) for part in str(text).split(",") if part.strip()]
-
-
-def _parse_ints(text):
-    return [int(part) for part in str(text).split(",") if part.strip()]
+def _parse_list(args, dest, kind=float):
+    """The comma list of flag `dest` as `kind` values; a malformed list is a ConfigError."""
+    text = getattr(args, dest)
+    try:
+        return [kind(part) for part in str(text).split(",") if part.strip()]
+    except ValueError:
+        flag = "--" + dest.replace("_", "-")
+        raise ConfigError(f"{flag} must be a comma list of {kind.__name__}s,"
+                          f" got {text!r}") from None
 
 
 def _preset_path(name):
@@ -113,7 +117,7 @@ def _load_dataset(spec, n, seed, split):
 
 def _cmd_train(args):
     errors = []
-    split = tuple(_parse_floats(args.split))
+    split = tuple(_parse_list(args, "split"))
     _require(errors, len(split) == 3 and all(f >= 0 for f in split) and sum(split) <= 1 + 1e-9,
              f"--split must be three nonnegative fractions summing to <= 1, got {args.split}")
     _require(errors, args.layers >= 1, "--layers must be >= 1")
@@ -123,7 +127,8 @@ def _cmd_train(args):
     _require(errors, 0 < args.lr_decay <= 1, "--lr-decay must lie in (0, 1]")
     _require(errors, args.solver_steps >= 1, "--solver-steps must be >= 1")
     _require(errors, args.patience >= 1, "--patience must be >= 1")
-    hidden = tuple(_parse_ints(args.hidden))
+    hidden = tuple(_parse_list(args, "hidden", int))
+    decay_epochs = tuple(_parse_list(args, "lr_decay_epochs", int))
     _require(errors, all(h >= 1 for h in hidden), "--hidden dims must be >= 1")
     if args.dataset.startswith("toy:"):
         _require(errors, args.dataset[4:] in TOY_NAMES,
@@ -131,18 +136,20 @@ def _cmd_train(args):
     _check(errors)
 
     dataset = _load_dataset(args.dataset, args.n, args.seed, split)
+    if dataset.train.shape[0] == 0:
+        size = f"--n {args.n}" if args.dataset.startswith("toy:") else f"{dataset.n} rows"
+        raise ConfigError(f"--split {args.split} leaves no training rows of {size}")
     solver = SolverConfig(scheme=args.scheme, steps=args.solver_steps)
     model = build_flow(dataset.dim, n_layers=args.layers, kind=args.kind,
                        family=args.family, hidden_dims=hidden, solver=solver,
                        seed=args.seed)
     cfg = TrainConfig(
         epochs=args.epochs, batch_size=args.batch_size, learning_rate=args.lr,
-        lr_decay=args.lr_decay, lr_decay_epochs=tuple(_parse_ints(args.lr_decay_epochs)),
+        lr_decay=args.lr_decay, lr_decay_epochs=decay_epochs,
         seed=args.seed, patience=args.patience,
     )
     model, history = train(model, dataset, cfg)
 
-    os.makedirs(args.out, exist_ok=True)
     save_checkpoint(model, os.path.join(args.out, "checkpoint.json"))
     _write_csv(os.path.join(args.out, "history.csv"),
                ["epoch", "train_nll", "val_nll"],
@@ -152,12 +159,11 @@ def _cmd_train(args):
     print(f"trained {args.layers}-layer {args.kind} flow on {args.dataset}"
           f" ({dataset.n} rows, dim {dataset.dim})")
     print(f"best validation nll: {best:.4f} nats (identity baseline {baseline:.4f})")
-    return history
 
 
 def _cmd_density_grid(args):
     errors = []
-    rng_pair = _parse_floats(args.range)
+    rng_pair = _parse_list(args, "range")
     _require(errors, len(rng_pair) == 2 and rng_pair[0] < rng_pair[1],
              f"--range must be 'lo,hi' with lo < hi, got {args.range}")
     _require(errors, args.grid >= 2, "--grid must be >= 2")
@@ -171,7 +177,6 @@ def _cmd_density_grid(args):
     pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
     # grid points outside the model's image have zero density: -inf rows
     logp = log_density(model, pts, divergence="-inf")
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "density.csv"), ["x", "y", "log_density"],
                [(float(p[0]), float(p[1]), float(l)) for p, l in zip(pts, logp)])
     outside = int(np.sum(np.isneginf(logp)))
@@ -189,7 +194,6 @@ def _cmd_sample(args):
     draws = sample(model, args.n, seed=args.seed, divergence="drop")
     if draws.shape[0] == 0:
         raise NonFiniteError("every base draw diverged through this model")
-    os.makedirs(args.out, exist_ok=True)
     header = [f"x{i}" for i in range(model.dim)]
     _write_csv(os.path.join(args.out, "samples.csv"), header,
                [tuple(float(v) for v in row) for row in draws])
@@ -201,10 +205,10 @@ def _cmd_sample(args):
 
 def _cmd_invert_bench(args):
     errors = []
-    coeffs = _parse_floats(args.coeffs)
+    coeffs = _parse_list(args, "coeffs")
     _require(errors, len(coeffs) == 3 and all(map(math.isfinite, coeffs)),
              f"--coeffs must be three finite values 'a,b,c', got {args.coeffs}")
-    tolerances = _parse_floats(args.tolerances)
+    tolerances = _parse_list(args, "tolerances")
     _require(errors, tolerances and all(t > 0 for t in tolerances),
              "--tolerances must be positive values")
     _require(errors, args.n >= 1, "--n must be >= 1")
@@ -214,18 +218,17 @@ def _cmd_invert_bench(args):
         integrand=Integrand.quadratic(*coeffs), tolerances=tuple(tolerances),
         n_inputs=args.n, seed=args.seed, solver_steps=args.solver_steps,
     )
-    os.makedirs(args.out, exist_ok=True)
-    report.to_csv(os.path.join(args.out, "bench.csv"))
+    _write_csv(os.path.join(args.out, "bench.csv"),
+               ["tolerance", "method", "mean_steps", "failures"], map(astuple, report.rows))
     print(report.summary())
-    return report
 
 
 def _cmd_universality(args):
     errors = []
-    scales = _parse_floats(args.s)
+    scales = _parse_list(args, "s")
     _require(errors, len(scales) >= 4, "--s needs at least 4 scales to fit a rate")
     _require(errors, all(s > 0 for s in scales), f"--s scales must be > 0, got {args.s}")
-    interval = _parse_floats(args.interval)
+    interval = _parse_list(args, "interval")
     _require(errors, len(interval) == 2 and interval[0] < interval[1],
              f"--interval must be 'lo,hi' with lo < hi, got {args.interval}")
     _require(errors, args.grid >= 2, "--grid must be >= 2")
@@ -246,12 +249,11 @@ def _cmd_universality(args):
     cfg = PicardConfig(iterations=args.iterations, quad_nodes=args.quad_nodes)
     study = convergence_study(target, tuple(interval), scales, Kernel(args.kernel),
                               cfg, grid_points=args.grid)
-    os.makedirs(args.out, exist_ok=True)
-    study.to_csv(os.path.join(args.out, "convergence.csv"))
+    _write_csv(os.path.join(args.out, "convergence.csv"),
+               ["s", "inv_s", "sup_error", "log_error"], study.rows())
     print(study.summary())
     for flag in study.flags:
         print(f"note: {flag}")
-    return study
 
 
 def _worst_fd_error(arrays, grads, objective, step=1e-6):
@@ -333,7 +335,6 @@ def _cmd_gradcheck(args):
             model.parameters(), grads, lambda: -float(np.mean(log_density(model, batch)))))
     suites.append(("nll_grad", worst_nll))
 
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "gradcheck.csv"),
                ["suite", "max_rel_error"], suites)
     overall = max(err for _, err in suites)
@@ -343,7 +344,6 @@ def _cmd_gradcheck(args):
           f" (tolerance {GRADCHECK_TOLERANCE:g})")
     if overall >= GRADCHECK_TOLERANCE:
         raise NonFiniteError(f"gradient check failed: {overall:.3e} >= {GRADCHECK_TOLERANCE:g}")
-    return overall
 
 
 def _cmd_roundtrip(args):
@@ -364,14 +364,12 @@ def _cmd_roundtrip(args):
     y, _ = model_forward(model, x)
     back = model_inverse(model, y)
     err = float(np.max(np.abs(back - x)))
-    os.makedirs(args.out, exist_ok=True)
     _write_csv(os.path.join(args.out, "roundtrip.csv"),
                ["n", "max_abs_error", "tolerance"], [(args.n, err, args.tol)])
     print(f"round trip over {args.n} points: max |F^-1(F(x)) - x| = {err:.3e}"
           f" (tolerance {args.tol:g})")
     if err >= args.tol:
         raise NonFiniteError(f"round trip error {err:.3e} >= {args.tol:g}")
-    return err
 
 
 # --- parser ----------------------------------------------------------------
@@ -551,7 +549,7 @@ def run(argv=None) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_IO
-    except (DivergenceError, NonFiniteError, ArithmeticError) as err:
+    except ArithmeticError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -361,29 +361,28 @@ def _solve(layer, a, b, c, x, cfg, divergence="raise", want_log_deriv=True, keep
 def _invert_block(layer, a, b, c, yt, refine, divergence, want_log_deriv, keep_stages):
     """`_solve` in reverse time for a block of coordinates, the layer's inverse.
 
-    Given a `refine` config, every (row, column) lane of the block is then
-    polished in one `refine_lanes` call, whose residual is the layer's own
-    forward solve, and the log-determinant is taken at the refined preimage.
+    Given a `refine` config, the (n, k) block goes through one `refine_lanes`
+    call as it is, whose residual is the layer's own forward solve of the
+    lanes it is asked for, and the log-determinant is taken at the refined
+    preimage. A row with a lane that does not converge raises.
     """
     xt, logdet, slab = _solve(layer, a, b, c, yt, layer.solver.reversed(), divergence,
                               want_log_deriv, keep_stages)
     if refine is None:
         return xt, logdet, slab
-    params = [np.ravel(p) for p in (a, b, c)]
 
     def q(x, lanes):
-        return _solve(layer, *(p[lanes] for p in params), x, layer.solver,
+        return _solve(layer, a[lanes], b[lanes], c[lanes], x, layer.solver,
                       divergence="nan", want_log_deriv=False)[0]
 
-    res = refine_lanes(q, np.ravel(yt), np.ravel(xt), refine)
-    if not np.all(res.converged):
-        rows = np.unique(np.flatnonzero(~res.converged) // yt.shape[1]).tolist()
+    res = refine_lanes(q, yt, xt, refine)
+    rows = np.flatnonzero(~res.converged.all(axis=1)).tolist()
+    if rows:
         raise DivergenceError(f"inverse refinement did not converge (rows {rows})",
                               indices=rows)
-    xt = res.x.reshape(yt.shape)
     if want_log_deriv:  # 0 - sum, so that a zero sum gives +0.0, as summing -l does
-        logdet = 0.0 - _solve(layer, a, b, c, xt, layer.solver)[1]
-    return xt, logdet, slab
+        logdet = 0.0 - _solve(layer, a, b, c, res.x, layer.solver)[1]
+    return res.x, logdet, slab
 
 
 def layer_forward(layer, x):

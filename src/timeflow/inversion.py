@@ -18,8 +18,7 @@ All samples are processed as vector lanes with deterministic aggregation.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 import numpy as np
 
@@ -97,34 +96,43 @@ def trapezoid_reverse(g: Integrand, y):
     return v
 
 
-def _bisect(q, y, center, rc):
+def _on_lanes(q, x, lanes):
+    """``q(x[lanes], lanes)`` in x's shape: NaN on the lanes `lanes` leaves out,
+    which never reach `q`."""
+    out = np.full(np.shape(x), np.nan)
+    if lanes.any():
+        out[lanes] = q(x[lanes], lanes)
+    return out
+
+
+def _bisect(q, y, center, rc, lanes=None):
     """Vectorized bisection on a bracket grown geometrically around `center`.
 
-    The bracket starts at [center - w, center + w] with w =
-    `_BRACKET_HALFWIDTH`, and each failing side is widened until the
-    monotone residual changes sign. Only the halvings count as
-    `iterations`; they stop once the bracket width and the residual are
-    both <= rc.tolerance.
+    Only the lanes that the boolean mask `lanes` picks (all by default) are
+    solved; the others come back unconverged. The bracket starts at
+    [center - w, center + w] with w = `_BRACKET_HALFWIDTH`, and each failing
+    side is widened until the monotone residual changes sign. Only the
+    halvings count as `iterations`; they stop once the bracket width and the
+    residual are both <= rc.tolerance.
     """
+    lanes = np.ones(y.shape, dtype=bool) if lanes is None else lanes
     w_lo = np.full(y.shape, _BRACKET_HALFWIDTH)
     w_hi = w_lo.copy()
     lo = center - w_lo
     hi = center + w_hi
-    q_lo = q(lo, np.ones(y.shape, dtype=bool))
-    q_hi = q(hi, np.ones(y.shape, dtype=bool))
+    q_lo = _on_lanes(q, lo, lanes)
+    q_hi = _on_lanes(q, hi, lanes)
     for _ in range(_MAX_EXPANSIONS):
-        bad_lo = ~(q_lo <= y)
-        bad_hi = ~(q_hi >= y)
+        bad_lo = lanes & ~(q_lo <= y)
+        bad_hi = lanes & ~(q_hi >= y)
         if not (bad_lo.any() or bad_hi.any()):
             break
         w_lo = np.where(bad_lo, w_lo * _BRACKET_EXPANSION, w_lo)
         w_hi = np.where(bad_hi, w_hi * _BRACKET_EXPANSION, w_hi)
         lo = np.where(bad_lo, center - w_lo, lo)
         hi = np.where(bad_hi, center + w_hi, hi)
-        if bad_lo.any():
-            q_lo[bad_lo] = q(lo[bad_lo], bad_lo)
-        if bad_hi.any():
-            q_hi[bad_hi] = q(hi[bad_hi], bad_hi)
+        q_lo = np.where(bad_lo, _on_lanes(q, lo, bad_lo), q_lo)
+        q_hi = np.where(bad_hi, _on_lanes(q, hi, bad_hi), q_hi)
 
     active = (q_lo <= y) & (q_hi >= y)  # lanes without a bracket are never bisected
     steps = np.zeros(y.shape, dtype=int)
@@ -134,9 +142,7 @@ def _bisect(q, y, center, rc):
         if not active.any():
             break
         mid = 0.5 * (lo + hi)
-        qm = np.full(y.shape, np.nan)
-        qm[active] = q(mid[active], active)
-        r = qm - y
+        r = _on_lanes(q, mid, active) - y
         go_down = r > 0.0  # non-finite residual leaves the bracket untouched below
         hi = np.where(active & go_down, mid, hi)
         lo = np.where(active & ~go_down & np.isfinite(r), mid, lo)
@@ -158,7 +164,7 @@ def _fixed_point(q, y, x0, rc):
     """
     y = np.asarray(y, dtype=float)
     x = np.array(x0, dtype=float, copy=True)
-    qx = q(x, np.ones(y.shape, dtype=bool))
+    qx = _on_lanes(q, x, np.ones(y.shape, dtype=bool))
     r = qx - y
     lam = np.ones(y.shape)
     steps = np.zeros(y.shape, dtype=int)
@@ -171,8 +177,7 @@ def _fixed_point(q, y, x0, rc):
         if not active.any():
             break
         prop = x + lam * (y - qx)
-        qp = np.full(y.shape, np.nan)
-        qp[active] = q(prop[active], active)
+        qp = _on_lanes(q, prop, active)
         rp = qp - y
         # non-finite proposals count as residual growth and get damped
         shrunk = np.abs(rp) <= np.abs(r)
@@ -189,53 +194,39 @@ def _fixed_point(q, y, x0, rc):
     return x, steps, converged, np.abs(r)
 
 
-def _within(q, keep):
-    """`q` restricted to the lanes `keep` picks; its masks index those lanes."""
-
-    def q_kept(x, lanes):
-        full = np.zeros(keep.shape, dtype=bool)
-        full[keep] = lanes
-        return q(x, full)
-
-    return q_kept
-
-
 def refine_lanes(q, y, x0, rc: RefineConfig) -> RootResult:
     """Solve q(x) = y lane by lane from the guess x0, by `rc.method`.
 
-    `y` and `x0` are 1-D; ``q(x, lanes)`` maps the lanes picked by the
-    boolean mask `lanes`, whose values are `x`. 'bisection' brackets
-    around x0. 'fixed_point' iterates from x0, and every lane that misses
-    the tolerance falls back to bisection around its fixed-point x (flagged
-    in `fell_back`; `iterations` keeps the fixed-point count). A lane whose
-    fallback fails too keeps its fixed-point x and residual.
+    `y` and `x0` share one shape, any shape, and so does every field of the
+    result. ``q(x, lanes)`` maps the lanes picked by the boolean mask
+    `lanes`, of y's shape, whose values are the 1-D `x`. 'bisection'
+    brackets around x0. 'fixed_point' iterates from x0, and every lane that
+    misses the tolerance falls back to bisection around its fixed-point x
+    (flagged in `fell_back`; `iterations` keeps the fixed-point count). A
+    lane whose fallback fails too keeps its fixed-point x and residual.
     """
     if rc.method == "bisection":
         return _bisect(q, y, x0, rc)
     x, steps, converged, residual = _fixed_point(q, y, x0, rc)
     fell_back = ~converged
     if fell_back.any():
-        fb = _bisect(_within(q, fell_back), y[fell_back], x[fell_back], rc)
-        mended = np.flatnonzero(fell_back)[fb.converged]
-        x[mended] = fb.x[fb.converged]
-        residual[mended] = fb.residual[fb.converged]
-        converged[mended] = True
+        fb = _bisect(q, y, x, rc, fell_back)
+        x = np.where(fb.converged, fb.x, x)
+        residual = np.where(fb.converged, fb.residual, residual)
+        converged = converged | fb.converged
     return RootResult(x, steps, converged, residual, fell_back)
 
 
 def _invert(g, cfg, y, x0, rc):
-    """`refine_lanes` on the forward map of `g` over the raveled lanes of y;
-    every field comes back in y's shape, and a scalar y gives scalar fields."""
+    """`refine_lanes` on the forward map of `g`; a scalar y gives scalar fields."""
     if cfg.direction != "forward":
         raise ValueError(f"{rc.method} inversion wants the forward solver config")
-    y_arr = np.asarray(y, dtype=float)
-    res = refine_lanes(_map_only(g, cfg), np.ravel(y_arr),
-                       np.ravel(np.asarray(x0, dtype=float)), rc)
-    fields = [np.reshape(v, y_arr.shape) for v in (res.x, res.iterations, res.converged,
-                                                    res.residual, res.fell_back)]
-    if y_arr.ndim == 0:
-        fields = [kind(v) for kind, v in zip((float, int, bool, float, bool), fields)]
-    return RootResult(*fields)
+    y = np.asarray(y, dtype=float)
+    res = refine_lanes(_map_only(g, cfg), y, np.asarray(x0, dtype=float), rc)
+    if y.ndim == 0:
+        kinds = (float, int, bool, float, bool)
+        res = RootResult(*(kind(v) for kind, v in zip(kinds, astuple(res))))
+    return res
 
 
 def bisection_invert(g: Integrand, cfg: SolverConfig, y, rc: RefineConfig) -> RootResult:
@@ -285,17 +276,6 @@ class BenchReport:
                 return row.mean_steps
         raise KeyError((tolerance, method))
 
-    def to_csv(self, path=None):
-        buf = io.StringIO()
-        buf.write("tolerance,method,mean_steps,failures\n")
-        for row in self.rows:
-            buf.write(f"{row.tolerance!r},{row.method},{row.mean_steps!r},{row.failures}\n")
-        text = buf.getvalue()
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
-
     def summary(self):
         g = self.integrand
         lines = [
@@ -333,18 +313,13 @@ def run_bench(integrand: Integrand = DEFAULT_BENCH_INTEGRAND,
                          solver_steps=solver_steps)
     for tol in tolerances:
         rc = RefineConfig(method="fixed_point", tolerance=tol, max_iterations=100)
-        fp = fixedpoint_invert(integrand, cfg, y, rc)
-        ok = fp.converged & ~fp.fell_back
-        report.rows.append(BenchRow(
-            tolerance=tol, method="fixed_point",
-            mean_steps=float(np.mean(fp.iterations[ok])) if ok.any() else float("nan"),
-            failures=int(np.sum(~ok)),
-        ))
-        bi = bisection_invert(integrand, cfg, y, rc)  # it replaces the method
-        okb = bi.converged
-        report.rows.append(BenchRow(
-            tolerance=tol, method="bisection",
-            mean_steps=float(np.mean(bi.iterations[okb])) if okb.any() else float("nan"),
-            failures=int(np.sum(~okb)),
-        ))
+        for method, invert in (("fixed_point", fixedpoint_invert),
+                               ("bisection", bisection_invert)):  # each sets its method
+            res = invert(integrand, cfg, y, rc)
+            ok = res.converged & ~res.fell_back  # bisection never falls back
+            report.rows.append(BenchRow(
+                tolerance=tol, method=method,
+                mean_steps=float(np.mean(res.iterations[ok])) if ok.any() else float("nan"),
+                failures=int(np.sum(~ok)),
+            ))
     return report

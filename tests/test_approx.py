@@ -18,6 +18,7 @@ from timeflow import (
     kernel_eval,
 )
 from timeflow.approx import _picard
+from timeflow.cli import run
 
 AFFINE = MonotoneTarget.affine(2.0, 1.0)
 CONST = Kernel("constant")
@@ -137,9 +138,10 @@ def test_identity_study_flags_zero_errors():
 
 def test_study_csv_format(tmp_path):
     study = convergence_study(AFFINE, (-1, 1), [0.5, 1 / 3, 0.25, 0.2], CONST)
-    path = tmp_path / "study.csv"
-    study.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    assert run(["universality", "--target", "affine", "--alpha", "2", "--beta", "1",
+                "--s", "0.5,0.3333333333333333,0.25,0.2", "--kernel", "constant",
+                "--interval=-1,1", "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "convergence.csv").read_text().strip().splitlines()
     assert lines[0] == "s,inv_s,sup_error,log_error"
     assert len(lines) == 5
     assert "fitted slope" in study.summary()

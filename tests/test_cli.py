@@ -191,7 +191,7 @@ def test_unknown_config_key_rejected(tmp_path):
     assert run_cli("train", "--config", str(cfg), "--out", str(tmp_path / "x")) == 3
 
 
-def test_exit_codes():
+def test_exit_codes(capsys):
     import tempfile
 
     with tempfile.TemporaryDirectory() as td:
@@ -238,12 +238,30 @@ def test_exit_codes():
         for argv in (("universality", "--iterations", "0"), ("universality", "--quad-nodes", "1"),
                      ("universality", "--s", "0,1,2,3"), ("invert-bench", "--coeffs", "nan,0,0")):
             assert run_cli(*argv, "--out", os.path.join(td, "f")) == 3
+        # malformed comma lists, on the command line or in a config file, name their flag
+        capsys.readouterr()
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump({"hidden": "4,x"}, fh)
+        for argv in (("train", "--hidden", "x"), ("train", "--lr-decay-epochs", "1.5"),
+                     ("train", "--split", "a,b,c"), ("universality", "--s", "foo"),
+                     ("density-grid", "--checkpoint", ck, "--range", "a,b"),
+                     ("invert-bench", "--coeffs", "a,b,c"), ("train", "--config", cfg)):
+            assert run_cli(*argv, "--out", os.path.join(td, "g")) == 3
+            flag = "--hidden" if argv[1] == "--config" else argv[-2]
+            assert flag in capsys.readouterr().err
         # usage errors come from argparse
         with pytest.raises(SystemExit) as err:
             run_cli("train", "--no-such-flag")
         assert err.value.code == 2
         with pytest.raises(SystemExit):
             run_cli("not-a-command")
+
+
+@pytest.mark.parametrize("argv", [("--split", "0,0.5,0.5"), ("--n", "1")], ids=["split", "n"])
+def test_a_split_without_training_rows_is_a_config_error(tmp_path, capsys, argv):
+    assert run_cli("train", *argv, "--out", str(tmp_path)) == 3
+    err = capsys.readouterr().err
+    assert "no training rows" in err and "--split" in err and "--n" in err
 
 
 def test_config_values_convert_with_their_flags_types(tmp_path, capsys):

@@ -11,6 +11,7 @@ from timeflow import (
     AutoregressiveLayer,
     ConditionerNet,
     CouplingLayer,
+    DivergenceError,
     FlowModel,
     PermutationLayer,
     SolverConfig,
@@ -355,6 +356,32 @@ def test_bisection_refinement_is_bisection(kind, dim):
     x, worst = layerwise_refined_inverse(model, y, rc)
     assert worst <= rc.tolerance
     np.testing.assert_array_equal(model_inverse(model, y, refine=rc), x)
+
+
+@pytest.mark.parametrize("family", ["quadratic", "cubic"])
+def test_refinement_that_misses_names_the_rows_that_miss_alone(family):
+    # a tolerance of one subnormal asks for a zero residual, which some rows
+    # reach and others miss even after the bisection fallback; a row whose
+    # kept half is zero meets a zero conditioner output (zero biases), an
+    # identity map, so it inverts exactly
+    model = build_flow(4, n_layers=1, kind="coupling", family=family, hidden_dims=(6,),
+                       seed=0)
+    randomize_parameters(model, seed=1, scale=0.3)
+    for bias in model.layers[0].conditioner.biases:
+        bias[:] = 0.0
+    y = np.random.default_rng(2).standard_normal((8, 4))
+    y[[1, 4], :2] = 0
+    rc = RefineConfig("fixed_point", 5e-324, 1)
+    alone = []
+    for i, row in enumerate(y):
+        try:
+            model_inverse(model, row, refine=rc)
+        except DivergenceError:
+            alone.append(i)
+    assert 0 < len(alone) < len(y)
+    with pytest.raises(DivergenceError) as err:
+        model_inverse(model, y, refine=rc)
+    assert err.value.indices == alone
 
 
 CHECKPOINT_KEYS = {

@@ -15,6 +15,7 @@ from timeflow import (
     forward,
     run_bench,
 )
+from timeflow.cli import run
 from timeflow.inversion import (
     DEFAULT_BENCH_INTEGRAND,
     _fixed_point,
@@ -170,7 +171,7 @@ def test_damping_residuals_non_increasing_once_engaged():
 def test_run_bench_single_row_reproducible():
     a = run_bench(n_inputs=1, seed=42, tolerances=(1e-4,))
     b = run_bench(n_inputs=1, seed=42, tolerances=(1e-4,))
-    assert a.to_csv() == b.to_csv()
+    assert a.rows == b.rows
     assert a.rows[0].mean_steps == b.rows[0].mean_steps
 
 
@@ -189,9 +190,9 @@ def test_run_bench_ratio_and_growth():
 
 def test_run_bench_csv_format(tmp_path):
     report = run_bench(n_inputs=10, seed=0, tolerances=(1e-3, 1e-4))
-    path = tmp_path / "bench.csv"
-    report.to_csv(path)
-    lines = path.read_text().strip().splitlines()
+    assert run(["invert-bench", "--n", "10", "--seed", "0", "--tolerances", "1e-3,1e-4",
+                "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "bench.csv").read_text().strip().splitlines()
     assert lines[0] == "tolerance,method,mean_steps,failures"
     assert len(lines) == 1 + 2 * 2
     assert "fixed_point" in lines[1]
