@@ -9,6 +9,11 @@ Each built-in family is a three-parameter function of the state `v` only:
 A `custom` integrand carries explicit value / d-value callbacks and may
 depend on `t`. The family functions take numpy arrays, and the (a, b, c)
 slots may themselves be arrays broadcast against `v`.
+
+Two tables serve the solver. `family_functions` gives each family's slope,
+which computes g and dg/dv from shared intermediates (for the quadratic,
+u = c*v, w = a + u, g = w*v + b and dg/dv = w + u), and `family_phi` gives
+phi, phi' and phi'', from which the discrete adjoint takes its derivatives.
 """
 
 from __future__ import annotations
@@ -33,24 +38,22 @@ def _logistic(x, out=None):
     This is the textbook formula. Where exp(-x) overflows (x below about
     -709.78) it gives inf and 1 / (1 + inf) is exactly 0, where the true
     value is below 1e-308, so only the overflow warning is silenced. NaN
-    stays NaN. Only a call without `out` silences it: a call with an `out`
-    array, which every step is written into, must run under the caller's
+    stays NaN. Only a call without `out` converts x to a float array and
+    silences it: a call with an `out` array, which every step is written
+    into, takes an array x and must run under the caller's
     ``np.errstate(over="ignore")``, as `integrate`'s slope calls and the
     discrete adjoint do.
     """
-    x = np.asarray(x, dtype=float)
     if out is None:
         with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-x))
+            return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
     e = np.exp(np.negative(x, out=out), out=out)
     return np.divide(1.0, np.add(1.0, e, out=out), out=out)
 
 
-# family -> (phi, dphi, d2phi) for g(v, t) = a*v + b + c*phi(v); the derivatives
-# take the values below them, dphi(v, phi) and d2phi(v, phi, dphi), so one phi
-# evaluation serves all three. Each also takes an `out` array, which every ufunc
-# of its formula writes into; without one each step allocates. The quadratic's
-# phi'' is the constant 2.0, which leaves `out` alone.
+# family -> (phi, dphi, d2phi), see `family_phi`. Given an `out` array, every
+# ufunc of a formula writes into it; the quadratic's phi'' is the constant 2.0,
+# which leaves `out` alone.
 _PHI = {
     "quadratic": (lambda v, out=None: np.multiply(v, v, out=out),
                   lambda v, p, out=None: np.multiply(2.0, v, out=out),
@@ -66,41 +69,61 @@ _PHI = {
                            out=out)),
 }
 
-
-def _family(phi, dphi):
-    def value(a, b, c, v, t, *, with_dv=False, out=None):
-        """g = a*v + b + c*phi(v), and with `with_dv` the pair (g, dg/dv).
-
-        `out` is ``(g, dg, scratch)``, arrays of the result's shape that the
-        formula writes into instead of allocating; dg may be None, and then
-        dg/dv is allocated. phi lives in scratch, so scratch must not be v.
-        """
-        g_out, dg_out, tmp = (None, None, None) if out is None else out
-        p = phi(v, tmp)
-        if with_dv:  # the slope: dg/dv from the same phi, before c*phi overwrites it
-            dg = np.add(a, np.multiply(c, dphi(v, p, dg_out), out=dg_out), out=dg_out)
-        g = np.add(np.add(np.multiply(a, v, out=g_out), b, out=g_out),
-                   np.multiply(c, p, out=tmp), out=g_out)
-        return (g, dg) if with_dv else g
-
-    def dv(a, b, c, v, t):
-        return a + c * dphi(v, phi(v))
-
-    return value, dv
+# The slopes: g and dg/dv from shared intermediates. `out` is ``(g, dg,
+# scratch)``, arrays of the result's shape to write into instead of allocating;
+# dg may be None, and then dg/dv is allocated. scratch must not be v. An
+# intermediate that dg/dv still needs waits in dg's array.
 
 
-_TABLE = {family: _family(phi, dphi) for family, (phi, dphi, _) in _PHI.items()}
+def _quadratic(a, b, c, v, t, *, with_dv=False, out=None):
+    # u = c*v; w = a + u; g = w*v + b; dg/dv = w + u
+    g_out, dg_out, tmp = (None, None, None) if out is None else out
+    u = np.multiply(c, v, out=dg_out if with_dv else tmp)
+    w = np.add(a, u, out=tmp)
+    g = np.add(np.multiply(w, v, out=g_out), b, out=g_out)
+    return (g, np.add(w, u, out=dg_out)) if with_dv else g
+
+
+def _cubic(a, b, c, v, t, *, with_dv=False, out=None):
+    # q = c*v^2; w = a + q; g = w*v + b; dg/dv = w + 2*q
+    g_out, dg_out, tmp = (None, None, None) if out is None else out
+    q = np.multiply(c, np.multiply(v, v, out=tmp), out=dg_out if with_dv else tmp)
+    w = np.add(a, q, out=tmp)
+    g = np.add(np.multiply(w, v, out=g_out), b, out=g_out)
+    return (g, np.add(w, np.multiply(2.0, q, out=dg_out), out=dg_out)) if with_dv else g
+
+
+def _sigmoid_affine(a, b, c, v, t, *, with_dv=False, out=None):
+    # s = sigmoid(v); cs = c*s; g = a*v + b + cs; dg/dv = a + cs*(1 - s)
+    g_out, dg_out, tmp = (None, None, None) if out is None else out
+    s = _logistic(v, tmp)
+    cs = np.multiply(c, s, out=dg_out if with_dv else tmp)
+    g = np.add(np.add(np.multiply(a, v, out=g_out), b, out=g_out), cs, out=g_out)
+    if not with_dv:
+        return g
+    return g, np.add(a, np.multiply(cs, np.subtract(1.0, s, out=tmp), out=dg_out), out=dg_out)
+
+
+# family -> (slope, dg/dv alone); each dg/dv is the same expression as its slope's
+_TABLE = {
+    "quadratic": (_quadratic, lambda a, b, c, v, t: (a + c * v) + c * v),
+    "cubic": (_cubic, lambda a, b, c, v, t: (a + c * (v * v)) + 2.0 * (c * (v * v))),
+    "sigmoid_affine": (_sigmoid_affine,
+                       lambda a, b, c, v, t: a + (c * _logistic(v)) * (1.0 - _logistic(v))),
+}
 
 
 def family_functions(family: str):
     """Return ``(value_fn, dv_fn)`` with signature ``(a, b, c, v, t)``.
 
     ``value_fn(..., with_dv=True)`` is the slope: it returns the pair
-    ``(g, dg/dv)`` from one evaluation of phi, bitwise equal to the two
+    ``(g, dg/dv)`` from shared intermediates, and ``dv_fn`` is the same
+    expression as that dg/dv, so the pair is bitwise equal to the two
     separate calls. ``value_fn(..., out=(g, dg, scratch))`` writes that
     result into the given arrays and returns them, bitwise equal to the
     allocating call. `scalarmap.family_slope` makes it the slope that
-    `integrate` calls, which passes its per-solve buffers this way.
+    `integrate` calls, which passes the two rows of its per-stage slope
+    array this way.
     """
     try:
         return _TABLE[family]
@@ -112,7 +135,7 @@ def family_phi(family: str):
     """Return ``(phi, dphi, d2phi)`` of a built-in family.
 
     They are called as ``phi(v)``, ``dphi(v, phi)`` and ``d2phi(v, phi, dphi)``,
-    each with an optional ``out`` array as its last argument.
+    so one phi serves all three, each with an optional ``out`` array last.
     With g = a*v + b + c*phi(v) they give every derivative the discrete
     adjoint needs: dg/d(a, b, c) = (v, 1, phi), d2g/dv2 = c*phi'' and
     d(dg/dv)/d(a, b, c) = (1, 0, phi').

@@ -149,7 +149,8 @@ def _bisect(q, y, center, rc, lanes=None):
         x = np.where(active, mid, x)
         residual = np.where(active, np.abs(r), residual)
         steps[active] += 1
-        done = active & ((hi - lo) <= rc.tolerance) & (np.abs(r) <= rc.tolerance)
+        with np.errstate(invalid="ignore"):  # a lane seeded at +-inf keeps inf - inf = NaN
+            done = active & ((hi - lo) <= rc.tolerance) & (np.abs(r) <= rc.tolerance)
         active &= ~done
     converged = ~active & np.isfinite(residual)
     return RootResult(x, steps, converged, residual, np.zeros(y.shape, dtype=bool))

@@ -122,6 +122,25 @@ def test_two_d_targets_fall_back_lane_by_lane():
     assert np.array_equal(bis.x, bisection_invert(g, cfg, y.ravel(), rc).x.reshape(y.shape))
 
 
+def test_overflowed_seeds_come_back_unconverged_without_warnings():
+    # the five-node trapezoid seed of these targets overflows to [nan, -inf, inf,
+    # nan]: they lie outside the map's finite image, so both methods report them
+    # unconverged, and under this suite's error::RuntimeWarning filter any
+    # overflow or inf - inf on the way would raise instead
+    g = Integrand("cubic", 0.2, -0.1, 0.3)
+    cfg = SolverConfig(steps=12)
+    y = np.array([-8.0, -6.0, 6.0, 8.0])
+    rc = RefineConfig("fixed_point")
+    for res in (fixedpoint_invert(g, cfg, y, rc), bisection_invert(g, cfg, y, rc)):
+        assert res.x.shape == y.shape and not res.converged.any()
+    # a lane inside the image falls back too and is bisected beside the +-inf
+    # lanes, whose bracket widths are inf - inf
+    y = np.array([-8.0, -6.0, 0.3, 6.0, 8.0])
+    res = fixedpoint_invert(g, cfg, y, RefineConfig("fixed_point", 1e-12, 1))
+    assert res.fell_back.all()
+    assert res.converged.tolist() == [False, False, True, False, False]
+
+
 def test_trapezoid_reverse_five_nodes():
     assert trapezoid_reverse(SHIFT, np.array([2.0]))[0] == pytest.approx(1.0, abs=1e-13)
 

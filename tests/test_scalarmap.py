@@ -10,7 +10,7 @@ from conftest import FAMILIES, draw_stable_cases
 from timeflow import scalarmap
 from timeflow.integrands import _logistic, family_functions, family_phi
 from timeflow.inversion import _map_only, refine_lanes
-from timeflow.scalarmap import _adjoint, family_slope, integrate
+from timeflow.scalarmap import _adjoint, _tangent, family_slope, integrate
 from timeflow import (
     DivergenceError,
     Integrand,
@@ -269,6 +269,69 @@ def test_adjoint_matches_complex_step(family, scheme, direction, rng):
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
+@pytest.mark.parametrize("rows", [128, 256])
+def test_adjoint_matches_complex_step_at_trained_shapes(family, scheme, direction, rows,
+                                                         rng):
+    # the (rows, 1) lanes and 16 steps of a training solve, where the sweep's
+    # stacked arrays hold every step of a stage in one block; with |a|, |b|,
+    # |c| <= 0.25, |v'| <= 0.25*(|v|^3 + |v| + 1) takes a lane started in
+    # [-1, 1] more than unit time to reach infinity
+    cfg = SolverConfig(scheme=scheme, steps=16, direction=direction)
+    phi, dphi = _complex_phi(family)
+    x0 = rng.uniform(-1.0, 1.0, (rows, 1))
+    params = [rng.uniform(-0.25, 0.25, (rows, 1)) for _ in range(3)]
+    cot_y, cot_l = rng.standard_normal((2, rows, 1))
+    _, _, slab = integrate(family_slope(family_functions(family)[0], *params, False), None,
+                           x0, cfg, want_log_deriv=False, keep_stages=True)
+    got = _adjoint(family, params, cfg, slab, cot_y, cot_l)
+    inputs = [x0, *params]
+    for i, g in enumerate(got):
+        shifted = list(inputs)
+        shifted[i] = inputs[i] + 1e-30j
+        x, a, b, c = shifted
+        y, l, _ = integrate(lambda v, t: a * v + b + c * phi(v),
+                            lambda v, t: a + c * dphi(v, phi(v)), x, cfg)
+        np.testing.assert_allclose(g, (cot_y * y + cot_l * l).imag / 1e-30,
+                                   rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_adjoint_step_factor_is_tau(family, scheme, direction, rng):
+    # with cot_l = 0 and cot_y = 1 the sweep multiplies the step factors A_k
+    # alone, so dx is `_tangent`'s product of the tangent factors tau_k
+    cfg = SolverConfig(scheme=scheme, steps=16, direction=direction)
+    x = rng.uniform(-1.0, 1.0, (6, 3))
+    params = [rng.uniform(-0.6, 0.6, (6, 3)) for _ in range(3)]
+    value, dv = family_functions(family)
+    _, _, slab = integrate(family_slope(value, *params, False), None, x, cfg,
+                           want_log_deriv=False, keep_stages=True)
+    dx = _adjoint(family, params, cfg, slab, np.ones(x.shape), np.zeros(x.shape))[0]
+    tau = _tangent(lambda v, t: dv(*params, v, t), cfg, slab)
+    np.testing.assert_allclose(dx, tau, rtol=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_dg_dv_row_never_feeds_v(family, scheme, direction, rng):
+    # g and dg/dv share each stage's slope array and one weighted sum; v and
+    # every stage point must not depend on whether the dg/dv row is there
+    cfg = SolverConfig(scheme=scheme, steps=8, direction=direction)
+    x = rng.uniform(-1.0, 1.0, (6, 3))
+    params = [rng.uniform(-0.6, 0.6, (6, 3)) for _ in range(3)]
+    value = family_functions(family)[0]
+    (y1, l1, slab1), (y0, l0, slab0) = (
+        integrate(family_slope(value, *params, want), None, x, cfg, want_log_deriv=want,
+                  keep_stages=True) for want in (True, False))
+    assert l0 is None and l1.shape == x.shape
+    assert y1.tobytes() == y0.tobytes() and slab1.tobytes() == slab0.tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("want_log_deriv", [True, False])
 def test_slope_path_matches_two_function_path(family, scheme, direction, want_log_deriv,
                                               rng):
@@ -489,35 +552,42 @@ def test_complex_b_promotes_through_the_buffers(family, scheme, rng):
 
 
 def _allocating_adjoint(family, params, cfg, slab, cot_y, cot_l):
-    """`_adjoint` in plain allocating arithmetic, each temporary a fresh array."""
+    """`_adjoint`'s step-level sweep in plain allocating arithmetic, each
+    temporary a fresh array; stacked arrays are stage-major, (s, steps, ...)."""
     phi, dphi, d2phi = family_phi(family)
     a, _, c = params
-    h = (1.0 if cfg.direction == "forward" else -1.0) / cfg.steps
+    n = cfg.steps
+    h = (1.0 if cfg.direction == "forward" else -1.0) / n
     if cfg.scheme == "euler":
         weights, offsets = (h,), ()
     else:
         weights, offsets = (h / 6.0, h / 3.0, h / 3.0, h / 6.0), (0.5 * h, 0.5 * h, h)
     s = len(weights)
-    w = np.tile(weights, cfg.steps).reshape((-1,) + (1,) * (slab.ndim - 1))
-    p = phi(slab)
-    dp = dphi(slab, p)
+    points = np.ascontiguousarray(slab.reshape((n, s) + slab.shape[1:]).swapaxes(0, 1))
+    w = np.reshape(weights, (s, 1) + (1,) * (slab.ndim - 1))
+    p = phi(points)
+    dp = dphi(points, p)
     jac = c * dp + a
     jbar = w * cot_l
-    through_jac = jbar * (c * d2phi(slab, p, dp))
-    kbar = np.empty(slab.shape)
-    ybar = cot_y
-    for r0 in range(len(slab) - s, -1, -s):
-        vbar, carry = ybar, 0.0
-        for i in range(s - 1, -1, -1):
-            r = r0 + i
-            kbar[r] = weights[i] * ybar + carry
-            sbar = kbar[r] * jac[r] + through_jac[r]
-            vbar = vbar + sbar
-            if i:
-                carry = offsets[i - 1] * sbar
-        ybar = vbar
-    return (ybar, np.sum(slab * kbar + jbar, axis=0), np.sum(kbar, axis=0),
-            np.sum(p * kbar + dp * jbar, axis=0))
+    through_jac = jbar * (c * d2phi(points, p, dp))
+    # stage i's point gets aj[i]*ybar + bj[i], its slope kbar_i = alpha[i]*ybar + beta[i]
+    alpha, beta, aj, bj = ([None] * s for _ in range(4))
+    aj[-1], bj[-1] = weights[-1] * jac[-1], through_jac[-1]
+    for i in range(s - 2, -1, -1):
+        alpha[i] = offsets[i] * aj[i + 1] + weights[i]
+        beta[i] = offsets[i] * bj[i + 1]
+        bj[i] = beta[i] * jac[i] + through_jac[i]
+        aj[i] = alpha[i] * jac[i]
+    tau, step_b = np.sum(np.stack(aj), axis=0) + 1.0, np.sum(np.stack(bj), axis=0)
+    ybar = [None] * n
+    ybar[-1] = cot_y
+    for k in range(n - 1, 0, -1):
+        ybar[k - 1] = tau[k] * ybar[k] + step_b[k]
+    dx = tau[0] * ybar[0] + step_b[0]
+    ybar = np.stack(ybar)
+    kbar = np.stack([alpha[i] * ybar + beta[i] for i in range(s - 1)] + [weights[-1] * ybar])
+    return (dx, np.sum(points * kbar + jbar, axis=(0, 1)), np.sum(kbar, axis=(0, 1)),
+            np.sum(p * kbar + dp * jbar, axis=(0, 1)))
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "euler"])
