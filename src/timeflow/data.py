@@ -135,20 +135,23 @@ def toy2d(name: str, n: int, seed: int = 0,
 
 
 def _parse_csv(path):
-    """Numeric rows from a CSV file. A single leading non-numeric row is
-    treated as a header; anything else non-numeric is an error with its
-    line number."""
+    """Numeric rows from a CSV file. The first non-blank record, if it is not
+    numeric, is treated as a header; anything else non-numeric is an error
+    naming its file line (the last line of a record whose quoted field
+    spans several)."""
     rows = []
     width = None
+    header_ok = True
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for lineno, record in enumerate(reader, start=1):
+        for record in reader:
             if not record or all(not cell.strip() for cell in record):
                 continue
+            lineno, candidate, header_ok = reader.line_num, header_ok, False
             try:
                 values = [float(cell) for cell in record]
             except ValueError:
-                if lineno == 1:
+                if candidate:
                     continue  # header row
                 raise ValueError(
                     f"{path}: line {lineno}: could not parse {record!r} as numbers"

@@ -81,6 +81,28 @@ def test_load_csv_parse_error_reports_line(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_header_after_blank_lines_skipped(tmp_path):
+    # the first non-blank record is the header candidate, wherever it starts
+    path = tmp_path / "blank_head.csv"
+    path.write_text("\n\nx,y\n1,2\n3,4\n")
+    ds = load_csv(path, split_fractions=(1.0, 0.0, 0.0), seed=0)
+    assert ds.rows.shape == (2, 2)
+    path.write_text("\nx,y\nu,v\n1,2\n")  # one header only
+    with pytest.raises(ValueError, match="line 3: could not parse"):
+        load_csv(path)
+
+
+def test_load_csv_errors_name_the_file_line(tmp_path):
+    # a quoted field spanning two lines makes record numbers lag file lines
+    path = tmp_path / "multiline.csv"
+    path.write_text('1,"2\n"\n3,4\n5,oops\n')
+    with pytest.raises(ValueError, match="line 4: could not parse"):
+        load_csv(path)
+    path.write_text('1,"2\n"\n3,4\n5,6,7\n')
+    with pytest.raises(ValueError, match="line 4: expected 2 columns"):
+        load_csv(path)
+
+
 def test_load_csv_ragged_row_reports_line(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1,2\n3,4,5\n")

@@ -158,6 +158,39 @@ def test_autoregressive_layer_lower_triangular(rng):
     assert np.max(np.abs(back - x)) < 1e-7
 
 
+def test_last_autoregressive_pass_sees_what_the_final_input_gives(rng, monkeypatch):
+    # with build_masks' orders no hidden unit reads the last coordinate and the
+    # triple of coordinate k reads only units of order <= k, so the last pass's
+    # activations, and every pass's triple, are those of the conditioner at the
+    # x that the sequential inverse returns, bit for bit
+    from timeflow import flow
+
+    D, hidden = 8, [32, 16]
+    net = init_net([D, *hidden, 3 * D], seed=4, masks=build_masks(D, hidden))
+    net.set_param_arrays([0.3 * rng.standard_normal(p.shape) / np.sqrt(p.shape[0])
+                          for p in net.param_arrays()])
+    layer = AutoregressiveLayer(D, "sigmoid_affine", net, SolverConfig(steps=8))
+    passes = []
+
+    def recorded(net, x, *, acts=None):
+        theta = flow.net_eval.__wrapped__(net, x, acts=acts)
+        passes.append((np.array(x, copy=True), theta.copy()))
+        return theta
+
+    recorded.__wrapped__ = flow.net_eval
+    monkeypatch.setattr(flow, "net_eval", recorded)
+    x, _ = layer.inverse(rng.standard_normal((256, D)), None, "raise", True)
+    monkeypatch.undo()
+    assert len(passes) == D
+    final_acts, last_acts = [], []
+    final = flow.net_eval(net, x, acts=final_acts)
+    flow.net_eval(net, passes[-1][0], acts=last_acts)
+    for k, (_, theta) in enumerate(passes):
+        assert theta[:, 3 * k:3 * k + 3].tobytes() == final[:, 3 * k:3 * k + 3].tobytes()
+    for got, want in zip(last_acts[1:], final_acts[1:]):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_log_density_identity_model_origin():
     model = FlowModel(2, [])
     assert log_density(model, np.zeros(2)) == pytest.approx(-LOG_TWO_PI, abs=1e-12)

@@ -95,6 +95,60 @@ def test_gradients_match_finite_differences(rng):
                 assert grad[idx] == pytest.approx(fd, rel=1e-4, abs=1e-8)
 
 
+@pytest.mark.parametrize("dim, hidden, family", [
+    (3, (6,), "sigmoid_affine"), (3, (6, 5), "quadratic"), (8, (6, 5), "quadratic")])
+def test_autoregressive_gradients_match_finite_differences(dim, hidden, family, rng):
+    # from D = 3 on, hidden units of different orders see different inputs on
+    # the conditioner passes of one layer; criterion 8's central differences
+    # and bound, on every weight that the masks keep (the others must get 0)
+    from timeflow.flow import log_density
+
+    step = 1e-6
+    model = build_flow(dim, n_layers=2, kind="autoregressive", family=family,
+                       hidden_dims=hidden, solver=SolverConfig(steps=8), seed=dim)
+    randomize_parameters(model, seed=len(hidden),
+                         scale=0.35 if family == "sigmoid_affine" else 0.15)
+    batch = 0.8 * rng.standard_normal((5, dim))
+    _, grads = nll_and_grad(model, batch)
+    kept = [m for layer in model.layers[::2] for w in layer.conditioner.masks
+            for m in (w, np.ones(w.shape[1]))]
+    worst = 0.0
+    for arr, grad, mask in zip(model.parameters(), grads, kept):
+        assert np.all(grad[mask == 0.0] == 0.0)
+        for idx in zip(*np.nonzero(mask)):
+            keep = arr[idx]
+            arr[idx] = keep + step
+            up = -float(np.mean(log_density(model, batch)))
+            arr[idx] = keep - step
+            dn = -float(np.mean(log_density(model, batch)))
+            arr[idx] = keep
+            fd = (up - dn) / (2 * step)
+            worst = max(worst, abs(grad[idx] - fd) / max(1.0, abs(fd)))
+    assert worst < 1e-4, worst
+
+
+@pytest.mark.parametrize("kind", ["coupling", "autoregressive"])
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
+def test_training_loss_is_the_nll_bit_for_bit(kind, scheme):
+    # the training step takes its log-determinants from the backward pass; they
+    # must sum, layer by layer and coordinate by coordinate, to log_density's
+    scales = {"quadratic": 0.15, "cubic": 0.1, "sigmoid_affine": 0.35}
+    solved = 0
+    for family in scales:
+        for dim in (2, 3, 8):
+            model = build_flow(dim, n_layers=3, kind=kind, family=family, hidden_dims=(8,),
+                               solver=SolverConfig(scheme=scheme, steps=8), seed=dim)
+            randomize_parameters(model, seed=11, scale=scales[family])
+            batch = 0.8 * np.random.default_rng(dim).standard_normal((16, dim))
+            try:
+                want = nll(model, batch)
+            except DivergenceError:
+                continue
+            assert nll_and_grad(model, batch)[0] == want
+            solved += 1
+    assert solved >= 8  # one autoregressive cubic model diverges on RK4
+
+
 # --- adam --------------------------------------------------------------------
 
 
