@@ -1,12 +1,12 @@
 """The reverse walk over a flow's layers.
 
-Training runs the inverse path once with one `Node` per layer, in the order
-the layers ran. Each record holds the layer and the cache its `inverse`
-filled: the conditioner activations and the slab of solver stage points of
-each solve. The layer's parameters are the arrays it holds, so the record
-need not carry them. `backward` walks the records in reverse and calls each
-layer's hand-written `vjp`, which chains the conditioner's backward pass and
-the discrete adjoint of the solve (`scalarmap._adjoint`).
+Training runs the inverse path once, value-only, with one `Node` per layer,
+in the order the layers ran. Each record holds the layer and the cache its
+`inverse` filled: conditioner activations and the slab of stage points of
+each solve; the layer's parameters are the arrays it holds. `backward` walks
+the records in reverse through each layer's hand-written `vjp`, which chains
+the conditioner's backward pass and the discrete adjoint of each solve
+(`scalarmap._adjoint`), and sums the log-dets that the adjoints return.
 
 Records are write-once; a fresh list is built per differentiated call.
 The adjoints' scratch arrays live in one dict that `backward` makes per
@@ -38,14 +38,15 @@ def backward(records, x_bar, l_bar):
 
     `x_bar` is the cotangent of the last recorded layer's output and
     `l_bar`, shape (n,), that of every layer's log-determinant. Returns
-    the cotangent of the first layer's input and the parameter gradients,
-    in reverse record order (model order for the inverse path). Every
-    layer's `vjp` gets the same `work` dict, so the stacked temporaries of
-    all the solves' adjoints are allocated once per call, not once per solve.
+    the cotangent of the first layer's input, the parameter gradients in
+    reverse record order (model order for the inverse path) and the layers'
+    summed log-dets (None without records). Every layer's `vjp` gets the
+    same `work` dict, so the adjoints' stacked temporaries are allocated
+    once per call, not once per solve.
     """
-    grads = []
-    work = {}
+    grads, logdets, work = [], [], {}
     for rec in reversed(records):
-        x_bar, g = rec.layer.vjp(rec.cache, x_bar, l_bar, work)
+        x_bar, g, logdet = rec.layer.vjp(rec.cache, x_bar, l_bar, work)
         grads.extend(g)
-    return x_bar, grads
+        logdets.insert(0, logdet)  # summed in the order the layers ran, as the forward does
+    return x_bar, grads, sum(logdets[1:], logdets[0]) if logdets else None

@@ -57,11 +57,7 @@ class ConditionerNet:
 
     def param_arrays(self):
         """Parameters in the canonical order [W0, b0, W1, b1, ...]."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        return [p for pair in zip(self.weights, self.biases) for p in pair]
 
     def set_param_arrays(self, arrays):
         """Replace the parameters, given in `param_arrays` order. Nothing is
@@ -137,8 +133,7 @@ def net_backward(net: ConditionerNet, acts, cotangent):
     grads = [None] * (2 * len(net.weights))
     for i in range(len(net.weights) - 1, -1, -1):
         if i < len(net.weights) - 1:  # through the tanh; acts[i + 1] is its output
-            out = acts[i + 1]
-            g = g * (1.0 - out * out)
+            g = g * (1.0 - acts[i + 1] * acts[i + 1])
         w = net.weights[i]
         dw = acts[i].T @ g
         if net.masks is not None:
@@ -146,6 +141,23 @@ def net_backward(net: ConditionerNet, acts, cotangent):
         grads[2 * i], grads[2 * i + 1] = dw, g.sum(axis=0)
         g = g @ w.T
     return g, grads
+
+
+def net_input_vjp(net: ConditionerNet, acts):
+    """``vjp(g, cols)``: `net_backward`'s input cotangent, without its parameter
+    sums, for a cotangent g of the output columns `cols` alone. The masked
+    weights, transposed C-contiguous, and the tanh slopes are made once."""
+    masks = net.masks or [1.0] * len(net.weights)
+    weights = [np.ascontiguousarray((w * m).T) for w, m in zip(net.weights, masks)]
+    slopes = [1.0 - out * out for out in acts[:0:-1]]  # last hidden layer first
+
+    def vjp(g, cols):
+        g = g @ weights[-1][cols]
+        for w, slope in zip(weights[-2::-1], slopes):
+            g = (g * slope) @ w
+        return g
+
+    return vjp
 
 
 def net_vjp(net: ConditionerNet, x, cotangent):

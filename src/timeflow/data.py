@@ -135,13 +135,10 @@ def toy2d(name: str, n: int, seed: int = 0,
 
 
 def _parse_csv(path):
-    """Numeric rows from a CSV file. The first non-blank record, if it is not
-    numeric, is treated as a header; anything else non-numeric is an error
-    naming its file line (the last line of a record whose quoted field
-    spans several)."""
-    rows = []
-    width = None
-    header_ok = True
+    """Numeric rows from a CSV file. The first non-blank record may be a
+    non-numeric header; anything else non-numeric is an error naming its file
+    line (a record's last, if a quoted field spans lines)."""
+    rows, width, header_ok = [], None, True
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         for record in reader:

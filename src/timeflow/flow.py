@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import Node
-from .conditioner import ConditionerNet, build_masks, init_net, net_backward, net_eval
+from .conditioner import (ConditionerNet, build_masks, init_net, net_backward, net_eval,
+                          net_input_vjp)
 from .integrands import family_functions
 from .inversion import refine_lanes
 from .scalarmap import DivergenceError, SolverConfig, _adjoint, family_slope, integrate
@@ -61,7 +62,7 @@ def _base_log_density(x):
 #   params()                      its parameter arrays, in checkpoint order;
 #   forward(x, divergence, want_log_deriv) -> (y, logdet);
 #   inverse(y, refine, divergence, want_log_deriv, cache=None) -> (x, logdet);
-#   vjp(cache, x_bar, l_bar, work) -> (y_bar, param grads) of that inverse;
+#   vjp(cache, x_bar, l_bar, work) -> (y_bar, param grads, logdet) of that inverse;
 #   to_json() and the classmethod from_json(dim, obj) for checkpoints.
 # A layer always computes with the arrays its params() returns. x and y are
 # (n, D) batches; divergence is 'raise' or 'nan', applied at the fixed guard
@@ -70,11 +71,13 @@ def _base_log_density(x):
 # (permutations always return zeros). inverse returns the log-determinant of
 # the inverse map. Given a `cache` list, inverse appends what vjp needs, one
 # ``(acts, (a, b, c), slab)`` per solve: the conditioner activations, the
-# integrand parameters and the slab of stage points that `_solve` returned;
-# vjp takes the cotangents of x and of logdet, and supports the unrefined
-# inverse only. `work` is the dict of scratch arrays that `autodiff.backward`
-# makes once per call and hands to every layer, so the discrete adjoints of
-# all the layers' solves share the same memory.
+# integrand parameters and the slab of stage points that `_solve` returned
+# (an autoregressive layer keeps its last pass's activations only, in its last
+# entry). vjp takes the cotangents of x and of logdet, supports the unrefined
+# inverse only, and returns the logdet too, from the adjoints, so a
+# differentiated inverse runs value-only. `work` is the dict of scratch arrays
+# that `autodiff.backward` makes once per call and hands to every layer, so
+# the discrete adjoints of all the layers' solves share the same memory.
 
 
 @dataclass
@@ -134,10 +137,10 @@ class CouplingLayer:
     def vjp(self, cache, x_bar, l_bar, work):
         [(acts, abc, slab)] = cache
         kept_bar, out_bar = self._halves(x_bar)
-        moved_bar, *abc_bar = _adjoint(self.family, abc, self.solver.reversed(), slab,
-                                       out_bar, l_bar[:, None], work)
+        moved_bar, *abc_bar, l = _adjoint(self.family, abc, self.solver.reversed(), slab,
+                                          out_bar, l_bar[:, None], work)
         dkept, grads = net_backward(self.conditioner, acts, _interleave(abc_bar))
-        return self._join(kept_bar + dkept, moved_bar), grads
+        return self._join(kept_bar + dkept, moved_bar), grads, np.sum(l, axis=1)
 
     def to_json(self):
         return {
@@ -181,13 +184,13 @@ class AutoregressiveLayer:
 
     def inverse(self, y, refine, divergence, want_log_deriv, cache=None):
         """Sequential inversion: coordinate k is solved once coordinates
-        0..k-1 are known. x starts at zero, and every conditioner pass reads
-        a copy of it, because the cached activations keep their input."""
+        0..k-1 are known. x starts at zero. Only the last conditioner pass
+        keeps its activations, for `vjp`, so it reads a copy of x."""
         x = np.zeros(y.shape)
         logdet = None
         for k in range(self.dim):
-            acts = [] if cache is not None else None
-            theta = net_eval(self.conditioner, x.copy(), acts=acts)
+            acts = [] if cache is not None and k == self.dim - 1 else None
+            theta = net_eval(self.conditioner, x if acts is None else x.copy(), acts=acts)
             a, b, c = _triples(theta[:, 3 * k:3 * k + 3])
             x[:, k:k + 1], contrib, slab = _invert_block(
                 self, a, b, c, y[:, k:k + 1], refine, divergence, want_log_deriv,
@@ -200,22 +203,29 @@ class AutoregressiveLayer:
 
     def vjp(self, cache, x_bar, l_bar, work):
         """Walk the coordinates in reverse order: a coordinate's cotangent is
-        complete once every later coordinate's conditioner pass has added
-        to it. Pass k reads coordinates 0..k-1 only; the others were zero."""
+        complete once every later coordinate's triple has added to it. The
+        triple of coordinate k reads coordinates 0..k-1 only, final from pass
+        k on, so it and the chain back from it are the last pass's: one input
+        chain per coordinate, from its own output slots, then one parameter
+        pass over all the triples' cotangents."""
+        acts = cache[-1][0]
+        chain = net_input_vjp(self.conditioner, acts)
         x_bar = x_bar.copy()
         y_bar = np.empty_like(x_bar)
-        grads = None
+        theta_bar = np.empty((x_bar.shape[0], 3 * self.dim))
+        logdets = [None] * self.dim
         cfg = self.solver.reversed()
-        for k in range(len(cache) - 1, -1, -1):
-            acts, abc, slab = cache[k]
-            y_bar[:, k:k + 1], *abc_bar = _adjoint(self.family, abc, cfg, slab,
-                                                   x_bar[:, k:k + 1], l_bar[:, None], work)
-            theta_bar = np.zeros((x_bar.shape[0], 3 * self.dim))
-            theta_bar[:, 3 * k:3 * k + 3] = _interleave(abc_bar)
-            dinput, g = net_backward(self.conditioner, acts, theta_bar)
-            x_bar[:, :k] += dinput[:, :k]
-            grads = g if grads is None else [s + t for s, t in zip(grads, g)]
-        return y_bar, grads
+        for k in range(self.dim - 1, -1, -1):
+            _, abc, slab = cache[k]
+            y_bar[:, k:k + 1], *abc_bar, l = _adjoint(self.family, abc, cfg, slab,
+                                                      x_bar[:, k:k + 1], l_bar[:, None], work)
+            slots = slice(3 * k, 3 * k + 3)
+            theta_bar[:, slots] = triple_bar = _interleave(abc_bar)
+            if k:  # coordinate 0's triple reads nothing
+                x_bar[:, :k] += chain(triple_bar, slots)[:, :k]
+            logdets[k] = np.sum(l, axis=1)
+        return (y_bar, net_backward(self.conditioner, acts, theta_bar)[1],
+                sum(logdets[1:], logdets[0]))
 
     def to_json(self):
         return {
@@ -259,7 +269,7 @@ class PermutationLayer:
         return y[:, np.argsort(self.perm)], np.zeros(y.shape[0])
 
     def vjp(self, cache, x_bar, l_bar, work):
-        return x_bar[:, self.perm], []
+        return x_bar[:, self.perm], [], np.zeros(x_bar.shape[0])
 
     def to_json(self):
         return {"kind": "permutation", "perm": self.perm.tolist()}
@@ -467,14 +477,14 @@ def log_density(model: FlowModel, y, params=None, *, divergence="raise"):
         model = copy.deepcopy(model)
         model.set_parameters(params)
     yb, squeeze = _as_batch(y, model.dim)
-    _, out = _log_density(model, yb, divergence)
+    mode = "raise" if divergence == "raise" else "nan"
+    out = _log_density(*_through_layers(model, yb, mode, True, inverse=True), divergence)
     return out[0] if squeeze else out
 
 
-def _log_density(model, y, divergence, records=None):
-    """`log_density` of an (n, D) batch; returns the base point x as well."""
-    mode = "raise" if divergence == "raise" else "nan"
-    x, total = _through_layers(model, y, mode, True, inverse=True, records=records)
+def _log_density(x, total, divergence):
+    """Base log-density of x, where the inverse path took the rows, plus the layers'
+    summed log-dets `total` (or None); a non-finite row raises, or is -inf."""
     base = _base_log_density(x)
     out = base if total is None else base + total
     if not np.all(np.isfinite(out)):
@@ -482,7 +492,7 @@ def _log_density(model, y, divergence, records=None):
             bad = np.flatnonzero(~np.isfinite(out)).tolist()
             raise DivergenceError(f"non-finite log-density for rows {bad}", indices=bad)
         out = np.where(np.isnan(out), -np.inf, out)
-    return x, out
+    return out
 
 
 def sample(model: FlowModel, n: int, seed: int = 0, *, divergence="raise"):

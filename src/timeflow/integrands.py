@@ -10,19 +10,21 @@ A `custom` integrand carries explicit value / d-value callbacks and may
 depend on `t`. The family functions take numpy arrays, and the (a, b, c)
 slots may themselves be arrays broadcast against `v`.
 
-Two tables serve the solver. `family_functions` gives each family's slope,
-which computes g and dg/dv from shared intermediates (for the quadratic,
-u = c*v, w = a + u, g = w*v + b and dg/dv = w + u), and `family_phi` gives
-phi, phi' and phi'', from which the discrete adjoint takes its derivatives.
+`family_functions` gives each family's slope, which computes g and dg/dv from
+shared intermediates (for the quadratic, u = c*v, w = a + u, g = w*v + b and
+dg/dv = w + u). The discrete adjoint takes its derivatives from `family_phi`'s
+phi, phi' and phi'', and the log-derivative from `family_dg`, the slope's dg/dv.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
+from numpy import add, divide, exp, multiply, negative, subtract
 
 FAMILIES = ("quadratic", "cubic", "sigmoid_affine", "custom")
 
@@ -69,48 +71,62 @@ _PHI = {
                            out=out)),
 }
 
-# The slopes: g and dg/dv from shared intermediates. `out` is ``(g, dg,
-# scratch)``, arrays of the result's shape to write into instead of allocating;
-# dg may be None, and then dg/dv is allocated. scratch must not be v. An
+# The slopes: g and dg/dv from shared intermediates, called positionally. `out`
+# is ``(g, dg, scratch)``, arrays of the result's shape to write into instead of
+# allocating (dg may be None: dg/dv is allocated); scratch must not be v. An
 # intermediate that dg/dv still needs waits in dg's array.
 
 
-def _quadratic(a, b, c, v, t, *, with_dv=False, out=None):
+def _quadratic(a, b, c, v, t, out=None, with_dv=False):
     # u = c*v; w = a + u; g = w*v + b; dg/dv = w + u
     g_out, dg_out, tmp = (None, None, None) if out is None else out
-    u = np.multiply(c, v, out=dg_out if with_dv else tmp)
-    w = np.add(a, u, out=tmp)
-    g = np.add(np.multiply(w, v, out=g_out), b, out=g_out)
-    return (g, np.add(w, u, out=dg_out)) if with_dv else g
+    u = multiply(c, v, out=dg_out if with_dv else tmp)
+    w = add(a, u, out=tmp)
+    g = add(multiply(w, v, out=g_out), b, out=g_out)
+    return (g, add(w, u, out=dg_out)) if with_dv else g
 
 
-def _cubic(a, b, c, v, t, *, with_dv=False, out=None):
+def _cubic(a, b, c, v, t, out=None, with_dv=False):
     # q = c*v^2; w = a + q; g = w*v + b; dg/dv = w + 2*q
     g_out, dg_out, tmp = (None, None, None) if out is None else out
-    q = np.multiply(c, np.multiply(v, v, out=tmp), out=dg_out if with_dv else tmp)
-    w = np.add(a, q, out=tmp)
-    g = np.add(np.multiply(w, v, out=g_out), b, out=g_out)
-    return (g, np.add(w, np.multiply(2.0, q, out=dg_out), out=dg_out)) if with_dv else g
+    q = multiply(c, multiply(v, v, out=tmp), out=dg_out if with_dv else tmp)
+    w = add(a, q, out=tmp)
+    g = add(multiply(w, v, out=g_out), b, out=g_out)
+    return (g, add(w, multiply(2.0, q, out=dg_out), out=dg_out)) if with_dv else g
 
 
-def _sigmoid_affine(a, b, c, v, t, *, with_dv=False, out=None):
+def _sigmoid_affine(a, b, c, v, t, out=None, with_dv=False):
     # s = sigmoid(v); cs = c*s; g = a*v + b + cs; dg/dv = a + cs*(1 - s)
     g_out, dg_out, tmp = (None, None, None) if out is None else out
-    s = _logistic(v, tmp)
-    cs = np.multiply(c, s, out=dg_out if with_dv else tmp)
-    g = np.add(np.add(np.multiply(a, v, out=g_out), b, out=g_out), cs, out=g_out)
-    if not with_dv:
-        return g
-    return g, np.add(a, np.multiply(cs, np.subtract(1.0, s, out=tmp), out=dg_out), out=dg_out)
+    s = _logistic(v) if out is None else divide(  # `_logistic` into tmp, inline
+        1.0, add(1.0, exp(negative(v, out=tmp), out=tmp), out=tmp), out=tmp)
+    cs = multiply(c, s, out=dg_out if with_dv else tmp)
+    g = add(add(multiply(a, v, out=g_out), b, out=g_out), cs, out=g_out)
+    dg = with_dv and add(a, multiply(cs, subtract(1.0, s, out=tmp), out=dg_out), out=dg_out)
+    return (g, dg) if with_dv else g
 
 
-# family -> (slope, dg/dv alone); each dg/dv is the same expression as its slope's
-_TABLE = {
-    "quadratic": (_quadratic, lambda a, b, c, v, t: (a + c * v) + c * v),
-    "cubic": (_cubic, lambda a, b, c, v, t: (a + c * (v * v)) + 2.0 * (c * (v * v))),
-    "sigmoid_affine": (_sigmoid_affine,
-                       lambda a, b, c, v, t: a + (c * _logistic(v)) * (1.0 - _logistic(v))),
+# family -> dg/dv alone, from (a, c, v, phi(v)) into `out`, see `family_dg`
+_DG = {
+    "quadratic": lambda a, c, v, p, out, tmp: add(
+        add(a, (u := multiply(c, v, out=tmp)), out=out), u, out=out),
+    "cubic": lambda a, c, v, p, out, tmp: add(
+        add(a, (q := multiply(c, multiply(v, v, out=tmp), out=tmp)), out=out),
+        multiply(2.0, q, out=tmp), out=out),
+    "sigmoid_affine": lambda a, c, v, s, out, tmp: add(
+        a, multiply(multiply(c, s, out=out), subtract(1.0, s, out=tmp), out=out), out=out),
 }
+# family -> (slope, dg/dv alone), the slope's dg/dv
+_TABLE = {family: (slope, lambda a, b, c, v, t, slope=slope: slope(a, b, c, v, t, with_dv=True)[1])
+          for family, slope in (("quadratic", _quadratic), ("cubic", _cubic),
+                                ("sigmoid_affine", _sigmoid_affine))}
+
+
+def _lookup(table, family):
+    try:
+        return table[family]
+    except KeyError:
+        raise ValueError(f"unknown integrand family {family!r}") from None
 
 
 def family_functions(family: str):
@@ -119,16 +135,12 @@ def family_functions(family: str):
     ``value_fn(..., with_dv=True)`` is the slope: it returns the pair
     ``(g, dg/dv)`` from shared intermediates, and ``dv_fn`` is the same
     expression as that dg/dv, so the pair is bitwise equal to the two
-    separate calls. ``value_fn(..., out=(g, dg, scratch))`` writes that
+    separate calls. ``value_fn(a, b, c, v, t, (g, dg, scratch))`` writes that
     result into the given arrays and returns them, bitwise equal to the
-    allocating call. `scalarmap.family_slope` makes it the slope that
-    `integrate` calls, which passes the two rows of its per-stage slope
-    array this way.
+    allocating call. `scalarmap.family_slope` binds a, b and c, and
+    `integrate` passes each stage's slope rows this way, positionally.
     """
-    try:
-        return _TABLE[family]
-    except KeyError:
-        raise ValueError(f"unknown integrand family {family!r}") from None
+    return _lookup(_TABLE, family)
 
 
 def family_phi(family: str):
@@ -140,10 +152,13 @@ def family_phi(family: str):
     adjoint needs: dg/d(a, b, c) = (v, 1, phi), d2g/dv2 = c*phi'' and
     d(dg/dv)/d(a, b, c) = (1, 0, phi').
     """
-    try:
-        return _PHI[family]
-    except KeyError:
-        raise ValueError(f"unknown integrand family {family!r}") from None
+    return _lookup(_PHI, family)
+
+
+def family_dg(family: str):
+    """Return ``dg(a, c, v, phi, out, tmp)``: a built-in family's dg/dv in
+    its slope's expression and ufuncs, so bitwise the solver's, into `out`."""
+    return _lookup(_DG, family)
 
 
 @dataclass(frozen=True)
@@ -194,7 +209,5 @@ class Integrand:
         """``(value_fn, dv_fn)`` with signature ``(v, t)``, params bound in."""
         if self.family == "custom":
             return self.value_fn, self.dv_fn
-        value, dv = family_functions(self.family)
-        a, b, c = self.params()
-        return (lambda v, t: value(a, b, c, v, t)), (lambda v, t: dv(a, b, c, v, t))
+        return tuple(partial(f, *self.params()) for f in family_functions(self.family))
 

@@ -15,11 +15,12 @@ dataclasses and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .integrands import Integrand, family_functions, family_phi
+from .integrands import Integrand, family_dg, family_functions, family_phi
 
 __all__ = [
     "SolverConfig",
@@ -104,39 +105,31 @@ class VjpResult:
     dparams: tuple = (0.0, 0.0, 0.0)
 
 
-def _check_guard(v, t, divergence, scratch):
-    """Detect lanes outside the guard box |v| <= GUARD at time `t`. Returns
-    updated v in 'nan' mode. |v| goes into `scratch`, an array of v's shape."""
-    raw = np.asarray(v)
-    if not raw.size or np.abs(raw, out=scratch).max() <= GUARD:  # NaN fails this comparison
-        return v
-    bad = ~np.isfinite(raw) | (np.abs(raw) > GUARD)
+def _check_guard(v, t, divergence):
+    """For a step at time `t` that failed `integrate`'s guard test: raise naming the
+    rows outside the box |v| <= GUARD, or in 'nan' mode write NaN into those lanes."""
+    bad = ~np.isfinite(v) | (np.abs(v) > GUARD)
     if divergence == "raise":
         rows = None
-        if raw.ndim:  # axis 0 holds the batch rows
+        if v.ndim:  # axis 0 holds the batch rows
             rows = np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1)).tolist()
         raise DivergenceError(
             f"trajectory left |v| <= {GUARD:g} at t={t:.6g}"
             + (f" (rows {rows})" if rows else ""),
             indices=rows,
         )
-    return np.where(bad, np.nan, raw)
+    np.copyto(v, np.nan, where=bad)
 
 
 def _two_function_slope(value_fn, dv_fn, want_log_deriv):
-    """The slope of a caller that passes g and dg/dv as two functions of (v, t).
-
-    Given buffers, the results are copied into them, where the solver reads
-    them. ``dv_fn`` is not called unless `want_log_deriv`.
-    """
+    """The slope of a caller that passes g and dg/dv as two functions of (v, t),
+    copying the results into the solver's buffers when it gives them; ``dv_fn``
+    is not called unless `want_log_deriv`."""
     def slope(v, t, out):
-        g = value_fn(v, t)
-        dg = dv_fn(v, t) if want_log_deriv else None
-        if out is not None:
-            np.copyto(out[0], g)
-            if dg is not None:
-                np.copyto(out[1], dg)
-        return g, dg
+        z = (value_fn(v, t), dv_fn(v, t)) if want_log_deriv else (value_fn(v, t),)
+        for row, r in zip(out or (), z):
+            np.copyto(row, r)
+        return z if want_log_deriv else z[0]
 
     return slope
 
@@ -145,44 +138,37 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
               keep_stages=False):
     """Integrate v' = g(v, t) across the unit interval.
 
-    The loop evaluates one slope per stage point, ``slope(v, t, out)``,
-    which returns g and dg/dv together (dg/dv may be None without
-    `want_log_deriv`). Built-in families pass the slope that `family_slope`
-    builds as ``value_fn``, with ``dv_fn=None``. Custom integrands and
-    reference solves pass g = ``value_fn(v, t)`` and dg/dv = ``dv_fn(v, t)``,
-    which are adapted to a slope once, before the loop; ``dv_fn`` is not
-    called unless `want_log_deriv`.
+    The loop makes one call per stage point, ``slope(v, t, out)``, which
+    returns (g, dg/dv) with `want_log_deriv` and g alone without it:
+    `family_slope`'s for a built-in family (``dv_fn=None``), or one adapted
+    once from g = ``value_fn(v, t)`` and dg/dv = ``dv_fn(v, t)``.
 
     After every step, a lane that is not finite or has left the fixed guard
     box |v| <= GUARD raises `DivergenceError` naming its batch rows, or with
-    ``divergence='nan'`` becomes NaN and stays NaN.
+    ``divergence='nan'`` becomes NaN and stays NaN; the loop tests the
+    largest |v| itself and calls `_check_guard` only when that fails.
 
-    With `want_log_deriv` it also accumulates l' = dg/dv with l(0) = 0,
-    using the same scheme and stage points, i.e. one pass over the
-    augmented state (v, l). With `keep_stages` the solve also returns its
-    slab of stage points, shape ``(steps * s, *shape)``, s = 4 stage points
-    per step for RK4 (v1, v2, v3, v4) and 1 for Euler (v1): row ``s*k + i``
-    is stage point i of step k, so the end of step k is row ``s*(k+1)``,
-    the first stage point of step k + 1 (in 'nan' mode, after the guard's
-    NaNs). Row 0 is x, broadcast to the solve's shape. `_adjoint`
-    differentiates a built-in-family solve from the slab, `_tangent` a
-    custom one, and `forward` reads its trajectory from the step rows.
+    With `want_log_deriv` it also accumulates l' = dg/dv with l(0) = 0 over
+    the same stage points, one pass over the augmented state (v, l). With
+    `keep_stages` it also returns its slab of stage points, shape
+    ``(steps * s, *shape)``, s = 4 for RK4 (v1..v4) and 1 for Euler: row
+    ``s*k + i`` is stage point i of step k, so row ``s*(k+1)`` is the end of
+    step k (after the guard's NaNs); row 0 is x, broadcast. `_adjoint`
+    differentiates a built-in-family solve from the slab and takes its
+    log-derivative from it, `_tangent` a custom one, and `forward` reads
+    its trajectory from the step rows.
 
-    Buffers. The first slope call, at x, gets ``out=None``. Its results fix
-    the shape and dtype of the solve (x, g and dg/dv promoted together, so a
-    complex perturbation in any of them makes the whole solve complex). Each
-    stage i then has one slope array K_i of shape ``(2, *shape)``: g in row 0,
-    dg/dv in row 1 (only with `want_log_deriv`). Later slope calls get
-    ``out=(K_i[0], K_i[1] or None, scratch)`` and must write into them; the
-    first call's results are copied into K_1. The scheme's weighted sum then
-    runs once over both rows, in place in K_2 (K_1 for Euler), and its rows
-    step v and l; the dg/dv row never feeds v. x is never written. The
-    stage points go into one array, or with `keep_stages` straight into
-    their rows of the slab, allocated with the other arrays, so the loop
-    allocates nothing per step. Each arithmetic step is the ufunc of the
+    Buffers. The first slope call, at x, gets ``out=None``; its results fix
+    the shape and dtype (x, g and dg/dv promoted together, so a complex
+    perturbation in any of them makes the whole solve complex). Stage i then
+    has one slope array K_i, g in row 0 and dg/dv in row 1, and later calls
+    get ``out=(K_i[0], K_i[1] or None, scratch)`` to write into. The
+    weighted sum runs once over both rows, in place in K_2 (K_1 for Euler);
+    the dg/dv row never feeds v, and x is never written. Stage points go
+    into one array, or into the slab's rows, whose views are made once per
+    solve, so the loop allocates nothing. Each step is the ufunc of the
     plain expression on the same operands in the same order, so the results
-    are bitwise those of allocating arithmetic; a 0-d x still gives numpy
-    scalars.
+    are bitwise those of allocating arithmetic; a 0-d x gives numpy scalars.
 
     Returns ``(v_end, log_deriv, slab)``; log_deriv is None without
     `want_log_deriv`, and slab is None without `keep_stages`.
@@ -191,19 +177,21 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
         raise ValueError("divergence must be 'raise' or 'nan'")
     slope = value_fn if dv_fn is None else _two_function_slope(value_fn, dv_fn,
                                                                 want_log_deriv)
+    add, multiply, absolute, maximum = np.add, np.multiply, np.absolute, np.maximum
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
+    half, sixth = 0.5 * h, h / 6.0
     t0 = 0.0 if cfg.direction == "forward" else 1.0
     euler = cfg.scheme == "euler"
     v = x
     log_deriv = slab = None
 
     with np.errstate(over="ignore", invalid="ignore"):
-        first = [z for z in slope(x, t0, None) if z is not None]  # g, and dg/dv if wanted
-        shape = np.broadcast_shapes(*(np.shape(z) for z in (x, *first)))
+        first = slope(x, t0, None) if want_log_deriv else (slope(x, t0, None),)  # g[, dg/dv]
+        shape = np.broadcast(x, *first).shape
         dtype = np.result_type(x, *first)
         s = 1 if euler else 4
-        slopes = [np.empty((2 if want_log_deriv else 1,) + shape, dtype) for _ in range(s)]
+        slopes = [np.empty((len(first),) + shape, dtype) for _ in range(s)]
         scratch = np.empty(shape, dtype)
         # row views, made once; `[i, ...]` keeps a 0-d row an array
         outs = [(k[0, ...], k[1, ...] if want_log_deriv else None, scratch) for k in slopes]
@@ -211,42 +199,38 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
         for row, z in zip(outs[0], first):
             np.copyto(row, z)
         del first, z  # K_1 holds the first slope now; freed, it lowers the solve's peak memory
-        point = None if keep_stages else np.empty(shape, dtype)
         v_out = np.empty(shape, dtype)
         if keep_stages:  # stage point i is row i; the end of step k is row s*(k+1)
             slab = np.empty((n * s,) + shape, dtype)
-            v = slab[0, ...]
+            rows = (list(slab) if shape else [slab[i, ...] for i in range(n * s)]) + [v_out]
+            v = rows[0]
             np.copyto(v, x)
+        else:  # step k's stage points and end, the same arrays at every step
+            stage = (None,) + (np.empty(shape, dtype),) * (s - 1) + (v_out,)
 
         for k in range(n):
             t = t0 + k * h
-            end = slab[s * (k + 1), ...] if keep_stages and k + 1 < n else v_out
+            if keep_stages:
+                stage = rows[s * k:s * (k + 1) + 1]
             if k:
                 slope(v, t, outs[0])
             if euler:
-                np.multiply(slopes[0], h, out=slopes[0])
+                multiply(slopes[0], h, out=slopes[0])
             else:  # rk4 on the augmented state (v, l)
-                r = s * k  # v is stage point r
-                p2, p3, p4 = ((slab[r + 1, ...], slab[r + 2, ...], slab[r + 3, ...])
-                              if keep_stages else (point, point, point))
-                half = 0.5 * h
-                slope(np.add(v, np.multiply(half, outs[0][0], out=p2), out=p2), t + half,
-                      outs[1])
-                slope(np.add(v, np.multiply(half, outs[1][0], out=p3), out=p3), t + half,
-                      outs[2])
-                slope(np.add(v, np.multiply(h, outs[2][0], out=p4), out=p4), t + h, outs[3])
-                # (K1 + 2*K2 + 2*K3 + K4) * (h/6), into K2
+                _, p2, p3, p4, _ = stage
                 k1, k2, k3, k4 = slopes
-                np.add(k1, np.multiply(2.0, k2, out=k2), out=k2)
-                np.add(k2, np.multiply(2.0, k3, out=k3), out=k2)
-                np.multiply(np.add(k2, k4, out=k2), h / 6.0, out=k2)
+                slope(add(v, multiply(half, outs[0][0], out=p2), out=p2), t + half, outs[1])
+                slope(add(v, multiply(half, outs[1][0], out=p3), out=p3), t + half, outs[2])
+                slope(add(v, multiply(h, outs[2][0], out=p4), out=p4), t + h, outs[3])
+                # (K1 + 2*K2 + 2*K3 + K4) * (h/6), into K2
+                add(k1, multiply(2.0, k2, out=k2), out=k2)
+                add(k2, multiply(2.0, k3, out=k3), out=k2)
+                multiply(add(k2, k4, out=k2), sixth, out=k2)
             if want_log_deriv:
-                log_deriv = (step_l.copy() if k == 0
-                             else np.add(log_deriv, step_l, out=log_deriv))
-            v = np.add(v, step_v, out=end)
-            checked = _check_guard(v, t0 + (k + 1) * h, divergence, scratch)
-            if checked is not v:  # 'nan' mode replaced the diverged lanes
-                np.copyto(v, checked)
+                log_deriv = step_l.copy() if k == 0 else add(log_deriv, step_l, out=log_deriv)
+            v = add(v, step_v, out=stage[-1])
+            if scratch.size and not maximum.reduce(absolute(v, out=scratch), None) <= GUARD:
+                _check_guard(v, t0 + (k + 1) * h, divergence)  # NaN fails the test too
 
     if want_log_deriv and not shape:  # a 0-d solve returns numpy scalars, as arithmetic does
         log_deriv = log_deriv[()]
@@ -254,12 +238,12 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
 
 
 def family_slope(value, a, b, c, want_dv):
-    """The ``slope(v, t, out)`` that `integrate` calls for a built-in family's
-    `value` function and parameters a, b, c: it returns (g, dg/dv) from shared
-    intermediates with `want_dv`, else (g, None) without computing dg/dv; into `out` if given."""
+    """`integrate`'s ``slope(v, t, out)`` for a built-in family's `value` and
+    parameters a, b, c: (g, dg/dv) with `want_dv`, else g alone, into `out` if
+    given; value-only, `value` itself with a, b, c bound, one call a point."""
     if want_dv:
-        return lambda v, t, out: value(a, b, c, v, t, with_dv=True, out=out)
-    return lambda v, t, out: (value(a, b, c, v, t, out=out), None)
+        return lambda v, t, out: value(a, b, c, v, t, out, with_dv=True)
+    return partial(value, a, b, c)
 
 
 def _integrand_slope(g: Integrand, want_dv):
@@ -334,8 +318,10 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     The discrete adjoint of `integrate` for g = a*v + b + c*phi(v): given the
     slab that `integrate` returned with `keep_stages` and the cotangents of
     v(1) and of the log-derivative, returns those of x, a, b and c, each in
-    the broadcast shape of the solve. RK4 and Euler share the sweep; they
-    differ only in stage weights and offsets.
+    the broadcast shape of the solve, and then the solve's log-derivative,
+    bitwise `integrate`'s (its slope's dg/dv, `family_dg`, summed as it
+    sums it), so a differentiated solve need not accumulate it. RK4 and
+    Euler share the sweep; they differ only in stage weights and offsets.
 
     Within a step, each stage's slope cotangent is affine in the cotangent
     ybar of the step's end, kbar_i = alpha_i*ybar + beta_i, and so is the
@@ -367,7 +353,7 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     lanes = slab.shape[1:]
     points = slab.reshape((n, s) + lanes).swapaxes(0, 1)  # points[i, k]: stage i of step k
     w = np.reshape(weights, (s, 1) + (1,) * len(lanes))
-    lanes = np.broadcast_shapes(lanes, *(np.shape(z) for z in (a, c, cot_y, cot_l)))
+    lanes = np.broadcast(points[0, 0], a, c, cot_y, cot_l).shape
     dtype = np.result_type(slab, a, c, cot_y, cot_l)
     work = {} if work is None else work
     # Every stacked temporary is a workspace array that each ufunc writes into,
@@ -381,6 +367,15 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     with np.errstate(over="ignore"):  # the sigmoid's exp(-v) may overflow to inf
         phi(points, p)  # one sigmoid serves phi, phi' and phi''
     dphi(points, p, dp)
+    # the log-derivative: the slope's own dg/dv at every stage point, summed
+    # over each step's stages and then over the steps, as `integrate` sums them
+    dg = family_dg(family)(a, c, points, p, kbar, spare)
+    log_deriv, tmp = spare[0], spare[-1]
+    np.copyto(log_deriv, dg[0])
+    for coef, d in zip((2.0, 2.0, 1.0), dg[1:]):  # ((d1 + 2*d2) + 2*d3 + d4) * (h/6)
+        np.add(log_deriv, np.multiply(coef, d, out=tmp), out=log_deriv)
+    np.multiply(log_deriv, weights[0], out=log_deriv)  # h/6, or h for Euler
+    log_deriv = np.add.accumulate(log_deriv, axis=0, out=log_deriv)[-1].copy()
     np.add(np.multiply(c, dp, out=jac), a, out=jac)  # dg/dv at every stage point
     np.multiply(w, cot_l, out=jbar)  # cotangent of each stage's dg/dv
     # reaches a stage point through its dg/dv: jbar * (c * phi'')
@@ -391,7 +386,6 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     # jac_i and through_jac_i; alpha_{i-1} = weights[i-1] + offsets[i-1]*aj_i goes
     # into spare, beta_{i-1} = offsets[i-1]*bj_i into kbar. The last stage's alpha
     # is weights[-1] and its beta 0, so those two arrays' last rows stay free.
-    tmp = spare[-1]
     np.multiply(weights[-1], jac[-1], out=jac[-1])
     for i in range(s - 2, -1, -1):
         alpha, beta = spare[i], kbar[i]
@@ -412,7 +406,7 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     np.multiply(weights[-1], ybar, out=ybar)
     np.add(np.multiply(points, kbar, out=spare), jbar, out=spare)  # abar = sum(kbar*v + jbar)
     np.add(np.multiply(p, kbar, out=p), np.multiply(dp, jbar, out=dp), out=p)  # cbar
-    return dx, *(np.sum(z, axis=(0, 1)) for z in (spare, kbar, p))
+    return (dx, *(np.sum(z, axis=(0, 1)) for z in (spare, kbar, p)), log_deriv)
 
 
 def _tangent(dv_fn, cfg, slab):
@@ -461,6 +455,6 @@ def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet) -> VjpRes
             raise ValueError("forward_vjp of a custom integrand takes cot_logdet = 0 only")
         dx, dparams = cot_y * _tangent(dv_fn, cfg, slab), (0.0, 0.0, 0.0)
     else:
-        dx, *dp = _adjoint(g.family, g.params(), cfg, slab, cot_y, cot_logdet)
+        dx, *dp, _ = _adjoint(g.family, g.params(), cfg, slab, cot_y, cot_logdet)
         dparams = tuple(float(np.sum(p)) for p in dp)
     return VjpResult(dx=_as_output(dx, scalar), dparams=dparams)

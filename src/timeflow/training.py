@@ -2,15 +2,14 @@
 
 The loss is the mean negative log-density of a batch; gradients are exact
 reverse-mode derivatives of the discretized computation (solver steps,
-conditioner evaluations, base density). The inverse path runs once and
-keeps one record per layer, with one slab of stage points per solve
-(a layer computes with the parameters it holds, so `train` writes every
-Adam update back with `FlowModel.set_parameters`);
-`autodiff.backward` then walks the records in reverse through each layer's
-hand-written `vjp`, whose solves go through the discrete adjoint of the
-solver steps (`scalarmap._adjoint`). The adjoints' stacked temporaries come
-from one scratch dict per `backward` call, so a training step reuses their
-memory across layers and coordinates and keeps none of it afterwards.
+conditioner evaluations, base density). The inverse path runs once,
+value-only, and keeps one record per layer, with one slab of stage points
+per solve (a layer computes with the parameters it holds, so `train` writes
+every Adam update back with `FlowModel.set_parameters`). `autodiff.backward`
+walks the records in reverse through each layer's hand-written `vjp`, whose
+solves go through the discrete adjoint (`scalarmap._adjoint`); the adjoints
+also return the log-dets, bitwise those `log_density` accumulates, and their
+stacked temporaries come from one scratch dict per `backward` call.
 
 The loop is single-threaded over batches; within a batch all examples
 are vector lanes, so gradient accumulation is bitwise deterministic.
@@ -25,7 +24,7 @@ import numpy as np
 
 from .autodiff import backward
 from .data import Dataset
-from .flow import FlowModel, _base_log_density, _log_density, log_density
+from .flow import FlowModel, _base_log_density, _through_layers, _log_density, log_density
 from .scalarmap import DivergenceError
 
 __all__ = [
@@ -115,14 +114,15 @@ def nll_and_grad(model: FlowModel, batch):
     if batch.ndim != 2 or batch.shape[0] == 0 or batch.shape[1] != model.dim:
         raise ValueError(f"batch must be a nonempty (n, {model.dim}) matrix,"
                          f" got shape {batch.shape}")
-    records = []
-    try:
-        x, logp = _log_density(model, batch, "raise", records)
+    records, n = [], batch.shape[0]
+    try:  # value-only solves: the adjoints return the log-dets
+        x, _ = _through_layers(model, batch, "raise", False, inverse=True, records=records)
+        # loss = -mean(logp), and logp = -|x|^2 / 2 + const + the layers' log-dets
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite log-det raises below
+            _, grads, total = backward(records, x * (1.0 / n), np.full(n, -1.0 / n))
+        logp = _log_density(x, total, "raise")
     except DivergenceError as err:
         raise DivergenceError(f"batch aborted: {err}", indices=err.indices) from err
-    n = batch.shape[0]
-    # loss = -mean(logp), and logp = -|x|^2 / 2 + const + the layers' log-dets
-    _, grads = backward(records, x * (1.0 / n), np.full(n, -1.0 / n))
     return float(-np.mean(logp)), grads
 
 

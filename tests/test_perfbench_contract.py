@@ -53,6 +53,8 @@ def test_traced_run_is_correct_and_counts(workload):
     # points and evaluates nothing
     assert metrics["autodiff.nodes.train"]["value"] == 7
     assert metrics["integrands.evals.train"]["value"] == TRAIN_SOLVES[workload] * 16 * 4
+    # one conditioner pass per solve on the inverse path, and none in the backward
+    assert metrics["conditioner.calls.train"]["value"] == TRAIN_SOLVES[workload]
 
 
 @pytest.mark.parametrize("workload", ["fit-2d", "ar-8d"])

@@ -283,7 +283,7 @@ def test_adjoint_matches_complex_step_at_trained_shapes(family, scheme, directio
     cot_y, cot_l = rng.standard_normal((2, rows, 1))
     _, _, slab = integrate(family_slope(family_functions(family)[0], *params, False), None,
                            x0, cfg, want_log_deriv=False, keep_stages=True)
-    got = _adjoint(family, params, cfg, slab, cot_y, cot_l)
+    *got, _ = _adjoint(family, params, cfg, slab, cot_y, cot_l)
     inputs = [x0, *params]
     for i, g in enumerate(got):
         shifted = list(inputs)
@@ -362,7 +362,7 @@ def test_slope_path_matches_two_function_path(family, scheme, direction, want_lo
             _, _, slab = integrate(*g.functions(), np.asarray(z), cfg, want_log_deriv=False,
                                    keep_stages=True)
             cots = [np.broadcast_to(w, np.shape(z)) for w in (0.7, -0.4)]
-            dx, *dp = _adjoint(family, g.params(), cfg, slab, *cots)
+            dx, *dp, _ = _adjoint(family, g.params(), cfg, slab, *cots)
             vjp = forward_vjp(g, cfg, z, 0.7, -0.4)
             pairs = [(_map_only(g, cfg)(z), want_y), (vjp.dx, dx),
                      (vjp.dparams, [float(np.sum(p)) for p in dp])]

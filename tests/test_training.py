@@ -365,6 +365,22 @@ def test_divergent_batch_raises_with_rows():
     assert str(err.value).startswith("batch aborted: layer 6:")
 
 
+def test_non_finite_log_det_aborts_the_batch_naming_its_rows():
+    # dg/dv = 1e308 keeps v at 0 but overflows the log-derivative; the training
+    # step takes it from the backward pass, which must not warn before the
+    # check refuses the batch (warnings are errors here)
+    model = build_flow(2, n_layers=1, kind="coupling", family="quadratic", hidden_dims=(4,),
+                       solver=SolverConfig(steps=4))
+    params = model.parameters()
+    params[-1] = np.array([1e308, 0.0, 0.0])  # the output bias: a = 1e308, b = c = 0
+    model.set_parameters(params)
+    batch = np.array([[0.5, 0.0], [0.3, 0.0]])
+    with pytest.raises(DivergenceError) as err:
+        nll_and_grad(model, batch)
+    assert str(err.value) == "batch aborted: non-finite log-density for rows [0, 1]"
+    assert err.value.indices == [0, 1]
+
+
 FAULT_PROBE = textwrap.dedent("""
     import resource
     import numpy as np
@@ -389,7 +405,10 @@ def test_training_step_reuses_memory_pages():
     and allocating the adjoint's temporaries afresh in each of the 32 solves
     made malloc hand the pages back and fault them in again, about 6,600
     minor faults per call; one slab per solve and one workspace per call
-    leave about 1,000-1,250, most of them the slabs' own pages."""
+    leave far fewer. The count depends on the heap's layout, which the
+    checkout path alone moves: with value-only training solves and one
+    activation set per autoregressive layer, five paths read 260-990 per
+    call, where the same paths read 560-1,000 with log-dets in the solves."""
     pytest.importorskip("resource")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
