@@ -170,21 +170,19 @@ def test_last_autoregressive_pass_sees_what_the_final_input_gives(rng, monkeypat
     net.set_param_arrays([0.3 * rng.standard_normal(p.shape) / np.sqrt(p.shape[0])
                           for p in net.param_arrays()])
     layer = AutoregressiveLayer(D, "sigmoid_affine", net, SolverConfig(steps=8))
-    passes = []
+    passes, net_eval = [], flow.net_eval
 
     def recorded(net, x, *, acts=None):
-        theta = flow.net_eval.__wrapped__(net, x, acts=acts)
-        passes.append((np.array(x, copy=True), theta.copy()))
+        theta = net_eval(net, x, acts=acts)
+        passes.append((x.copy(), theta.copy()))
         return theta
 
-    recorded.__wrapped__ = flow.net_eval
     monkeypatch.setattr(flow, "net_eval", recorded)
     x, _ = layer.inverse(rng.standard_normal((256, D)), None, "raise", True)
-    monkeypatch.undo()
     assert len(passes) == D
     final_acts, last_acts = [], []
-    final = flow.net_eval(net, x, acts=final_acts)
-    flow.net_eval(net, passes[-1][0], acts=last_acts)
+    final = net_eval(net, x, acts=final_acts)
+    net_eval(net, passes[-1][0], acts=last_acts)
     for k, (_, theta) in enumerate(passes):
         assert theta[:, 3 * k:3 * k + 3].tobytes() == final[:, 3 * k:3 * k + 3].tobytes()
     for got, want in zip(last_acts[1:], final_acts[1:]):
