@@ -21,7 +21,7 @@ from timeflow import (
     inverse,
 )
 
-fwd = SolverConfig(scheme="rk4", steps=32)
+fwd = SolverConfig(steps=32)
 rev = fwd.reversed()
 
 print("=== closed-form check: g(v) = v integrates to y = x * e ===")

@@ -402,7 +402,7 @@ def build_parser():
     p.add_argument("--family", default="quadratic",
                    choices=["quadratic", "cubic", "sigmoid_affine"])
     p.add_argument("--hidden", default="24", help="comma list of hidden widths")
-    p.add_argument("--scheme", default="rk4", choices=["rk4", "euler"])
+    p.add_argument("--scheme", default="rk4", choices=["rk4"])
     p.add_argument("--solver-steps", type=int, default=16)
     p.add_argument("--epochs", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=128)

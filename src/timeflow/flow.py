@@ -154,7 +154,8 @@ class CouplingLayer:
 
     @classmethod
     def from_json(cls, dim, obj):
-        return cls(dim, int(obj["split"]), bool(obj["transform_upper"]), obj["family"],
+        return cls(dim, _exact(obj["split"], "split"),
+                   _exact(obj["transform_upper"], "transform_upper", bool), obj["family"],
                    _net_from_json(obj["conditioner"]), _solver_from_json(obj["solver"]))
 
 
@@ -241,7 +242,7 @@ class AutoregressiveLayer:
         if obj["ordering"] != list(range(dim)):
             raise ValueError(f"ordering {obj['ordering']!r} is not 0..{dim - 1};"
                              " permutation layers reorder coordinates")
-        dims = [int(d) for d in obj["conditioner"]["layer_dims"]]
+        dims = [_exact(d, "layer_dims") for d in obj["conditioner"]["layer_dims"]]
         return cls(dim, obj["family"],
                    _net_from_json(obj["conditioner"], masks=build_masks(dim, dims[1:-1])),
                    _solver_from_json(obj["solver"]))
@@ -276,7 +277,7 @@ class PermutationLayer:
 
     @classmethod
     def from_json(cls, dim, obj):
-        return cls(dim, np.asarray(obj["perm"], dtype=int))
+        return cls(dim, np.asarray([_exact(j, "perm") for j in obj["perm"]], dtype=int))
 
 
 LAYER_KINDS = {
@@ -586,8 +587,16 @@ def _solver_to_json(cfg: SolverConfig):
     return {"scheme": cfg.scheme, "steps": cfg.steps}
 
 
+def _exact(value, key, kind=int):
+    """`value`, read from checkpoint key `key`, if its type is exactly `kind`:
+    a JSON bool is not an integer, and 16.9 or "false" is converted to neither."""
+    if type(value) is not kind:
+        raise ValueError(f"{key!r} must be a JSON {kind.__name__}, not {value!r}")
+    return value
+
+
 def _solver_from_json(obj):
-    return SolverConfig(scheme=obj["scheme"], steps=int(obj["steps"]))
+    return SolverConfig(scheme=obj["scheme"], steps=_exact(obj["steps"], "steps"))
 
 
 def _net_to_json(net: ConditionerNet):
@@ -602,7 +611,7 @@ def _net_to_json(net: ConditionerNet):
 def _net_from_json(obj, masks=None):
     if obj["activation"] != "tanh":
         raise ValueError(f"unsupported conditioner activation {obj['activation']!r}")
-    dims = [int(d) for d in obj["layer_dims"]]
+    dims = [_exact(d, "layer_dims") for d in obj["layer_dims"]]
     weights = [
         np.asarray(flat, dtype=float).reshape(dims[i], dims[i + 1])
         for i, flat in enumerate(obj["weights"])
@@ -643,7 +652,7 @@ def load_checkpoint(path) -> FlowModel:
                          f" is not supported (this reader reads version {CHECKPOINT_VERSION})")
     key, where = "dim", ""
     try:
-        dim = int(doc["dim"])
+        dim = _exact(doc["dim"], "dim")
         key, layers = "layers", []
         for i, obj in enumerate(doc["layers"]):
             where = f" (layer {i})"

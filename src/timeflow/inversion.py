@@ -306,7 +306,7 @@ def run_bench(integrand: Integrand = DEFAULT_BENCH_INTEGRAND,
     """
     rng = np.random.default_rng(seed)
     x_true = rng.uniform(0.0, 1.0, size=n_inputs)
-    cfg = SolverConfig(scheme="rk4", steps=solver_steps, direction="forward")
+    cfg = SolverConfig(steps=solver_steps, direction="forward")
     q = _map_only(integrand, cfg)
     y = q(x_true)
 

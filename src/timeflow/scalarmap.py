@@ -36,7 +36,7 @@ __all__ = [
 
 GUARD = 1e6  # |v| beyond this is treated as blow-up of the dynamics
 
-SCHEMES = ("rk4", "euler")
+SCHEMES = ("rk4",)
 DIRECTIONS = ("forward", "reverse")
 
 
@@ -50,11 +50,13 @@ class DivergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Fixed-step scheme over the unit time interval.
+    """Fixed-step RK4 over the unit time interval.
 
     `steps` intervals of exact width 1/steps; `direction` chooses whether
     time runs 0 -> 1 or 1 -> 0. The reverse direction is the algebraic
     reversal of the forward limits, not a different discretization.
+    `scheme` is checked, not chosen: "rk4" is the one scheme, and the field
+    stays so that checkpoints and config files that name it keep working.
     """
 
     scheme: str = "rk4"
@@ -63,7 +65,7 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+            raise ValueError(f"unknown scheme {self.scheme!r}; the one scheme is 'rk4'")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
         if self.steps < 1:
@@ -150,25 +152,24 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
 
     With `want_log_deriv` it also accumulates l' = dg/dv with l(0) = 0 over
     the same stage points, one pass over the augmented state (v, l). With
-    `keep_stages` it also returns its slab of stage points, shape
-    ``(steps * s, *shape)``, s = 4 for RK4 (v1..v4) and 1 for Euler: row
-    ``s*k + i`` is stage point i of step k, so row ``s*(k+1)`` is the end of
-    step k (after the guard's NaNs); row 0 is x, broadcast. `_adjoint`
-    differentiates a built-in-family solve from the slab and takes its
-    log-derivative from it, `_tangent` a custom one, and `forward` reads
-    its trajectory from the step rows.
+    `keep_stages` it also returns its slab of RK4 stage points v1..v4, shape
+    ``(4 * steps, *shape)``: row ``4*k + i`` is stage point i of step k, so
+    row ``4*(k+1)`` is the end of step k (after the guard's NaNs); row 0 is
+    x, broadcast. `_adjoint` differentiates a built-in-family solve from the
+    slab and takes its log-derivative from it, `_tangent` a custom one, and
+    `forward` reads its trajectory from the step rows.
 
     Buffers. The first slope call, at x, gets ``out=None``; its results fix
     the shape and dtype (x, g and dg/dv promoted together, so a complex
     perturbation in any of them makes the whole solve complex). Stage i then
     has one slope array K_i, g in row 0 and dg/dv in row 1, and later calls
     get ``out=(K_i[0], K_i[1] or None, scratch)`` to write into. The
-    weighted sum runs once over both rows, in place in K_2 (K_1 for Euler);
-    the dg/dv row never feeds v, and x is never written. Stage points go
-    into one array, or into the slab's rows, whose views are made once per
-    solve, so the loop allocates nothing. Each step is the ufunc of the
-    plain expression on the same operands in the same order, so the results
-    are bitwise those of allocating arithmetic; a 0-d x gives numpy scalars.
+    weighted sum runs once over both rows, in place in K_2; the dg/dv row
+    never feeds v, and x is never written. Stage points go into one array,
+    or into the slab's rows, whose views are made once per solve, so the
+    loop allocates nothing. Each step is the ufunc of the plain expression on
+    the same operands in the same order, so the results are bitwise those of
+    allocating arithmetic; a 0-d x gives numpy scalars.
 
     Returns ``(v_end, log_deriv, slab)``; log_deriv is None without
     `want_log_deriv`, and slab is None without `keep_stages`.
@@ -182,7 +183,6 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     half, sixth = 0.5 * h, h / 6.0
     t0 = 0.0 if cfg.direction == "forward" else 1.0
-    euler = cfg.scheme == "euler"
     v = x
     log_deriv = slab = None
 
@@ -190,42 +190,37 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
         first = slope(x, t0, None) if want_log_deriv else (slope(x, t0, None),)  # g[, dg/dv]
         shape = np.broadcast(x, *first).shape
         dtype = np.result_type(x, *first)
-        s = 1 if euler else 4
-        slopes = [np.empty((len(first),) + shape, dtype) for _ in range(s)]
+        slopes = k1, k2, k3, k4 = [np.empty((len(first),) + shape, dtype) for _ in range(4)]
         scratch = np.empty(shape, dtype)
         # row views, made once; `[i, ...]` keeps a 0-d row an array
         outs = [(k[0, ...], k[1, ...] if want_log_deriv else None, scratch) for k in slopes]
-        step_v, step_l = outs[0 if euler else 1][:2]  # the weighted sum's rows
+        step_v, step_l = outs[1][:2]  # the weighted sum's rows
         for row, z in zip(outs[0], first):
             np.copyto(row, z)
         del first, z  # K_1 holds the first slope now; freed, it lowers the solve's peak memory
         v_out = np.empty(shape, dtype)
-        if keep_stages:  # stage point i is row i; the end of step k is row s*(k+1)
-            slab = np.empty((n * s,) + shape, dtype)
-            rows = (list(slab) if shape else [slab[i, ...] for i in range(n * s)]) + [v_out]
+        if keep_stages:  # stage point i is row i; the end of step k is row 4*(k+1)
+            slab = np.empty((4 * n,) + shape, dtype)
+            rows = (list(slab) if shape else [slab[i, ...] for i in range(4 * n)]) + [v_out]
             v = rows[0]
             np.copyto(v, x)
         else:  # step k's stage points and end, the same arrays at every step
-            stage = (None,) + (np.empty(shape, dtype),) * (s - 1) + (v_out,)
+            stage = (None,) + (np.empty(shape, dtype),) * 3 + (v_out,)
 
         for k in range(n):
             t = t0 + k * h
             if keep_stages:
-                stage = rows[s * k:s * (k + 1) + 1]
+                stage = rows[4 * k:4 * (k + 1) + 1]
             if k:
                 slope(v, t, outs[0])
-            if euler:
-                multiply(slopes[0], h, out=slopes[0])
-            else:  # rk4 on the augmented state (v, l)
-                _, p2, p3, p4, _ = stage
-                k1, k2, k3, k4 = slopes
-                slope(add(v, multiply(half, outs[0][0], out=p2), out=p2), t + half, outs[1])
-                slope(add(v, multiply(half, outs[1][0], out=p3), out=p3), t + half, outs[2])
-                slope(add(v, multiply(h, outs[2][0], out=p4), out=p4), t + h, outs[3])
-                # (K1 + 2*K2 + 2*K3 + K4) * (h/6), into K2
-                add(k1, multiply(2.0, k2, out=k2), out=k2)
-                add(k2, multiply(2.0, k3, out=k3), out=k2)
-                multiply(add(k2, k4, out=k2), sixth, out=k2)
+            _, p2, p3, p4, _ = stage  # rk4 on the augmented state (v, l)
+            slope(add(v, multiply(half, outs[0][0], out=p2), out=p2), t + half, outs[1])
+            slope(add(v, multiply(half, outs[1][0], out=p3), out=p3), t + half, outs[2])
+            slope(add(v, multiply(h, outs[2][0], out=p4), out=p4), t + h, outs[3])
+            # (K1 + 2*K2 + 2*K3 + K4) * (h/6), into K2
+            add(k1, multiply(2.0, k2, out=k2), out=k2)
+            add(k2, multiply(2.0, k3, out=k3), out=k2)
+            multiply(add(k2, k4, out=k2), sixth, out=k2)
             if want_log_deriv:
                 log_deriv = step_l.copy() if k == 0 else add(log_deriv, step_l, out=log_deriv)
             v = add(v, step_v, out=stage[-1])
@@ -277,7 +272,7 @@ def forward(g: Integrand, cfg: SolverConfig, x, *, keep_trajectory=False,
     y, log_deriv, slab = integrate(*_integrand_slope(g, True), arr, cfg,
                                    divergence=divergence, keep_stages=keep_trajectory)
     traj = None if slab is None else np.concatenate(  # v at every step's start, then v(1)
-        (slab[::len(slab) // cfg.steps], y[None])).astype(float, copy=False)
+        (slab[::4], y[None])).astype(float, copy=False)
     return MapResult(_as_output(y, scalar), _as_output(log_deriv, scalar), traj)
 
 
@@ -320,8 +315,7 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     v(1) and of the log-derivative, returns those of x, a, b and c, each in
     the broadcast shape of the solve, and then the solve's log-derivative,
     bitwise `integrate`'s (its slope's dg/dv, `family_dg`, summed as it
-    sums it), so a differentiated solve need not accumulate it. RK4 and
-    Euler share the sweep; they differ only in stage weights and offsets.
+    sums it), so a differentiated solve need not accumulate it.
 
     Within a step, each stage's slope cotangent is affine in the cotangent
     ybar of the step's end, kbar_i = alpha_i*ybar + beta_i, and so is the
@@ -329,7 +323,7 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     step's tangent factor tau, the factor of `_tangent`'s product. alpha,
     beta, A and B come from stacked ops over all steps; only ybar <-
     A_k*ybar + B_k runs step by step, and kbar is assembled after it. The
-    stacked arrays are stage-major, (s, steps, *shape), with the slab read
+    stacked arrays are stage-major, (4, steps, *shape), with the slab read
     through a reshape().swapaxes() view: seven workspace arrays from `work`,
     a dict that `_scratch` fills, which a caller may share among adjoints of
     one shape. The slab is read, never written, and nothing returned lives
@@ -344,15 +338,12 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     a, _, c = params  # g is affine in b, so b never enters a derivative
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
-    if cfg.scheme == "euler":
-        weights, offsets = (h,), ()
-    else:  # v_{i+1} = v + offsets[i] * k_i, v_end = v + sum(weights[i] * k_i)
-        weights = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
-        offsets = (0.5 * h, 0.5 * h, h)
-    s = len(weights)
+    # RK4: v_{i+1} = v + offsets[i] * k_i, v_end = v + sum(weights[i] * k_i)
+    weights = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
+    offsets = (0.5 * h, 0.5 * h, h)
     lanes = slab.shape[1:]
-    points = slab.reshape((n, s) + lanes).swapaxes(0, 1)  # points[i, k]: stage i of step k
-    w = np.reshape(weights, (s, 1) + (1,) * len(lanes))
+    points = slab.reshape((n, 4) + lanes).swapaxes(0, 1)  # points[i, k]: stage i of step k
+    w = np.reshape(weights, (4, 1) + (1,) * len(lanes))
     lanes = np.broadcast(points[0, 0], a, c, cot_y, cot_l).shape
     dtype = np.result_type(slab, a, c, cot_y, cot_l)
     work = {} if work is None else work
@@ -362,7 +353,7 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     # heap block; freeing many per call makes malloc return pages to the
     # system and fault them in again on the next call.
     p, dp, jac, jbar, through_jac, kbar, spare = (
-        _scratch(work, name, (s, n) + lanes, dtype)
+        _scratch(work, name, (4, n) + lanes, dtype)
         for name in ("phi", "dphi", "jac", "jbar", "through_jac", "kbar", "abar"))
     with np.errstate(over="ignore"):  # the sigmoid's exp(-v) may overflow to inf
         phi(points, p)  # one sigmoid serves phi, phi' and phi''
@@ -374,7 +365,7 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     np.copyto(log_deriv, dg[0])
     for coef, d in zip((2.0, 2.0, 1.0), dg[1:]):  # ((d1 + 2*d2) + 2*d3 + d4) * (h/6)
         np.add(log_deriv, np.multiply(coef, d, out=tmp), out=log_deriv)
-    np.multiply(log_deriv, weights[0], out=log_deriv)  # h/6, or h for Euler
+    np.multiply(log_deriv, weights[0], out=log_deriv)
     log_deriv = np.add.accumulate(log_deriv, axis=0, out=log_deriv)[-1].copy()
     np.add(np.multiply(c, dp, out=jac), a, out=jac)  # dg/dv at every stage point
     np.multiply(w, cot_l, out=jbar)  # cotangent of each stage's dg/dv
@@ -387,7 +378,7 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     # into spare, beta_{i-1} = offsets[i-1]*bj_i into kbar. The last stage's alpha
     # is weights[-1] and its beta 0, so those two arrays' last rows stay free.
     np.multiply(weights[-1], jac[-1], out=jac[-1])
-    for i in range(s - 2, -1, -1):
+    for i in range(2, -1, -1):
         alpha, beta = spare[i], kbar[i]
         np.add(np.multiply(offsets[i], jac[i + 1], out=alpha), weights[i], out=alpha)
         np.multiply(offsets[i], through_jac[i + 1], out=beta)
@@ -415,20 +406,15 @@ def _tangent(dv_fn, cfg, slab):
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     t0 = 0.0 if cfg.direction == "forward" else 1.0
-    s = len(slab) // n
     dx = 1.0
     for k in range(n):
         t = t0 + k * h
-        points = slab[s * k:s * (k + 1)]
-        if cfg.scheme == "euler":
-            tau = 1.0 + h * dv_fn(points[0], t)
-        else:
-            d1 = dv_fn(points[0], t)
-            d2 = dv_fn(points[1], t + 0.5 * h) * (1.0 + 0.5 * h * d1)
-            d3 = dv_fn(points[2], t + 0.5 * h) * (1.0 + 0.5 * h * d2)
-            d4 = dv_fn(points[3], t + h) * (1.0 + h * d3)
-            tau = 1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        dx = dx * tau
+        points = slab[4 * k:4 * (k + 1)]
+        d1 = dv_fn(points[0], t)
+        d2 = dv_fn(points[1], t + 0.5 * h) * (1.0 + 0.5 * h * d1)
+        d3 = dv_fn(points[2], t + 0.5 * h) * (1.0 + 0.5 * h * d2)
+        d4 = dv_fn(points[3], t + h) * (1.0 + h * d3)
+        dx = dx * (1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
     return dx
 
 

@@ -11,6 +11,11 @@ solves go through the discrete adjoint (`scalarmap._adjoint`); the adjoints
 also return the log-dets, bitwise those `log_density` accumulates, and their
 stacked temporaries come from one scratch dict per `backward` call.
 
+Memory: a step of n rows keeps each solve's slab, 8 B * 4*steps*n*k for width
+k, and per distinct width the adjoints' seven workspace arrays of that size;
+with one width, 8 B * 4*steps*n*(sum k + 7*k_max) plus the activations and
+gradients, which do not grow with `steps`.
+
 The loop is single-threaded over batches; within a batch all examples
 are vector lanes, so gradient accumulation is bitwise deterministic.
 Identical seeds give identical histories.

@@ -212,21 +212,39 @@ def test_exit_codes(capsys):
         with open(ck, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
         assert run_cli("sample", "--checkpoint", ck, "--out", os.path.join(td, "d")) == 4
-        # malformed checkpoints: a missing key, or an activation other than tanh
-        for spoil in (lambda d: d.pop("dim"), lambda d: d["layers"][0].pop("kind"),
-                      lambda d: d["layers"][0]["conditioner"].update(activation="relu")):
-            save_checkpoint(build_flow(2, n_layers=1, hidden_dims=(4,), seed=0), ck)
+        # malformed checkpoints: a missing key, an activation other than tanh, a
+        # scheme other than rk4, or a value that is not of its key's JSON type;
+        # the message names the file and, after it, the words listed
+        for spoil, words in (
+                (lambda d: d.pop("dim"), ()), (lambda d: d["layers"][0].pop("kind"), ()),
+                (lambda d: d["layers"][0]["conditioner"].update(activation="relu"), ()),
+                (lambda d: d["layers"][0]["solver"].update(scheme="euler"),
+                 ("(layer 0)", "'euler'")),
+                (lambda d: d["layers"][0].update(transform_upper="false"),
+                 ("(layer 0)", "'transform_upper'")),
+                (lambda d: d["layers"][0]["solver"].update(steps=16.9), ("(layer 0)", "'steps'")),
+                (lambda d: d["layers"][2]["solver"].update(steps=True), ("(layer 2)", "'steps'")),
+                (lambda d: d["layers"][0].update(split=1.7), ("(layer 0)", "'split'")),
+                (lambda d: d.update(dim=2.5), ("'dim'",)),
+                (lambda d: d["layers"][1].update(perm=[1.0, 0.0]), ("(layer 1)", "'perm'")),
+                (lambda d: d["layers"][2]["conditioner"].update(layer_dims=[1, 4.0, 3]),
+                 ("(layer 2)", "'layer_dims'"))):
+            save_checkpoint(build_flow(2, n_layers=2, hidden_dims=(4,), seed=0), ck)
             with open(ck, encoding="utf-8") as fh:
                 doc = json.load(fh)
             spoil(doc)
             with open(ck, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
+            capsys.readouterr()
             assert run_cli("sample", "--checkpoint", ck, "--out", os.path.join(td, "d")) == 4
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {ck}: ") and all(w in err for w in words), err
         # config-file values are held to their flags' types and choices, and a
         # config file holds one JSON object
         cfg = os.path.join(td, "cfg.json")
         for command, doc in (("roundtrip", {"kind": "nope"}), ("roundtrip", {"family": "nope"}),
-                             ("train", {"scheme": "midpoint"}), ("train", [1, 2]),
+                             ("train", {"scheme": "midpoint"}), ("train", {"scheme": "euler"}),
+                             ("train", [1, 2]),
                              ("train", {"layers": None}), ("train", {"epochs": 1.5}),
                              ("gradcheck", {"seed": "x"}), ("roundtrip", {"tol": "big"}),
                              ("train", {"hidden": 24}), ("train", {"kind": None}),
@@ -250,9 +268,10 @@ def test_exit_codes(capsys):
             flag = "--hidden" if argv[1] == "--config" else argv[-2]
             assert flag in capsys.readouterr().err
         # usage errors come from argparse
-        with pytest.raises(SystemExit) as err:
-            run_cli("train", "--no-such-flag")
-        assert err.value.code == 2
+        for argv in (("train", "--no-such-flag"), ("train", "--scheme", "euler")):
+            with pytest.raises(SystemExit) as err:
+                run_cli(*argv)
+            assert err.value.code == 2
         with pytest.raises(SystemExit):
             run_cli("not-a-command")
 

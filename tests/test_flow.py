@@ -427,8 +427,8 @@ CHECKPOINT_KEYS = {
                       solver=SolverConfig(steps=8), seed=7),
      "f9df40dfc38a0cf665e3678f33774718997c0bdbfe3c200f5822786e5de2fb26"),
     ("autoregressive", dict(dim=3, n_layers=2, family="sigmoid_affine", hidden_dims=(6,),
-                            solver=SolverConfig(scheme="euler", steps=12), seed=9),
-     "3b00ea5673221e2d46f992d73c707f7a5a97a2e29691960962208dd60b1c4f7c"),
+                            solver=SolverConfig(steps=12), seed=9),
+     "186bd1c653b74082a14950b4cb89ca234ae7acf814494f62b2d858c2e5980022"),
 ])
 def test_checkpoint_format_is_stable(tmp_path, kind, build, sha256):
     # the hashes are those of the files this format has always written
