@@ -234,14 +234,26 @@ def _complex_phi(family):
     return phi, dphi
 
 
+def _config_or_refusal(scheme, **kw):
+    """The solve's config; for "euler", the scheme RK4 replaced, None once its
+    refusal naming the scheme is checked, so no Euler config reaches `_adjoint`."""
+    if scheme == "euler":
+        with pytest.raises(ValueError, match="'euler'"):
+            SolverConfig(scheme=scheme, **kw)
+        return None
+    return SolverConfig(scheme=scheme, **kw)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 def test_adjoint_matches_complex_step(family, scheme, direction, rng):
     # complex-step derivatives (Squire & Trapp) of the same solver loop are the
     # reference: lanes are independent, so one perturbed solve per input gives
     # every lane's derivative, to rounding
-    cfg = SolverConfig(scheme=scheme, steps=8, direction=direction)
+    cfg = _config_or_refusal(scheme, steps=8, direction=direction)
+    if cfg is None:
+        return
     phi, dphi = _complex_phi(family)
     x0 = rng.uniform(-1.0, 1.0, (6, 3))
     cot_y, cot_l = rng.standard_normal((2, 6, 3))
@@ -269,7 +281,7 @@ def test_adjoint_matches_complex_step(family, scheme, direction, rng):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 @pytest.mark.parametrize("rows", [128, 256])
 def test_adjoint_matches_complex_step_at_trained_shapes(family, scheme, direction, rows,
@@ -278,7 +290,9 @@ def test_adjoint_matches_complex_step_at_trained_shapes(family, scheme, directio
     # stacked arrays hold every step of a stage in one block; with |a|, |b|,
     # |c| <= 0.25, |v'| <= 0.25*(|v|^3 + |v| + 1) takes a lane started in
     # [-1, 1] more than unit time to reach infinity
-    cfg = SolverConfig(scheme=scheme, steps=16, direction=direction)
+    cfg = _config_or_refusal(scheme, steps=16, direction=direction)
+    if cfg is None:
+        return
     phi, dphi = _complex_phi(family)
     x0 = rng.uniform(-1.0, 1.0, (rows, 1))
     params = [rng.uniform(-0.25, 0.25, (rows, 1)) for _ in range(3)]
@@ -298,12 +312,14 @@ def test_adjoint_matches_complex_step_at_trained_shapes(family, scheme, directio
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["rk4", "euler"])
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 def test_adjoint_step_factor_is_tau(family, scheme, direction, rng):
     # with cot_l = 0 and cot_y = 1 the sweep multiplies the step factors A_k
     # alone, so dx is `_tangent`'s product of the tangent factors tau_k
-    cfg = SolverConfig(scheme=scheme, steps=16, direction=direction)
+    cfg = _config_or_refusal(scheme, steps=16, direction=direction)
+    if cfg is None:
+        return
     x = rng.uniform(-1.0, 1.0, (6, 3))
     params = [rng.uniform(-0.6, 0.6, (6, 3)) for _ in range(3)]
     value, dv = family_functions(family)
