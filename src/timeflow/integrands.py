@@ -26,6 +26,14 @@ from typing import Callable, Optional
 import numpy as np
 from numpy import add, divide, exp, multiply, negative, subtract
 
+# The constants of the formulas below, as read-only float64 0-d arrays: a ufunc
+# converts a Python float operand afresh on every call, which on the narrow
+# arrays of a solver step costs more than the call's arithmetic. Against
+# float64 or complex128 operands they give the Python float's bits.
+ONE, TWO, THREE, SIX = (np.array(z) for z in (1.0, 2.0, 3.0, 6.0))
+for _z in (ONE, TWO, THREE, SIX):
+    _z.flags.writeable = False
+
 FAMILIES = ("quadratic", "cubic", "sigmoid_affine", "custom")
 
 
@@ -49,72 +57,68 @@ def _logistic(x, out=None):
     if out is None:
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
-    e = np.exp(np.negative(x, out=out), out=out)
-    return np.divide(1.0, np.add(1.0, e, out=out), out=out)
+    return divide(ONE, add(ONE, exp(negative(x, out), out), out), out)
 
 
 # family -> (phi, dphi, d2phi), see `family_phi`. Given an `out` array, every
-# ufunc of a formula writes into it; the quadratic's phi'' is the constant 2.0,
+# ufunc of a formula writes into it; the quadratic's phi'' is the constant TWO,
 # which leaves `out` alone.
 _PHI = {
-    "quadratic": (lambda v, out=None: np.multiply(v, v, out=out),
-                  lambda v, p, out=None: np.multiply(2.0, v, out=out),
-                  lambda v, p, dp, out=None: 2.0),
-    "cubic": (lambda v, out=None: np.multiply(np.multiply(v, v, out=out), v, out=out),
-              lambda v, p, out=None: np.multiply(3.0, np.multiply(v, v, out=out), out=out),
-              lambda v, p, dp, out=None: np.multiply(6.0, v, out=out)),
+    "quadratic": (lambda v, out=None: multiply(v, v, out),
+                  lambda v, p, out=None: multiply(TWO, v, out),
+                  lambda v, p, dp, out=None: TWO),
+    "cubic": (lambda v, out=None: multiply(multiply(v, v, out), v, out),
+              lambda v, p, out=None: multiply(THREE, multiply(v, v, out), out),
+              lambda v, p, dp, out=None: multiply(SIX, v, out)),
     "sigmoid_affine": (_logistic,
-                       lambda v, s, out=None: np.multiply(s, np.subtract(1.0, s, out=out),
-                                                          out=out),
-                       lambda v, s, ds, out=None: np.multiply(
-                           ds, np.subtract(1.0, np.multiply(2.0, s, out=out), out=out),
-                           out=out)),
+                       lambda v, s, out=None: multiply(s, subtract(ONE, s, out), out),
+                       lambda v, s, ds, out=None: multiply(
+                           ds, subtract(ONE, multiply(TWO, s, out), out), out)),
 }
 
 # The slopes: g and dg/dv from shared intermediates, called positionally. `out`
 # is ``(g, dg, scratch)``, arrays of the result's shape to write into instead of
 # allocating (dg may be None: dg/dv is allocated); scratch must not be v. An
-# intermediate that dg/dv still needs waits in dg's array.
+# intermediate that dg/dv still needs waits in dg's array. Every ufunc takes
+# its output positionally, which numpy parses faster than ``out=``.
 
 
 def _quadratic(a, b, c, v, t, out=None, with_dv=False):
     # u = c*v; w = a + u; g = w*v + b; dg/dv = w + u
     g_out, dg_out, tmp = (None, None, None) if out is None else out
-    u = multiply(c, v, out=dg_out if with_dv else tmp)
-    w = add(a, u, out=tmp)
-    g = add(multiply(w, v, out=g_out), b, out=g_out)
-    return (g, add(w, u, out=dg_out)) if with_dv else g
+    u = multiply(c, v, dg_out if with_dv else tmp)
+    w = add(a, u, tmp)
+    g = add(multiply(w, v, g_out), b, g_out)
+    return (g, add(w, u, dg_out)) if with_dv else g
 
 
 def _cubic(a, b, c, v, t, out=None, with_dv=False):
     # q = c*v^2; w = a + q; g = w*v + b; dg/dv = w + 2*q
     g_out, dg_out, tmp = (None, None, None) if out is None else out
-    q = multiply(c, multiply(v, v, out=tmp), out=dg_out if with_dv else tmp)
-    w = add(a, q, out=tmp)
-    g = add(multiply(w, v, out=g_out), b, out=g_out)
-    return (g, add(w, multiply(2.0, q, out=dg_out), out=dg_out)) if with_dv else g
+    q = multiply(c, multiply(v, v, tmp), dg_out if with_dv else tmp)
+    w = add(a, q, tmp)
+    g = add(multiply(w, v, g_out), b, g_out)
+    return (g, add(w, multiply(TWO, q, dg_out), dg_out)) if with_dv else g
 
 
 def _sigmoid_affine(a, b, c, v, t, out=None, with_dv=False):
     # s = sigmoid(v); cs = c*s; g = a*v + b + cs; dg/dv = a + cs*(1 - s)
     g_out, dg_out, tmp = (None, None, None) if out is None else out
     s = _logistic(v) if out is None else divide(  # `_logistic` into tmp, inline
-        1.0, add(1.0, exp(negative(v, out=tmp), out=tmp), out=tmp), out=tmp)
-    cs = multiply(c, s, out=dg_out if with_dv else tmp)
-    g = add(add(multiply(a, v, out=g_out), b, out=g_out), cs, out=g_out)
-    dg = with_dv and add(a, multiply(cs, subtract(1.0, s, out=tmp), out=dg_out), out=dg_out)
+        ONE, add(ONE, exp(negative(v, tmp), tmp), tmp), tmp)
+    cs = multiply(c, s, dg_out if with_dv else tmp)
+    g = add(add(multiply(a, v, g_out), b, g_out), cs, g_out)
+    dg = with_dv and add(a, multiply(cs, subtract(ONE, s, tmp), dg_out), dg_out)
     return (g, dg) if with_dv else g
 
 
 # family -> dg/dv alone, from (a, c, v, phi(v)) into `out`, see `family_dg`
 _DG = {
-    "quadratic": lambda a, c, v, p, out, tmp: add(
-        add(a, (u := multiply(c, v, out=tmp)), out=out), u, out=out),
+    "quadratic": lambda a, c, v, p, out, tmp: add(add(a, (u := multiply(c, v, tmp)), out), u, out),
     "cubic": lambda a, c, v, p, out, tmp: add(
-        add(a, (q := multiply(c, multiply(v, v, out=tmp), out=tmp)), out=out),
-        multiply(2.0, q, out=tmp), out=out),
+        add(a, (q := multiply(c, multiply(v, v, tmp), tmp)), out), multiply(TWO, q, tmp), out),
     "sigmoid_affine": lambda a, c, v, s, out, tmp: add(
-        a, multiply(multiply(c, s, out=out), subtract(1.0, s, out=tmp), out=out), out=out),
+        a, multiply(multiply(c, s, out), subtract(ONE, s, tmp), out), out),
 }
 # family -> (slope, dg/dv alone), the slope's dg/dv
 _TABLE = {family: (slope, lambda a, b, c, v, t, slope=slope: slope(a, b, c, v, t, with_dv=True)[1])

@@ -15,12 +15,13 @@ dataclasses and safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
+from math import prod
 from typing import Optional
 
 import numpy as np
 
-from .integrands import Integrand, family_dg, family_functions, family_phi
+from .integrands import ONE, TWO, Integrand, family_dg, family_functions, family_phi
 
 __all__ = [
     "SolverConfig",
@@ -72,8 +73,15 @@ class SolverConfig:
             raise ValueError("steps must be >= 1")
 
     def reversed(self):
-        other = "reverse" if self.direction == "forward" else "forward"
-        return replace(self, direction=other)
+        """The same config with the other direction; one object per config."""
+        return _reversed(self)
+
+
+@lru_cache(maxsize=64)
+def _reversed(cfg):
+    # every training step asks for it once per solve; a fresh replace() costs
+    # more than the lookup
+    return replace(cfg, direction="reverse" if cfg.direction == "forward" else "forward")
 
 
 @dataclass
@@ -147,8 +155,14 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
 
     After every step, a lane that is not finite or has left the fixed guard
     box |v| <= GUARD raises `DivergenceError` naming its batch rows, or with
-    ``divergence='nan'`` becomes NaN and stays NaN; the loop tests the
-    largest |v| itself and calls `_check_guard` only when that fails.
+    ``divergence='nan'`` becomes NaN and stays NaN. One call clears a step,
+    sum |v|^2 <= GUARD^2 by `np.vdot`; only when that fails does the loop
+    run the exact test, the largest |v| against GUARD, and only when that
+    fails too does it call `_check_guard`. The first never clears a step
+    that the second fails: a rounded sum of non-negative squares is never
+    below any one of them, and fl(v^2) > GUARD^2 whenever |v| > GUARD. NaN
+    and inf fail both. (A complex lane adds re^2 + im^2, which can differ
+    from the exact test's hypot(re, im)^2 only within an ulp or so of GUARD.)
 
     With `want_log_deriv` it also accumulates l' = dg/dv with l(0) = 0 over
     the same stage points, one pass over the augmented state (v, l). With
@@ -169,7 +183,12 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
     or into the slab's rows, whose views are made once per solve, so the
     loop allocates nothing. Each step is the ufunc of the plain expression on
     the same operands in the same order, so the results are bitwise those of
-    allocating arithmetic; a 0-d x gives numpy scalars.
+    allocating arithmetic; a 0-d x gives numpy scalars. Operands: every ufunc
+    in the loop and the family slopes takes its output positionally, and its
+    constants (h, h/2 and h/6, made once per solve; 1 and 2, at import) as
+    float64 0-d arrays, never as Python floats, which numpy converts afresh
+    on every call; on float64 and complex128 lanes the bits are the same.
+    The slope still gets the time t as a Python float.
 
     Returns ``(v_end, log_deriv, slab)``; log_deriv is None without
     `want_log_deriv`, and slab is None without `keep_stages`.
@@ -178,11 +197,14 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
         raise ValueError("divergence must be 'raise' or 'nan'")
     slope = value_fn if dv_fn is None else _two_function_slope(value_fn, dv_fn,
                                                                 want_log_deriv)
-    add, multiply, absolute, maximum = np.add, np.multiply, np.absolute, np.maximum
+    add, multiply, absolute, maximum, vdot = (np.add, np.multiply, np.absolute, np.maximum,
+                                              np.vdot)
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     half, sixth = 0.5 * h, h / 6.0
+    h_op, half_op, sixth_op = np.array(h), np.array(half), np.array(sixth)  # ufunc operands
     t0 = 0.0 if cfg.direction == "forward" else 1.0
+    guard_sq = GUARD * GUARD
     v = x
     log_deriv = slab = None
 
@@ -214,18 +236,20 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
             if k:
                 slope(v, t, outs[0])
             _, p2, p3, p4, _ = stage  # rk4 on the augmented state (v, l)
-            slope(add(v, multiply(half, outs[0][0], out=p2), out=p2), t + half, outs[1])
-            slope(add(v, multiply(half, outs[1][0], out=p3), out=p3), t + half, outs[2])
-            slope(add(v, multiply(h, outs[2][0], out=p4), out=p4), t + h, outs[3])
+            slope(add(v, multiply(half_op, outs[0][0], p2), p2), t + half, outs[1])
+            slope(add(v, multiply(half_op, outs[1][0], p3), p3), t + half, outs[2])
+            slope(add(v, multiply(h_op, outs[2][0], p4), p4), t + h, outs[3])
             # (K1 + 2*K2 + 2*K3 + K4) * (h/6), into K2
-            add(k1, multiply(2.0, k2, out=k2), out=k2)
-            add(k2, multiply(2.0, k3, out=k3), out=k2)
-            multiply(add(k2, k4, out=k2), sixth, out=k2)
+            add(k1, multiply(TWO, k2, k2), k2)
+            add(k2, multiply(TWO, k3, k3), k2)
+            multiply(add(k2, k4, k2), sixth_op, k2)
             if want_log_deriv:
-                log_deriv = step_l.copy() if k == 0 else add(log_deriv, step_l, out=log_deriv)
-            v = add(v, step_v, out=stage[-1])
-            if scratch.size and not maximum.reduce(absolute(v, out=scratch), None) <= GUARD:
-                _check_guard(v, t0 + (k + 1) * h, divergence)  # NaN fails the test too
+                log_deriv = step_l.copy() if k == 0 else add(log_deriv, step_l, log_deriv)
+            v = add(v, step_v, stage[-1])
+            # one call clears the step; the exact test runs only when it fails
+            if (not vdot(v, v).real <= guard_sq
+                    and not maximum.reduce(absolute(v, scratch), None) <= GUARD):
+                _check_guard(v, t0 + (k + 1) * h, divergence)
 
     if want_log_deriv and not shape:  # a 0-d solve returns numpy scalars, as arithmetic does
         log_deriv = log_deriv[()]
@@ -300,11 +324,14 @@ def inverse(g: Integrand, cfg: SolverConfig, y, refine=None) -> RootResult:
 
 
 def _scratch(work, name, shape, dtype):
-    """The array of `work` kept under (name, shape, dtype), made on first use."""
-    key = (name, shape, dtype)
-    if key not in work:
-        work[key] = np.empty(shape, dtype)
-    return work[key]
+    """An array of `shape` on the flat buffer that `work` keeps under (name,
+    dtype), made on first use and grown to the largest request: its
+    contiguous prefix, so solves of different widths share one buffer."""
+    key, size = (name, dtype), prod(shape)
+    if key not in work or work[key].size < size:
+        work.pop(key, None)  # free the smaller buffer before making its successor
+        work[key] = np.empty(size, dtype)
+    return work[key][:size].reshape(shape)
 
 
 def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
@@ -326,8 +353,9 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     stacked arrays are stage-major, (4, steps, *shape), with the slab read
     through a reshape().swapaxes() view: seven workspace arrays from `work`,
     a dict that `_scratch` fills, which a caller may share among adjoints of
-    one shape. The slab is read, never written, and nothing returned lives
-    in `work`.
+    any shape, since each array is a prefix of one flat buffer per name and
+    dtype, sized for the largest. The slab is read, never written, and
+    nothing returned lives in `work`.
 
     Crossover: the step form does about 60% more elementwise work than a
     chain over the stage points, for far fewer numpy calls per step. A
@@ -338,9 +366,10 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     a, _, c = params  # g is affine in b, so b never enters a derivative
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
-    # RK4: v_{i+1} = v + offsets[i] * k_i, v_end = v + sum(weights[i] * k_i)
-    weights = (h / 6.0, h / 3.0, h / 3.0, h / 6.0)
-    offsets = (0.5 * h, 0.5 * h, h)
+    # RK4: v_{i+1} = v + offsets[i] * k_i, v_end = v + sum(weights[i] * k_i);
+    # 0-d arrays, like every constant operand of the stacked ops below
+    weights = tuple(map(np.array, (h / 6.0, h / 3.0, h / 3.0, h / 6.0)))
+    offsets = tuple(map(np.array, (0.5 * h, 0.5 * h, h)))
     lanes = slab.shape[1:]
     points = slab.reshape((n, 4) + lanes).swapaxes(0, 1)  # points[i, k]: stage i of step k
     w = np.reshape(weights, (4, 1) + (1,) * len(lanes))
@@ -363,7 +392,7 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     dg = family_dg(family)(a, c, points, p, kbar, spare)
     log_deriv, tmp = spare[0], spare[-1]
     np.copyto(log_deriv, dg[0])
-    for coef, d in zip((2.0, 2.0, 1.0), dg[1:]):  # ((d1 + 2*d2) + 2*d3 + d4) * (h/6)
+    for coef, d in zip((TWO, TWO, ONE), dg[1:]):  # ((d1 + 2*d2) + 2*d3 + d4) * (h/6)
         np.add(log_deriv, np.multiply(coef, d, out=tmp), out=log_deriv)
     np.multiply(log_deriv, weights[0], out=log_deriv)
     log_deriv = np.add.accumulate(log_deriv, axis=0, out=log_deriv)[-1].copy()
@@ -385,12 +414,12 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
         np.add(np.multiply(beta, jac[i], out=tmp), through_jac[i], out=through_jac[i])
         np.multiply(alpha, jac[i], out=jac[i])
     tau, step_b, ybar = tmp, jac[0], kbar[-1]  # ybar[k]: cotangent of step k's end
-    np.add(np.sum(jac, axis=0, out=tau), 1.0, out=tau)
+    np.add(np.sum(jac, axis=0, out=tau), ONE, out=tau)
     np.sum(through_jac, axis=0, out=step_b)
     ybar[-1] = cot_y
     for k in range(n - 1, 0, -1):  # `[k, ...]` keeps a 0-d row an array
         out = ybar[k - 1, ...]
-        np.add(np.multiply(tau[k, ...], ybar[k, ...], out=out), step_b[k, ...], out=out)
+        np.add(np.multiply(tau[k, ...], ybar[k, ...], out), step_b[k, ...], out)
     dx = np.add(np.multiply(tau[0, ...], ybar[0, ...]), step_b[0, ...])
     # kbar_i = alpha_i*ybar + beta_i, and weights[-1]*ybar for the last stage
     np.add(np.multiply(spare[:-1], ybar, out=spare[:-1]), kbar[:-1], out=kbar[:-1])

@@ -12,8 +12,8 @@ also return the log-dets, bitwise those `log_density` accumulates, and their
 stacked temporaries come from one scratch dict per `backward` call.
 
 Memory: a step of n rows keeps each solve's slab, 8 B * 4*steps*n*k for width
-k, and per distinct width the adjoints' seven workspace arrays of that size;
-with one width, 8 B * 4*steps*n*(sum k + 7*k_max) plus the activations and
+k, and the adjoints' seven workspace arrays, sized for the widest solve, so
+8 B * 4*steps*n*(sum k + 7*k_max) for every flow, plus the activations and
 gradients, which do not grow with `steps`.
 
 The loop is single-threaded over batches; within a batch all examples

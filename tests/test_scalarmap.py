@@ -1,5 +1,7 @@
 """Scalar map: integrand families, forward/inverse, derivative, sensitivities."""
 
+import copy
+import dataclasses
 import math
 import warnings
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import FAMILIES, draw_stable_cases
-from timeflow import scalarmap
+from timeflow import integrands, scalarmap
 from timeflow.integrands import _logistic, family_functions, family_phi
 from timeflow.inversion import _map_only, refine_lanes
 from timeflow.scalarmap import _adjoint, _tangent, family_slope, integrate
@@ -143,6 +145,16 @@ def test_solver_config_validation():
             SolverConfig(scheme=scheme)
     with pytest.raises(ValueError):
         forward(Integrand.quadratic(0, 0, 0), SolverConfig(direction="reverse"), 1.0)
+
+
+def test_reversed_is_one_frozen_object_per_config():
+    for cfg in (RK4_16, SolverConfig(steps=5, direction="reverse")):
+        rev = cfg.reversed()
+        assert rev is cfg.reversed() and rev.direction != cfg.direction
+        assert rev.reversed() == cfg and rev.steps == cfg.steps
+        assert copy.deepcopy(cfg).reversed() is rev  # the solver of a deep-copied model
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rev.steps = 3  # so sharing it is safe
 
 
 # --- inverse -----------------------------------------------------------------
@@ -467,6 +479,47 @@ def test_value_out_is_bitwise_and_returns_buffers(family, with_dv, rng):
                     assert g is out[i]
 
 
+# Numpy calls per RK4 step of a (256, 1) family solve, (value-only, with dg/dv).
+# They were (31, 36), (35, 44) and (47, 60) while the guard took two calls. A
+# Python float operand makes a call slower than a 0-d array does.
+CALLS_PER_STEP = {"quadratic": (30, 35), "cubic": (34, 43), "sigmoid_affine": (46, 59)}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_step_loop_calls_are_few_and_take_no_python_float(family, monkeypatch, rng):
+    # wrap every ufunc name and np.vdot that `integrate` and the slopes call,
+    # and count over the extra 8 steps of a 16-step solve, so setup cancels
+    calls = []
+
+    class Counted:
+        def __init__(self, fn):
+            self.fn = fn
+
+        def __call__(self, *args, **kwargs):
+            calls.append((*args, *kwargs.values()))
+            return self.fn(*args, **kwargs)
+
+        def __getattr__(self, name):  # a ufunc method, such as maximum.reduce
+            return Counted(getattr(self.fn, name))
+
+    for name in ("add", "multiply", "absolute", "maximum", "vdot"):
+        monkeypatch.setattr(np, name, Counted(getattr(np, name)))
+    for name in ("add", "divide", "exp", "multiply", "negative", "subtract"):
+        monkeypatch.setattr(integrands, name, Counted(getattr(integrands, name)))
+    x = rng.uniform(-1.0, 1.0, (256, 1))
+    params = [rng.uniform(-0.3, 0.3, (256, 1)) for _ in range(3)]
+    value = family_functions(family)[0]
+    for want_dv, most in zip((False, True), CALLS_PER_STEP[family]):
+        counts = []
+        for steps in (8, 16):
+            calls.clear()
+            integrate(family_slope(value, *params, want_dv), None, x, SolverConfig(steps=steps),
+                      want_log_deriv=want_dv)
+            counts.append(len(calls))
+            assert not [c for c in calls if any(isinstance(z, float) for z in c)]
+        assert (counts[1] - counts[0]) / 8 <= most
+
+
 def _reference_solve(value_fn, dv_fn, x, cfg):
     """RK4 in plain allocating arithmetic: (v_end, log_deriv, stage points)."""
     h = (1.0 if cfg.direction == "forward" else -1.0) / cfg.steps
@@ -675,6 +728,60 @@ def test_divergence_message_names_the_time():
         with pytest.raises(DivergenceError) as err:
             integrate(*g.functions(), np.asarray(x), cfg)
         assert str(err.value) == message
+
+
+def _still(x, **kw):
+    """A 16-step solve of g = 0 (the quadratic family with a = b = c = 0), in
+    which every lane stays at its start bit for bit, so it meets each step's
+    guard test where it started."""
+    slope = family_slope(family_functions("quadratic")[0], 0.0, 0.0, 0.0, True)
+    return integrate(slope, None, x, RK4_16, **kw)
+
+
+def test_guard_box_includes_its_boundary_and_nothing_past_it():
+    edge, past = scalarmap.GUARD, np.nextafter(scalarmap.GUARD, np.inf)
+    # one lane at +-GUARD passes the one-call check; with three lanes the sum of
+    # squares exceeds GUARD^2 and the exact test passes them
+    for x in ([[edge]], [[-edge]], [[edge], [-edge], [0.5]]):
+        x = np.array(x)
+        y, l, _ = _still(x)
+        assert y.tobytes() == x.tobytes() and not l.any()
+    for lane in (past, -past):
+        x = np.array([[0.5], [lane], [-0.25]])
+        with pytest.raises(DivergenceError) as err:
+            _still(x)
+        assert err.value.indices == [1]
+        assert str(err.value) == "trajectory left |v| <= 1e+06 at t=0.0625 (rows [1])"
+        y, _, _ = _still(x, divergence="nan")
+        assert np.isnan(y[1, 0]) and y[[0, 2]].tobytes() == x[[0, 2]].tobytes()
+
+
+def test_guard_passes_many_lanes_inside_the_box_untouched():
+    # sum v^2 = 810 * GUARD^2 fails the one-call check; every lane passes the exact test
+    x = np.full((1000, 1), 0.9 * scalarmap.GUARD)
+    for divergence in ("raise", "nan"):
+        y, _, _ = _still(x, divergence=divergence)
+        assert y.tobytes() == x.tobytes()
+    g = Integrand.sigmoid_affine(0.0, 0.5, 0.0)  # a solve that moves its lanes
+    y = forward(g, RK4_16, x).y
+    assert y.tobytes() == forward(g, RK4_16, x, divergence="nan").y.tobytes()
+    assert np.all(y == 0.9 * scalarmap.GUARD + 0.5)
+
+
+def test_guard_takes_the_same_path_on_complex_step_lanes():
+    edge, past = scalarmap.GUARD, np.nextafter(scalarmap.GUARD, np.inf)
+    x = np.array([[edge], [-edge], [0.9 * edge]]) + 1e-30j
+    y, _, _ = _still(x)
+    assert y.dtype == complex and y.tobytes() == x.tobytes()
+    real = np.array([[0.5], [past], [-0.25]])
+    messages = []
+    for x in (real, real + 1e-30j):
+        with pytest.raises(DivergenceError) as err:
+            _still(x)
+        messages.append(str(err.value))
+        y, _, _ = _still(x, divergence="nan")
+        assert np.isnan(y[1, 0]) and y[[0, 2]].tobytes() == x[[0, 2]].tobytes()
+    assert messages[0] == messages[1]
 
 
 def test_vjp_custom_family_gives_dx_only():

@@ -424,12 +424,13 @@ def test_training_step_reuses_memory_pages():
 @pytest.mark.parametrize("kind,family,dim,hidden,rows,solved,widest", [
     ("coupling", "quadratic", 2, (24,), 128, 4, 1),  # four (n, 1) solves
     ("autoregressive", "sigmoid_affine", 8, (32,), 256, 32, 1),  # 4 layers x 8 (n, 1) solves
-], ids=["fit-2d", "ar-8d"])
+    ("coupling", "quadratic", 3, (24,), 128, 6, 2),  # widths 2, 1, 2, 1 share one workspace
+], ids=["fit-2d", "ar-8d", "coupling-3d"])
 def test_training_memory_follows_the_stated_formula(kind, family, dim, hidden, rows, solved,
                                                     widest):
     """A training step keeps every solve's slab, 8 B * 4*steps*n*k for a solve of
-    width k, and the adjoints share seven (4, steps, n, k) workspace arrays:
-    8 B * 4*steps*n*(sum k + 7*k_max) in all, linear in the step count. The
+    width k, and the adjoints share seven workspace arrays sized for the widest
+    solve: 8 B * 4*steps*n*(sum k + 7*k_max) in all, linear in the step count. The
     rest of the tracemalloc peak (activations, gradients) does not grow with
     it. The peaks are taken on a second call at 16 and 32 steps, where they
     repeat from call to call; at 8 steps fit-2d's moved by 2-4 KB."""
