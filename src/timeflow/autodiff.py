@@ -2,11 +2,12 @@
 
 Training runs the inverse path once, value-only, with one `Node` per layer,
 in the order the layers ran. Each record holds the layer and the cache its
-`inverse` filled: conditioner activations and the slab of stage points of
-each solve; the layer's parameters are the arrays it holds. `backward` walks
-the records in reverse through each layer's hand-written `vjp`, which chains
-the conditioner's backward pass and the discrete adjoint of each solve
-(`scalarmap._adjoint`), and sums the log-dets that the adjoints return.
+`inverse` filled: conditioner activations and the trajectory slab of each
+solve (v at every step's start and v(1)); the layer's parameters are the
+arrays it holds. `backward` walks the records in reverse through each
+layer's hand-written `vjp`, which chains the conditioner's backward pass and
+the discrete adjoint of each solve (`scalarmap._adjoint`, which rebuilds the
+stage points from the slab), and sums the log-dets that the adjoints return.
 
 Records are write-once; a fresh list is built per differentiated call.
 The adjoints' scratch arrays live in one dict that `backward` makes per

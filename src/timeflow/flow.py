@@ -71,10 +71,11 @@ def _base_log_density(x):
 # (permutations always return zeros). inverse returns the log-determinant of
 # the inverse map. Given a `cache` list, inverse appends what vjp needs, one
 # ``(acts, (a, b, c), slab)`` per solve: the conditioner activations, the
-# integrand parameters and the slab of stage points that `_solve` returned
-# (an autoregressive layer keeps its last pass's activations only, in its last
-# entry). vjp takes the cotangents of x and of logdet, supports the unrefined
-# inverse only, and returns the logdet too, from the adjoints, so a
+# integrand parameters and the trajectory slab that `_solve` returned, v at
+# every step's start and v(1), from which the adjoint rebuilds the stage
+# points (an autoregressive layer keeps its last pass's activations only, in
+# its last entry). vjp takes the cotangents of x and of logdet, supports the
+# unrefined inverse only, and returns the logdet too, from the adjoints, so a
 # differentiated inverse runs value-only. `work` is the dict of scratch arrays
 # that `autodiff.backward` makes once per call and hands to every layer, so
 # the discrete adjoints of all the layers' solves share the same memory.
@@ -353,23 +354,24 @@ def _interleave(abc):
     return theta
 
 
-def _solve(layer, a, b, c, x, cfg, divergence="raise", want_log_deriv=True, keep_stages=False):
+def _solve(layer, a, b, c, x, cfg, divergence="raise", want_log_deriv=True,
+           keep_trajectory=False):
     """Solve every lane of x under the layer's family with parameters a, b, c.
 
     The slope is `scalarmap.family_slope` of the family's value function,
     with dg/dv only when the log-derivative is wanted. Returns ``(v_end,
     logdet, slab)``: logdet sums each row's log-derivatives (None unless
-    `want_log_deriv`), and slab is the solve's stage points for
-    `scalarmap._adjoint` (None unless `keep_stages`); they are written
-    straight into it, so the solve allocates nothing per step.
+    `want_log_deriv`), and slab is the solve's trajectory for
+    `scalarmap._adjoint` (None unless `keep_trajectory`); each step's end is
+    written straight into it, so the solve allocates nothing per step.
     """
     slope = family_slope(family_functions(layer.family)[0], a, b, c, want_log_deriv)
     y, l, slab = integrate(slope, None, x, cfg, want_log_deriv=want_log_deriv,
-                           divergence=divergence, keep_stages=keep_stages)
+                           divergence=divergence, keep_trajectory=keep_trajectory)
     return y, None if l is None else np.sum(l, axis=1), slab
 
 
-def _invert_block(layer, a, b, c, yt, refine, divergence, want_log_deriv, keep_stages):
+def _invert_block(layer, a, b, c, yt, refine, divergence, want_log_deriv, keep_trajectory):
     """`_solve` in reverse time for a block of coordinates, the layer's inverse.
 
     Given a `refine` config, the (n, k) block goes through one `refine_lanes`
@@ -378,7 +380,7 @@ def _invert_block(layer, a, b, c, yt, refine, divergence, want_log_deriv, keep_s
     preimage. A row with a lane that does not converge raises.
     """
     xt, logdet, slab = _solve(layer, a, b, c, yt, layer.solver.reversed(), divergence,
-                              want_log_deriv, keep_stages)
+                              want_log_deriv, keep_trajectory)
     if refine is None:
         return xt, logdet, slab
 

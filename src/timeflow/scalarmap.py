@@ -145,7 +145,7 @@ def _two_function_slope(value_fn, dv_fn, want_log_deriv):
 
 
 def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise",
-              keep_stages=False):
+              keep_trajectory=False):
     """Integrate v' = g(v, t) across the unit interval.
 
     The loop makes one call per stage point, ``slope(v, t, out)``, which
@@ -166,12 +166,13 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
 
     With `want_log_deriv` it also accumulates l' = dg/dv with l(0) = 0 over
     the same stage points, one pass over the augmented state (v, l). With
-    `keep_stages` it also returns its slab of RK4 stage points v1..v4, shape
-    ``(4 * steps, *shape)``: row ``4*k + i`` is stage point i of step k, so
-    row ``4*(k+1)`` is the end of step k (after the guard's NaNs); row 0 is
-    x, broadcast. `_adjoint` differentiates a built-in-family solve from the
-    slab and takes its log-derivative from it, `_tangent` a custom one, and
-    `forward` reads its trajectory from the step rows.
+    `keep_trajectory` it also returns its trajectory slab, shape
+    ``(steps + 1, *shape)``: row k is v at the start of step k (row 0 is x,
+    broadcast; later rows after the guard's NaNs), and row ``steps`` is
+    v(1), a copy apart from the returned v_end. Each RK4 stage point is a
+    fixed function of its step's start, so `_adjoint` (a built-in family)
+    and `_tangent` (a custom integrand) rebuild stage points 2-4 from the
+    slab bit for bit, and `forward` returns it as the trajectory.
 
     Buffers. The first slope call, at x, gets ``out=None``; its results fix
     the shape and dtype (x, g and dg/dv promoted together, so a complex
@@ -179,11 +180,12 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
     has one slope array K_i, g in row 0 and dg/dv in row 1, and later calls
     get ``out=(K_i[0], K_i[1] or None, scratch)`` to write into. The
     weighted sum runs once over both rows, in place in K_2; the dg/dv row
-    never feeds v, and x is never written. Stage points go into one array,
-    or into the slab's rows, whose views are made once per solve, so the
-    loop allocates nothing. Each step is the ufunc of the plain expression on
-    the same operands in the same order, so the results are bitwise those of
-    allocating arithmetic; a 0-d x gives numpy scalars. Operands: every ufunc
+    never feeds v, and x is never written. Stage points 2-4 go into one
+    array, and each step's end into one more, or into the slab's next row,
+    whose views are made once per solve, so the loop allocates nothing.
+    Each step is the ufunc of the plain expression on the same operands in
+    the same order, so the results are bitwise those of allocating
+    arithmetic; a 0-d x gives numpy scalars. Operands: every ufunc
     in the loop and the family slopes takes its output positionally, and its
     constants (h, h/2 and h/6, made once per solve; 1 and 2, at import) as
     float64 0-d arrays, never as Python floats, which numpy converts afresh
@@ -191,7 +193,7 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
     The slope still gets the time t as a Python float.
 
     Returns ``(v_end, log_deriv, slab)``; log_deriv is None without
-    `want_log_deriv`, and slab is None without `keep_stages`.
+    `want_log_deriv`, and slab is None without `keep_trajectory`.
     """
     if divergence not in ("raise", "nan"):
         raise ValueError("divergence must be 'raise' or 'nan'")
@@ -220,22 +222,20 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
         for row, z in zip(outs[0], first):
             np.copyto(row, z)
         del first, z  # K_1 holds the first slope now; freed, it lowers the solve's peak memory
-        v_out = np.empty(shape, dtype)
-        if keep_stages:  # stage point i is row i; the end of step k is row 4*(k+1)
-            slab = np.empty((4 * n,) + shape, dtype)
-            rows = (list(slab) if shape else [slab[i, ...] for i in range(4 * n)]) + [v_out]
-            v = rows[0]
+        p2 = p3 = p4 = np.empty(shape, dtype)  # stage points 2-4, one array
+        if keep_trajectory:  # step k starts at row k and ends at row k + 1
+            slab = np.empty((n + 1,) + shape, dtype)
+            ends = list(slab[1:]) if shape else [slab[i, ...] for i in range(1, n + 1)]
+            v = slab[0, ...]
             np.copyto(v, x)
-        else:  # step k's stage points and end, the same arrays at every step
-            stage = (None,) + (np.empty(shape, dtype),) * 3 + (v_out,)
+        else:  # every step ends in the same array
+            ends = [np.empty(shape, dtype)] * n
 
         for k in range(n):
             t = t0 + k * h
-            if keep_stages:
-                stage = rows[4 * k:4 * (k + 1) + 1]
             if k:
                 slope(v, t, outs[0])
-            _, p2, p3, p4, _ = stage  # rk4 on the augmented state (v, l)
+            # rk4 on the augmented state (v, l)
             slope(add(v, multiply(half_op, outs[0][0], p2), p2), t + half, outs[1])
             slope(add(v, multiply(half_op, outs[1][0], p3), p3), t + half, outs[2])
             slope(add(v, multiply(h_op, outs[2][0], p4), p4), t + h, outs[3])
@@ -245,12 +245,14 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
             multiply(add(k2, k4, k2), sixth_op, k2)
             if want_log_deriv:
                 log_deriv = step_l.copy() if k == 0 else add(log_deriv, step_l, log_deriv)
-            v = add(v, step_v, stage[-1])
+            v = add(v, step_v, ends[k])
             # one call clears the step; the exact test runs only when it fails
             if (not vdot(v, v).real <= guard_sq
                     and not maximum.reduce(absolute(v, scratch), None) <= GUARD):
                 _check_guard(v, t0 + (k + 1) * h, divergence)
 
+    if keep_trajectory:
+        v = v.copy()  # v(1), not a view of the slab's last row
     if want_log_deriv and not shape:  # a 0-d solve returns numpy scalars, as arithmetic does
         log_deriv = log_deriv[()]
     return (v[()] if not shape else v), log_deriv, slab
@@ -288,15 +290,14 @@ def forward(g: Integrand, cfg: SolverConfig, x, *, keep_trajectory=False,
 
     `x` may be a scalar or an array (lanes integrate independently).
     `divergence='nan'` marks blown-up lanes with NaN instead of raising,
-    which is convenient for vectorized screening.
+    which is convenient for vectorized screening. `keep_trajectory` also
+    returns v at the start of every step and v(1), shape (steps + 1, *x.shape).
     """
     if cfg.direction != "forward":
         raise ValueError("forward() needs a forward-direction SolverConfig")
     arr, scalar = _as_input(x)
-    y, log_deriv, slab = integrate(*_integrand_slope(g, True), arr, cfg,
-                                   divergence=divergence, keep_stages=keep_trajectory)
-    traj = None if slab is None else np.concatenate(  # v at every step's start, then v(1)
-        (slab[::4], y[None])).astype(float, copy=False)
+    y, log_deriv, traj = integrate(*_integrand_slope(g, True), arr, cfg,
+                                   divergence=divergence, keep_trajectory=keep_trajectory)
     return MapResult(_as_output(y, scalar), _as_output(log_deriv, scalar), traj)
 
 
@@ -335,14 +336,21 @@ def _scratch(work, name, shape, dtype):
 
 
 def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
-    """Reverse sweep of the solver steps over the stage points they saved.
+    """Reverse sweep of the solver steps over the stage points it rebuilds.
 
     The discrete adjoint of `integrate` for g = a*v + b + c*phi(v): given the
-    slab that `integrate` returned with `keep_stages` and the cotangents of
-    v(1) and of the log-derivative, returns those of x, a, b and c, each in
-    the broadcast shape of the solve, and then the solve's log-derivative,
-    bitwise `integrate`'s (its slope's dg/dv, `family_dg`, summed as it
-    sums it), so a differentiated solve need not accumulate it.
+    trajectory slab that `integrate` returned with `keep_trajectory` and the
+    cotangents of v(1) and of the log-derivative, returns those of x, a, b
+    and c, each in the broadcast shape of the solve, and then the solve's
+    log-derivative, bitwise `integrate`'s (its slope's dg/dv, `family_dg`,
+    summed as it sums it), so a differentiated solve need not accumulate it.
+
+    Stage points. The slab keeps each step's start, the first stage point;
+    points 2-4 are rebuilt from it as the solver made them, p_{i+1} = p_1 +
+    offset_i*g(p_i), by three value-only calls of the family's slope
+    (`family_functions`), each over all the steps at once, on the solver's
+    operands in its order. So every rebuilt point is bitwise the solver's,
+    and a lane that the guard made NaN is NaN here too.
 
     Within a step, each stage's slope cotangent is affine in the cotangent
     ybar of the step's end, kbar_i = alpha_i*ybar + beta_i, and so is the
@@ -350,30 +358,27 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     step's tangent factor tau, the factor of `_tangent`'s product. alpha,
     beta, A and B come from stacked ops over all steps; only ybar <-
     A_k*ybar + B_k runs step by step, and kbar is assembled after it. The
-    stacked arrays are stage-major, (4, steps, *shape), with the slab read
-    through a reshape().swapaxes() view: seven workspace arrays from `work`,
-    a dict that `_scratch` fills, which a caller may share among adjoints of
-    any shape, since each array is a prefix of one flat buffer per name and
-    dtype, sized for the largest. The slab is read, never written, and
-    nothing returned lives in `work`.
-
-    Crossover: the step form does about 60% more elementwise work than a
-    chain over the stage points, for far fewer numpy calls per step. A
-    fit-2d-shaped `nll_and_grad` takes 0.64-0.85x the chain's time at 32-512
-    rows, where training runs, 0.95-0.99x at 2,048 rows and 1.08-1.10x at 8,192.
+    stacked arrays are stage-major, (4, steps, *shape): the rebuilt points
+    and six more, seven workspace arrays from `work`, plus the cotangent of
+    each stage's dg/dv, which is the same at every step, (4, 1, *shape).
+    `work` is a dict that `_scratch` fills, which a caller may share among
+    adjoints of any shape, since each array is a prefix of one flat buffer
+    per name and dtype, sized for the largest. The slab is read, never
+    written, and nothing returned lives in `work`. The step form does more
+    elementwise work than a chain over the stage points would, for far
+    fewer numpy calls per step.
     """
     phi, dphi, d2phi = family_phi(family)
-    a, _, c = params  # g is affine in b, so b never enters a derivative
+    value = family_functions(family)[0]
+    a, b, c = params
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     # RK4: v_{i+1} = v + offsets[i] * k_i, v_end = v + sum(weights[i] * k_i);
     # 0-d arrays, like every constant operand of the stacked ops below
     weights = tuple(map(np.array, (h / 6.0, h / 3.0, h / 3.0, h / 6.0)))
     offsets = tuple(map(np.array, (0.5 * h, 0.5 * h, h)))
-    lanes = slab.shape[1:]
-    points = slab.reshape((n, 4) + lanes).swapaxes(0, 1)  # points[i, k]: stage i of step k
+    lanes = np.broadcast(slab[0], a, c, cot_y, cot_l).shape
     w = np.reshape(weights, (4, 1) + (1,) * len(lanes))
-    lanes = np.broadcast(points[0, 0], a, c, cot_y, cot_l).shape
     dtype = np.result_type(slab, a, c, cot_y, cot_l)
     work = {} if work is None else work
     # Every stacked temporary is a workspace array that each ufunc writes into,
@@ -381,10 +386,16 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     # that of allocating arithmetic. A fresh (stages, n, k) array is a large
     # heap block; freeing many per call makes malloc return pages to the
     # system and fault them in again on the next call.
-    p, dp, jac, jbar, through_jac, kbar, spare = (
+    points, p, dp, jac, through_jac, kbar, spare = (
         _scratch(work, name, (4, n) + lanes, dtype)
-        for name in ("phi", "dphi", "jac", "jbar", "through_jac", "kbar", "abar"))
-    with np.errstate(over="ignore"):  # the sigmoid's exp(-v) may overflow to inf
+        for name in ("points", "phi", "dphi", "jac", "through_jac", "kbar", "abar"))
+    jbar = _scratch(work, "jbar", (4, 1) + lanes, dtype)
+    np.copyto(points[0], slab[:n])  # points[i, k]: stage point i + 1 of step k
+    # the solver's overflows recur, and the sigmoid's exp(-v) may overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(3):  # integrate's add(v, multiply(offset, K_i, p), p)
+            g = value(a, b, c, points[i], None, out=(points[i + 1], None, spare[0]))
+            np.add(points[0], np.multiply(offsets[i], g, out=g), out=g)
         phi(points, p)  # one sigmoid serves phi, phi' and phi''
     dphi(points, p, dp)
     # the log-derivative: the slope's own dg/dv at every stage point, summed
@@ -429,20 +440,26 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     return (dx, *(np.sum(z, axis=(0, 1)) for z in (spare, kbar, p)), log_deriv)
 
 
-def _tangent(dv_fn, cfg, slab):
-    """d v(1) / dx of a solve from its stage slab: the product over the steps
-    of the tangent recursion's factor tau, which needs dg/dv only."""
+def _tangent(value_fn, dv_fn, cfg, slab):
+    """d v(1) / dx of a solve from its trajectory slab: the product over the
+    steps of the tangent recursion's factor tau, which needs dg/dv at every
+    stage point. Each step's points 2-4 are rebuilt from its start as
+    `integrate` makes them, p_{i+1} = p_1 + offset_i*g(p_i) with g in the
+    solve's dtype, one step at a time, since a custom g may depend on t."""
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     t0 = 0.0 if cfg.direction == "forward" else 1.0
     dx = 1.0
     for k in range(n):
-        t = t0 + k * h
-        points = slab[4 * k:4 * (k + 1)]
-        d1 = dv_fn(points[0], t)
-        d2 = dv_fn(points[1], t + 0.5 * h) * (1.0 + 0.5 * h * d1)
-        d3 = dv_fn(points[2], t + 0.5 * h) * (1.0 + 0.5 * h * d2)
-        d4 = dv_fn(points[3], t + h) * (1.0 + h * d3)
+        t, v = t0 + k * h, slab[k]
+        times = (t, t + 0.5 * h, t + 0.5 * h, t + h)
+        points = [v]
+        for offset, s in zip((0.5 * h, 0.5 * h, h), times):
+            points.append(v + offset * np.asarray(value_fn(points[-1], s), slab.dtype))
+        d1, d2, d3, d4 = (dv_fn(q, s) for q, s in zip(points, times))
+        d2 = d2 * (1.0 + 0.5 * h * d1)
+        d3 = d3 * (1.0 + 0.5 * h * d2)
+        d4 = d4 * (1.0 + h * d3)
         dx = dx * (1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
     return dx
 
@@ -454,7 +471,7 @@ def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet) -> VjpRes
     what `forward` actually evaluates, not of the continuous limit) and
     contracts with the given cotangents. Built-in families go through the
     discrete adjoint `_adjoint`. For custom integrands d/dx is the tangent
-    recursion over the stage points, the parameter slots come back as
+    recursion over the rebuilt stage points, the parameter slots come back as
     zeros, and a nonzero `cot_logdet` raises: it would need d2g/dv2.
     Returns d/dx and d/d(a, b, c).
     """
@@ -464,11 +481,12 @@ def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet) -> VjpRes
     cot_y = np.broadcast_to(np.asarray(cot_y, dtype=float), arr.shape)
     cot_logdet = np.broadcast_to(np.asarray(cot_logdet, dtype=float), arr.shape)
     value_fn, dv_fn = _integrand_slope(g, False)
-    _, _, slab = integrate(value_fn, dv_fn, arr, cfg, want_log_deriv=False, keep_stages=True)
+    _, _, slab = integrate(value_fn, dv_fn, arr, cfg, want_log_deriv=False,
+                           keep_trajectory=True)
     if g.family == "custom":
         if np.any(cot_logdet != 0.0):
             raise ValueError("forward_vjp of a custom integrand takes cot_logdet = 0 only")
-        dx, dparams = cot_y * _tangent(dv_fn, cfg, slab), (0.0, 0.0, 0.0)
+        dx, dparams = cot_y * _tangent(value_fn, dv_fn, cfg, slab), (0.0, 0.0, 0.0)
     else:
         dx, *dp, _ = _adjoint(g.family, g.params(), cfg, slab, cot_y, cot_logdet)
         dparams = tuple(float(np.sum(p)) for p in dp)

@@ -3,17 +3,20 @@
 The loss is the mean negative log-density of a batch; gradients are exact
 reverse-mode derivatives of the discretized computation (solver steps,
 conditioner evaluations, base density). The inverse path runs once,
-value-only, and keeps one record per layer, with one slab of stage points
-per solve (a layer computes with the parameters it holds, so `train` writes
-every Adam update back with `FlowModel.set_parameters`). `autodiff.backward`
+value-only, and keeps one record per layer, with one trajectory slab per
+solve: v at every step's start and v(1), from which the adjoint rebuilds
+the stage points bit for bit. A layer computes with the parameters it
+holds, so `train` writes every Adam update back with
+`FlowModel.set_parameters`. `autodiff.backward`
 walks the records in reverse through each layer's hand-written `vjp`, whose
 solves go through the discrete adjoint (`scalarmap._adjoint`); the adjoints
 also return the log-dets, bitwise those `log_density` accumulates, and their
 stacked temporaries come from one scratch dict per `backward` call.
 
-Memory: a step of n rows keeps each solve's slab, 8 B * 4*steps*n*k for width
-k, and the adjoints' seven workspace arrays, sized for the widest solve, so
-8 B * 4*steps*n*(sum k + 7*k_max) for every flow, plus the activations and
+Memory: a step of n rows keeps each solve's slab, 8 B * (steps+1)*n*k for
+width k, and the adjoints' seven (4, steps) workspace arrays and one (4, 1)
+array, sized for the widest solve, so 8 B * n*((steps+1)*sum k +
+28*steps*k_max + 4*k_max) for every flow, plus the activations and
 gradients, which do not grow with `steps`.
 
 The loop is single-threaded over batches; within a batch all examples

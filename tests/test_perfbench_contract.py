@@ -49,8 +49,8 @@ def test_traced_run_is_correct_and_counts(workload):
     # one integrand evaluation per stage point: 4 layers x 16 steps x 4 RK4 stages
     assert metrics["integrands.evals.sample"]["value"] == 256
     # one record per layer (4 transforms, 3 permutations), and training's solves
-    # make one evaluation per stage point too: the adjoint reads the saved stage
-    # points and evaluates nothing
+    # make one evaluation per stage point too: the adjoint rebuilds stage points
+    # through scalarmap's own family table, which the tracer does not count
     assert metrics["autodiff.nodes.train"]["value"] == 7
     assert metrics["integrands.evals.train"]["value"] == TRAIN_SOLVES[workload] * 16 * 4
     # one conditioner pass per solve on the inverse path, and none in the backward

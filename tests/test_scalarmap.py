@@ -280,7 +280,7 @@ def test_adjoint_matches_complex_step(family, scheme, direction, rng):
             return cot_y * y + cot_l * l
 
         _, _, slab = integrate(family_slope(family_functions(family)[0], *params, True), None,
-                               x0, cfg, keep_stages=True)
+                               x0, cfg, keep_trajectory=True)
         got = _adjoint(family, params, cfg, slab, cot_y, cot_l, work)
         inputs = [x0, *params]
         for i, (g, p) in enumerate(zip(got, inputs)):
@@ -310,7 +310,7 @@ def test_adjoint_matches_complex_step_at_trained_shapes(family, scheme, directio
     params = [rng.uniform(-0.25, 0.25, (rows, 1)) for _ in range(3)]
     cot_y, cot_l = rng.standard_normal((2, rows, 1))
     _, _, slab = integrate(family_slope(family_functions(family)[0], *params, False), None,
-                           x0, cfg, want_log_deriv=False, keep_stages=True)
+                           x0, cfg, want_log_deriv=False, keep_trajectory=True)
     *got, _ = _adjoint(family, params, cfg, slab, cot_y, cot_l)
     inputs = [x0, *params]
     for i, g in enumerate(got):
@@ -328,7 +328,8 @@ def test_adjoint_matches_complex_step_at_trained_shapes(family, scheme, directio
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 def test_adjoint_step_factor_is_tau(family, scheme, direction, rng):
     # with cot_l = 0 and cot_y = 1 the sweep multiplies the step factors A_k
-    # alone, so dx is `_tangent`'s product of the tangent factors tau_k
+    # alone, so dx is `_tangent`'s product of the tangent factors tau_k, each
+    # over the stage points that it rebuilds from the same slab
     cfg = _config_or_refusal(scheme, steps=16, direction=direction)
     if cfg is None:
         return
@@ -336,9 +337,9 @@ def test_adjoint_step_factor_is_tau(family, scheme, direction, rng):
     params = [rng.uniform(-0.6, 0.6, (6, 3)) for _ in range(3)]
     value, dv = family_functions(family)
     _, _, slab = integrate(family_slope(value, *params, False), None, x, cfg,
-                           want_log_deriv=False, keep_stages=True)
+                           want_log_deriv=False, keep_trajectory=True)
     dx = _adjoint(family, params, cfg, slab, np.ones(x.shape), np.zeros(x.shape))[0]
-    tau = _tangent(lambda v, t: dv(*params, v, t), cfg, slab)
+    tau = _tangent(lambda v, t: value(*params, v, t), lambda v, t: dv(*params, v, t), cfg, slab)
     np.testing.assert_allclose(dx, tau, rtol=1e-12)
 
 
@@ -347,14 +348,14 @@ def test_adjoint_step_factor_is_tau(family, scheme, direction, rng):
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 def test_dg_dv_row_never_feeds_v(family, scheme, direction, rng):
     # g and dg/dv share each stage's slope array and one weighted sum; v and
-    # every stage point must not depend on whether the dg/dv row is there
+    # every step start must not depend on whether the dg/dv row is there
     cfg = SolverConfig(scheme=scheme, steps=8, direction=direction)
     x = rng.uniform(-1.0, 1.0, (6, 3))
     params = [rng.uniform(-0.6, 0.6, (6, 3)) for _ in range(3)]
     value = family_functions(family)[0]
     (y1, l1, slab1), (y0, l0, slab0) = (
         integrate(family_slope(value, *params, want), None, x, cfg, want_log_deriv=want,
-                  keep_stages=True) for want in (True, False))
+                  keep_trajectory=True) for want in (True, False))
     assert l0 is None and l1.shape == x.shape
     assert y1.tobytes() == y0.tobytes() and slab1.tobytes() == slab0.tobytes()
 
@@ -390,7 +391,7 @@ def test_slope_path_matches_two_function_path(family, scheme, direction, want_lo
             pairs, scalars = [(res.y, want_y), (res.log_deriv, want_l)], [res.y, res.log_deriv]
         elif direction == "forward":
             _, _, slab = integrate(*g.functions(), np.asarray(z), cfg, want_log_deriv=False,
-                                   keep_stages=True)
+                                   keep_trajectory=True)
             cots = [np.broadcast_to(w, np.shape(z)) for w in (0.7, -0.4)]
             dx, *dp, _ = _adjoint(family, g.params(), cfg, slab, *cots)
             vjp = forward_vjp(g, cfg, z, 0.7, -0.4)
@@ -421,7 +422,9 @@ def test_slope_path_matches_two_function_path(family, scheme, direction, want_lo
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_only_forward_asks_for_dg_dv(family, scheme, monkeypatch, rng):
     # every built-in-family solve makes one value call per stage point, and only
-    # forward, which accumulates the log-derivative, asks it for dg/dv
+    # forward, which accumulates the log-derivative, asks it for dg/dv; the
+    # adjoint in forward_vjp rebuilds stage points 2-4 with three value-only
+    # calls, each over all the steps
     calls = []
 
     def spied(name):
@@ -442,13 +445,13 @@ def test_only_forward_asks_for_dg_dv(family, scheme, monkeypatch, rng):
     points = cfg.steps * 4
     g = Integrand(family, *rng.uniform(-0.6, 0.6, 3))
     x = rng.uniform(-1.0, 1.0, (6, 3))
-    for run, with_dv in ((lambda: forward(g, cfg, x), True),
-                         (lambda: forward_vjp(g, cfg, x, 1.0, 0.5), False),
-                         (lambda: inverse(g, cfg.reversed(), x), False),
-                         (lambda: _map_only(g, cfg)(x), False)):
+    for run, want in ((lambda: forward(g, cfg, x), [True] * points),
+                      (lambda: forward_vjp(g, cfg, x, 1.0, 0.5), [False] * (points + 3)),
+                      (lambda: inverse(g, cfg.reversed(), x), [False] * points),
+                      (lambda: _map_only(g, cfg)(x), [False] * points)):
         calls.clear()
         run()
-        assert calls == [with_dv] * points
+        assert calls == want
     calls.clear()
     inverse(g, cfg.reversed(), x, RefineConfig("fixed_point"))
     assert calls and set(calls) == {False}
@@ -520,8 +523,10 @@ def test_step_loop_calls_are_few_and_take_no_python_float(family, monkeypatch, r
         assert (counts[1] - counts[0]) / 8 <= most
 
 
-def _reference_solve(value_fn, dv_fn, x, cfg):
-    """RK4 in plain allocating arithmetic: (v_end, log_deriv, stage points)."""
+def _reference_solve(value_fn, dv_fn, x, cfg, nan_guard=False):
+    """RK4 in plain allocating arithmetic: (v_end, log_deriv, stage points).
+    With `nan_guard` a lane that ends a step outside |v| <= GUARD becomes NaN,
+    as `integrate` does with ``divergence='nan'``."""
     h = (1.0 if cfg.direction == "forward" else -1.0) / cfg.steps
     t0 = 0.0 if cfg.direction == "forward" else 1.0
     v, l, points = x, None, []
@@ -537,6 +542,8 @@ def _reference_solve(value_fn, dv_fn, x, cfg):
         points.append((v, v2, v3, v4))
         m = (d1 + 2.0 * d2 + 2.0 * d3 + d4) * (h / 6.0)
         v = v + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if nan_guard:
+            v = np.where(np.abs(v) <= scalarmap.GUARD, v, np.nan)
         l = m if l is None else l + m
     return v, l, points
 
@@ -554,12 +561,12 @@ def test_stage_points_are_fresh_and_match_plain_arithmetic(family, scheme, rng):
     for slope, dv_fn in (
             (family_slope(value, *params, True), None),
             (lambda v, t: value(*params, v, t), lambda v, t: dv(*params, v, t))):
-        y, l, slab = integrate(slope, dv_fn, x, cfg, keep_stages=True)
+        y, l, slab = integrate(slope, dv_fn, x, cfg, keep_trajectory=True)
         assert y.tobytes() == want_y.tobytes() and l.tobytes() == want_l.tobytes()
-        points = list(slab)
-        assert [p.tobytes() for p in points] == [
-            p.tobytes() for step in want_points for p in step]
-        arrays = points + [y, l]
+        rows = list(slab)  # every step's start, then v(1)
+        assert [r.tobytes() for r in rows] == [
+            p.tobytes() for p in [step[0] for step in want_points] + [want_y]]
+        arrays = rows + [y, l]
         for i, p in enumerate(arrays):
             for q in arrays[i + 1:]:
                 assert not np.shares_memory(p, q)
@@ -572,10 +579,10 @@ def test_solver_leaves_inputs_unchanged(rng):
     before = x.copy()
     g = Integrand.sigmoid_affine(0.3, -0.2, 0.5)
     for cfg in (RK4_16, SolverConfig(steps=5)):
-        for kw in ({}, {"want_log_deriv": False}, {"keep_stages": True},
+        for kw in ({}, {"want_log_deriv": False}, {"keep_trajectory": True},
                    {"divergence": "nan"}):
             integrate(*g.functions(), x, cfg, **kw)
-            forward(g, cfg, x, keep_trajectory=kw.get("keep_stages", False),
+            forward(g, cfg, x, keep_trajectory=kw.get("keep_trajectory", False),
                     divergence=kw.get("divergence", "raise"))
             forward_vjp(g, cfg, x, 1.0, 0.5)
             inverse(g, cfg.reversed(), x)
@@ -598,7 +605,8 @@ def test_complex_b_promotes_through_the_buffers(family, scheme, rng):
     a, b, c = (rng.uniform(-0.6, 0.6, (6, 2)) for _ in range(3))
     cot_y, cot_l = rng.standard_normal((2, 6, 2))
     value, _ = family_functions(family)
-    _, _, slab = integrate(family_slope(value, a, b, c, True), None, x, cfg, keep_stages=True)
+    _, _, slab = integrate(family_slope(value, a, b, c, True), None, x, cfg,
+                           keep_trajectory=True)
     real = _adjoint(family, (a, b, c), cfg, slab, cot_y, cot_l)
     step = 1e-30
     bc = b + 1j * step
@@ -609,7 +617,8 @@ def test_complex_b_promotes_through_the_buffers(family, scheme, rng):
     # the adjoint of the complex solve reads a complex slab, so its workspace
     # must be complex too: a float64 one would drop the imaginary parts
     work = {}
-    _, _, slab = integrate(family_slope(value, a, bc, c, True), None, x, cfg, keep_stages=True)
+    _, _, slab = integrate(family_slope(value, a, bc, c, True), None, x, cfg,
+                           keep_trajectory=True)
     cplx = _adjoint(family, (a, bc, c), cfg, slab, cot_y, cot_l, work)
     assert slab.dtype == complex
     assert work and all(arr.dtype == complex for arr in work.values())
@@ -617,15 +626,27 @@ def test_complex_b_promotes_through_the_buffers(family, scheme, rng):
         np.testing.assert_allclose(got.real, want, rtol=1e-12, atol=1e-15)
 
 
+def _rebuilt_points(family, params, cfg, slab):
+    """Stage points from the slab's step starts, p_{i+1} = p_1 + offset_i*g(p_i),
+    in plain allocating arithmetic, stage-major: (4, steps, ...)."""
+    value = family_functions(family)[0]
+    h = (1.0 if cfg.direction == "forward" else -1.0) / cfg.steps
+    points = [slab[:cfg.steps]]
+    for offset in (0.5 * h, 0.5 * h, h):
+        points.append(points[0] + offset * value(*params, points[-1], None))
+    return np.stack(points)
+
+
 def _allocating_adjoint(family, params, cfg, slab, cot_y, cot_l):
     """`_adjoint`'s step-level sweep in plain allocating arithmetic, each
-    temporary a fresh array; stacked arrays are stage-major, (4, steps, ...)."""
+    temporary a fresh array, over the stage points rebuilt from the slab;
+    stacked arrays are stage-major, (4, steps, ...)."""
     phi, dphi, d2phi = family_phi(family)
     a, _, c = params
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     weights, offsets = (h / 6.0, h / 3.0, h / 3.0, h / 6.0), (0.5 * h, 0.5 * h, h)
-    points = np.ascontiguousarray(slab.reshape((n, 4) + slab.shape[1:]).swapaxes(0, 1))
+    points = _rebuilt_points(family, params, cfg, slab)
     w = np.reshape(weights, (4, 1) + (1,) * (slab.ndim - 1))
     p = phi(points)
     dp = dphi(points, p)
@@ -655,15 +676,18 @@ def _allocating_adjoint(family, params, cfg, slab, cot_y, cot_l):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_adjoint_sigmoid_runs_guarded(scheme, rng):
     # below about -709.78 the sigmoid's exp(-v) overflows to inf, which is still
-    # well inside the guard box; the adjoint writes phi into a workspace array,
-    # so it has to silence that overflow itself
+    # well inside the guard box; the adjoint rebuilds the stage points and writes
+    # their phi into workspace arrays, so it has to silence that overflow itself
     cfg = SolverConfig(scheme=scheme, steps=8, direction="reverse")
     x = np.array([[-800.0, -712.0, 0.3], [-5000.0, 2.0, -0.5]])
     params = [rng.uniform(-0.6, 0.6, x.shape) for _ in range(3)]
     cot_y, cot_l = rng.standard_normal((2, *x.shape))
     _, _, slab = integrate(family_slope(family_functions("sigmoid_affine")[0], *params, True),
-                           None, x, cfg, keep_stages=True)
-    assert (slab < -710.0).sum() >= 3 * len(slab)
+                           None, x, cfg, keep_trajectory=True)
+    # the precondition: on average three lanes of every rebuilt stage point overflow
+    with np.errstate(over="ignore"):
+        points = _rebuilt_points("sigmoid_affine", params, cfg, slab)
+    assert (points < -710.0).sum() >= 3 * 4 * cfg.steps
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = _adjoint("sigmoid_affine", params, cfg, slab, cot_y, cot_l)
@@ -674,24 +698,77 @@ def test_adjoint_sigmoid_runs_guarded(scheme, rng):
 
 def test_stage_slab_rows_are_the_guarded_step_ends():
     # in 'nan' mode a lane that leaves the guard box is NaN from the next step
-    # on, in the slab as in the result; until then every step row is v at the
-    # start of that step in plain arithmetic
+    # on, in the slab as in the result; until then every row is v at the start
+    # of that step in plain arithmetic, and the last row is v(1), not a view of it
     g = Integrand.cubic(0.0, 0.0, 2.0)
     x = np.array([0.1, 50.0, -0.2])
     for cfg in (RK4_16, SolverConfig(steps=5)):
         y, _, slab = integrate(family_slope(family_functions("cubic")[0], *g.params(), False),
                                None, x, cfg, want_log_deriv=False, divergence="nan",
-                               keep_stages=True)
+                               keep_trajectory=True)
         with np.errstate(over="ignore", invalid="ignore"):
             want_y, _, points = _reference_solve(*g.functions(), x, cfg)
-        rows, starts = list(slab[::4]) + [y], [step[0] for step in points] + [want_y]
+        rows, starts = list(slab), [step[0] for step in points] + [want_y]
+        assert len(rows) == cfg.steps + 1
+        assert slab[-1].tobytes() == y.tobytes() and not np.shares_memory(slab, y)
         assert np.isnan(y[1]) and np.isfinite(y[[0, 2]]).all()
         first = min(k for k, v in enumerate(starts) if not abs(v[1]) <= scalarmap.GUARD)
         assert 0 < first < cfg.steps
         for k, (row, want) in enumerate(zip(rows, starts)):
             assert row[[0, 2]].tobytes() == want[[0, 2]].tobytes()
             assert np.isnan(row[1]) if k >= first else row[1] == want[1]
-        assert np.isnan(slab[4 * first:, 1]).all()
+        assert np.isnan(slab[first:, 1]).all()
+
+
+def _adjoint_points(family, params, cfg, slab):
+    """The stage points that `_adjoint` rebuilds from `slab`, read back from
+    its workspace, (4, steps, ...)."""
+    work, lanes = {}, slab.shape[1:]
+    with np.errstate(all="ignore"):  # past the guard box the sweep may overflow
+        _adjoint(family, params, cfg, slab, np.ones(lanes), np.ones(lanes), work)
+    return scalarmap._scratch(work, "points", (4, cfg.steps) + lanes, slab.dtype)
+
+
+def _assert_same_bits_or_both_nan(got, want):
+    nan = np.isnan(want)
+    assert got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_rebuilt_stage_points_are_the_solvers(family, direction, rng):
+    # a training slab keeps each step's start only; the adjoint's stage points
+    # 2-4 must be the solver's bit for bit, on real and complex-step lanes (the
+    # sigmoid's allocating slope casts to float, so complex b takes the other two)
+    cfg = SolverConfig(steps=8, direction=direction)
+    value, dv = family_functions(family)
+    x = rng.uniform(-1.0, 1.0, (6, 3))
+    a, b, c = (rng.uniform(-0.6, 0.6, (6, 3)) for _ in range(3))
+    for params in [(a, b, c)] + ([(a, b + 1e-30j, c)] if family != "sigmoid_affine" else []):
+        _, _, slab = integrate(family_slope(value, *params, False), None, x, cfg,
+                               want_log_deriv=False, keep_trajectory=True)
+        _, _, points = _reference_solve(lambda v, t: value(*params, v, t),
+                                        lambda v, t: dv(*params, v, t), x, cfg)
+        want = np.array(points).swapaxes(0, 1)
+        assert want.dtype == slab.dtype == np.result_type(*params)
+        _assert_same_bits_or_both_nan(_adjoint_points(family, params, cfg, slab), want)
+
+
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_rebuilt_stage_points_keep_the_guards_nans(direction):
+    # 'nan' mode: a lane that leaves the guard box has finite points in the step
+    # where it leaves and NaN ones from the next step on, rebuilt as solved
+    g = Integrand.cubic(0.0, 0.0, 2.0 if direction == "forward" else -2.0)
+    x = np.array([0.1, 50.0, -0.2]) * (1.0 if direction == "forward" else -1.0)
+    cfg = SolverConfig(steps=5, direction=direction)
+    _, _, slab = integrate(*g.functions(), x, cfg, want_log_deriv=False, divergence="nan",
+                           keep_trajectory=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, _, points = _reference_solve(*g.functions(), x, cfg, nan_guard=True)
+    want = np.array(points).swapaxes(0, 1)
+    assert np.isnan(want[:, 1:, 1]).all() and np.isfinite(want[:, 0]).all()
+    _assert_same_bits_or_both_nan(_adjoint_points("cubic", g.params(), cfg, slab), want)
 
 
 def test_forward_trajectory_is_every_step_start_and_the_end(rng):

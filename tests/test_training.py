@@ -428,12 +428,13 @@ def test_training_step_reuses_memory_pages():
 ], ids=["fit-2d", "ar-8d", "coupling-3d"])
 def test_training_memory_follows_the_stated_formula(kind, family, dim, hidden, rows, solved,
                                                     widest):
-    """A training step keeps every solve's slab, 8 B * 4*steps*n*k for a solve of
-    width k, and the adjoints share seven workspace arrays sized for the widest
-    solve: 8 B * 4*steps*n*(sum k + 7*k_max) in all, linear in the step count. The
-    rest of the tracemalloc peak (activations, gradients) does not grow with
-    it. The peaks are taken on a second call at 16 and 32 steps, where they
-    repeat from call to call; at 8 steps fit-2d's moved by 2-4 KB."""
+    """A training step keeps every solve's trajectory slab, 8 B * (steps+1)*n*k
+    for a solve of width k, and the adjoints share seven (4, steps) workspace
+    arrays and one (4, 1) array sized for the widest solve: 8 B *
+    n*((steps+1)*sum k + 28*steps*k_max + 4*k_max) in all, linear in the step
+    count. The rest of the tracemalloc peak (activations, gradients) does not
+    grow with it. The peaks are taken on a second call at 16 and 32 steps,
+    where they repeat from call to call; at 8 steps fit-2d's moved by 2-4 KB."""
     def peak_and_formula(steps):
         model = build_flow(dim, n_layers=4, kind=kind, family=family, hidden_dims=hidden,
                            solver=SolverConfig(steps=steps), seed=1)
@@ -445,7 +446,7 @@ def test_training_memory_follows_the_stated_formula(kind, family, dim, hidden, r
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak, 8 * 4 * steps * rows * (solved + 7 * widest)
+        return peak, 8 * rows * ((steps + 1) * solved + 28 * steps * widest + 4 * widest)
 
     (peak16, formula16), (peak32, formula32) = peak_and_formula(16), peak_and_formula(32)
     assert peak16 >= formula16 and peak32 >= formula32
