@@ -17,6 +17,15 @@ the forward pass.
 
 Forward, inverse, log-density and sampling are pure; batches are vector
 lanes processed together with deterministic ordering.
+
+Memory: outside training, the rows go through all the layers in blocks of
+`scalarmap.LANES` // w rows, where w is the widest solve on the path (the
+transformed width of a coupling layer; D forward and 1 inverse for an
+autoregressive one). An evaluation of n rows holds its inputs and outputs,
+O(n*D), plus one block's conditioner activations and solver arrays, however
+large n is. Each block is exactly the call on its rows alone, and an input
+of at most one block is that one call. Training keeps one block: its
+memory is the formula in `training`.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from .conditioner import (ConditionerNet, build_masks, init_net, net_backward, n
                           net_input_vjp)
 from .integrands import family_functions
 from .inversion import refine_lanes
-from .scalarmap import DivergenceError, SolverConfig, _adjoint, family_slope, integrate
+from .scalarmap import LANES, DivergenceError, SolverConfig, _adjoint, family_slope, integrate
 
 __all__ = [
     "CouplingLayer",
@@ -57,9 +66,11 @@ def _base_log_density(x):
     return -0.5 * np.sum(x * x, axis=1) - 0.5 * x.shape[1] * LOG_TWO_PI
 
 
-# Every layer class has the same six members, which the module-level
+# Every layer class has the same seven members, which the module-level
 # operations below reach without asking which kind of layer they hold:
 #   params()                      its parameter arrays, in checkpoint order;
+#   width(inverse)                the widest solve of its forward or inverse, in
+#                                 lanes per row (0 for a permutation);
 #   forward(x, divergence, want_log_deriv) -> (y, logdet);
 #   inverse(y, refine, divergence, want_log_deriv, cache=None) -> (x, logdet);
 #   vjp(cache, x_bar, l_bar, work) -> (y_bar, param grads, logdet) of that inverse;
@@ -110,6 +121,9 @@ class CouplingLayer:
 
     def params(self):
         return self.conditioner.param_arrays()
+
+    def width(self, inverse):
+        return self.dim - self.split if self.transform_upper else self.split
 
     def _halves(self, x):
         """``(kept, moved)`` column blocks of x."""
@@ -179,6 +193,9 @@ class AutoregressiveLayer:
 
     def params(self):
         return self.conditioner.param_arrays()
+
+    def width(self, inverse):
+        return 1 if inverse else self.dim
 
     def forward(self, x, divergence, want_log_deriv):
         a, b, c = _triples(net_eval(self.conditioner, x))
@@ -263,6 +280,9 @@ class PermutationLayer:
 
     def params(self):
         return []
+
+    def width(self, inverse):
+        return 0
 
     def forward(self, x, divergence, want_log_deriv):
         return x[:, self.perm], np.zeros(x.shape[0])
@@ -424,7 +444,44 @@ def _through_layers(model, x, divergence, want_log_deriv, *, inverse=False,
     log-determinants (None without `want_log_deriv` or without layers); a
     `DivergenceError` is re-raised naming the layer. On the inverse path a
     `records` list receives one `autodiff.Node` per layer, in the order the
-    layers ran, for `autodiff.backward`."""
+    layers ran, for `autodiff.backward`.
+
+    Without `records` the rows go through in blocks of `LANES` // w rows, w
+    the widest solve on the path, in row order: each block is the call on
+    its rows alone, written into one output array. The first block that
+    raises ends the call, its error naming global rows. An input of at most
+    one block, and every recording call, is one call on x as it is."""
+    n = len(x)
+    w = max((layer.width(inverse) for layer in model.layers), default=0)
+    rows = max(1, LANES // w) if w else n
+    if records is not None or n <= rows:
+        return _each_layer(model, x, divergence, want_log_deriv, inverse, refine, records)
+    out = np.empty(x.shape)
+    total = np.empty(n) if want_log_deriv else None
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        try:
+            out[block], ld = _each_layer(model, x[block], divergence, want_log_deriv,
+                                         inverse, refine, None)
+        except DivergenceError as err:
+            if not start:
+                raise
+            raise _shifted(err, start) from err
+        if want_log_deriv:
+            total[block] = ld
+    return out, total
+
+
+def _shifted(err, start):
+    """`err`, raised on the block of rows from `start` on, naming global rows:
+    `start` is added to its indices and to the row list that ends its message."""
+    rows = [r + start for r in err.indices]
+    head, _, tail = str(err).rpartition(str(err.indices))
+    return DivergenceError(head + str(rows) + tail, indices=rows)
+
+
+def _each_layer(model, x, divergence, want_log_deriv, inverse, refine, records):
+    """`_through_layers` on one block of rows."""
     order = range(len(model.layers))
     total = None
     for i in reversed(order) if inverse else order:
@@ -446,7 +503,12 @@ def _through_layers(model, x, divergence, want_log_deriv, *, inverse=False,
 
 
 def model_forward(model: FlowModel, x):
-    """Push x through all layers; returns (y, total_logdet)."""
+    """Push x through all layers; returns (y, total_logdet).
+
+    A row whose trajectory leaves the guard box raises `DivergenceError`
+    naming its layer and rows. Wide inputs run in row blocks, in row order
+    (see `_through_layers`), so the first block with such a row raises.
+    """
     xb, squeeze = _as_batch(x, model.dim)
     y, total = _through_layers(model, xb, "raise", True)
     if total is None:
@@ -455,7 +517,13 @@ def model_forward(model: FlowModel, x):
 
 
 def model_inverse(model: FlowModel, y, refine=None):
-    """Pull y back through all layer inverses; returns x only."""
+    """Pull y back through all layer inverses; returns x only.
+
+    A row whose trajectory leaves the guard box, or whose refinement does
+    not converge, raises `DivergenceError` naming its layer and rows. Wide
+    inputs run in row blocks, in row order (see `_through_layers`), so the
+    first block with such a row raises.
+    """
     yb, squeeze = _as_batch(y, model.dim)
     x, _ = _through_layers(model, yb, "raise", False, inverse=True, refine=refine)
     return x.reshape(-1) if squeeze else x
@@ -472,7 +540,10 @@ def log_density(model: FlowModel, y, params=None, *, divergence="raise"):
     A point whose reverse trajectory leaves the guard box lies outside the
     model's image and has density zero; this raises by default, while
     divergence='-inf' records -inf for those entries, which is what density
-    tabulation over a grid wants.
+    tabulation over a grid wants. Wide inputs run in row blocks, in row
+    order (see `_through_layers`): in 'raise' mode the first block with a
+    row outside the box raises, naming its layer and rows; once every block
+    has passed, a non-finite log-density raises, naming every such row.
     """
     if divergence not in ("raise", "-inf"):
         raise ValueError("divergence must be 'raise' or '-inf'")
@@ -504,7 +575,10 @@ def sample(model: FlowModel, n: int, seed: int = 0, *, divergence="raise"):
     Quadratic/cubic dynamics are only locally Lipschitz, so a trained map
     may be undefined for extreme base draws. With divergence='drop' such
     lanes are removed (the returned sample may be shorter than n) instead
-    of raising; with divergence='nan' their rows come back as NaN.
+    of raising; with divergence='nan' their rows come back as NaN. The n
+    draws go through in row blocks, in row order (see `_through_layers`), so
+    in 'raise' mode the first block with a divergent row raises, naming its
+    layer and rows.
     """
     if divergence not in ("raise", "nan", "drop"):
         raise ValueError("divergence must be 'raise', 'nan' or 'drop'")

@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 GUARD = 1e6  # |v| beyond this is treated as blow-up of the dynamics
+# The most lanes (rows x solved coordinates) that a flow evaluation solves at
+# once, 64 KiB per float64 lane array. Past about this many lanes rows/s falls:
+# unblocked fit-2d log_density ran 723k rows/s at 8,192 rows and 519k at
+# 65,536 (single-threaded, 2-vCPU Xeon VM; README has the sweep).
+LANES = 8192
 
 SCHEMES = ("rk4",)
 DIRECTIONS = ("forward", "reverse")
