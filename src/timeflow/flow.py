@@ -437,32 +437,29 @@ def layer_inverse(layer, y, refine=None):
     return _unbatch(*layer.inverse(yb, refine, "raise", True), squeeze)
 
 
-def _through_layers(model, x, divergence, want_log_deriv, *, inverse=False,
-                    refine=None, records=None):
+def _through_layers(model, x, divergence, want_log_deriv, *, inverse=False, refine=None):
     """The one layer loop: x through every layer's forward in list order, or
     through every layer's inverse in reverse order. Returns x and the summed
     log-determinants (None without `want_log_deriv` or without layers); a
-    `DivergenceError` is re-raised naming the layer. On the inverse path a
-    `records` list receives one `autodiff.Node` per layer, in the order the
-    layers ran, for `autodiff.backward`.
+    `DivergenceError` is re-raised naming the layer.
 
-    Without `records` the rows go through in blocks of `LANES` // w rows, w
-    the widest solve on the path, in row order: each block is the call on
-    its rows alone, written into one output array. The first block that
-    raises ends the call, its error naming global rows. An input of at most
-    one block, and every recording call, is one call on x as it is."""
+    The rows go through in blocks of `LANES` // w rows, w the widest solve
+    on the path, in row order: each block is the call on its rows alone,
+    written into one output array. The first block that raises ends the
+    call, its error naming global rows. An input of at most one block is one
+    call on x as it is."""
     n = len(x)
     w = max((layer.width(inverse) for layer in model.layers), default=0)
     rows = max(1, LANES // w) if w else n
-    if records is not None or n <= rows:
-        return _each_layer(model, x, divergence, want_log_deriv, inverse, refine, records)
+    if n <= rows:
+        return _each_layer(model, x, divergence, want_log_deriv, inverse, refine)
     out = np.empty(x.shape)
     total = np.empty(n) if want_log_deriv else None
     for start in range(0, n, rows):
         block = slice(start, start + rows)
         try:
             out[block], ld = _each_layer(model, x[block], divergence, want_log_deriv,
-                                         inverse, refine, None)
+                                         inverse, refine)
         except DivergenceError as err:
             if not start:
                 raise
@@ -480,8 +477,10 @@ def _shifted(err, start):
     return DivergenceError(head + str(rows) + tail, indices=rows)
 
 
-def _each_layer(model, x, divergence, want_log_deriv, inverse, refine, records):
-    """`_through_layers` on one block of rows."""
+def _each_layer(model, x, divergence, want_log_deriv, inverse, refine, records=None):
+    """`_through_layers` on one block of rows. On the inverse path a `records`
+    list receives one `autodiff.Node` per layer, in the order the layers ran,
+    for `autodiff.backward`: training takes its batch as one block."""
     order = range(len(model.layers))
     total = None
     for i in reversed(order) if inverse else order:

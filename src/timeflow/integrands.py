@@ -12,8 +12,9 @@ slots may themselves be arrays broadcast against `v`.
 
 `family_functions` gives each family's slope, which computes g and dg/dv from
 shared intermediates (for the quadratic, u = c*v, w = a + u, g = w*v + b and
-dg/dv = w + u). The discrete adjoint takes its derivatives from `family_phi`'s
-phi, phi' and phi'', and the log-derivative from `family_dg`, the slope's dg/dv.
+dg/dv = w + u). The discrete adjoint takes dg/dv from the same slope, on the
+stage points it rebuilds, and its other derivatives from `family_phi`'s phi,
+phi' and phi''.
 """
 
 from __future__ import annotations
@@ -112,14 +113,6 @@ def _sigmoid_affine(a, b, c, v, t, out=None, with_dv=False):
     return (g, dg) if with_dv else g
 
 
-# family -> dg/dv alone, from (a, c, v, phi(v)) into `out`, see `family_dg`
-_DG = {
-    "quadratic": lambda a, c, v, p, out, tmp: add(add(a, (u := multiply(c, v, tmp)), out), u, out),
-    "cubic": lambda a, c, v, p, out, tmp: add(
-        add(a, (q := multiply(c, multiply(v, v, tmp), tmp)), out), multiply(TWO, q, tmp), out),
-    "sigmoid_affine": lambda a, c, v, s, out, tmp: add(
-        a, multiply(multiply(c, s, out), subtract(ONE, s, tmp), out), out),
-}
 # family -> (slope, dg/dv alone), the slope's dg/dv
 _TABLE = {family: (slope, lambda a, b, c, v, t, slope=slope: slope(a, b, c, v, t, with_dv=True)[1])
           for family, slope in (("quadratic", _quadratic), ("cubic", _cubic),
@@ -157,12 +150,6 @@ def family_phi(family: str):
     d(dg/dv)/d(a, b, c) = (1, 0, phi').
     """
     return _lookup(_PHI, family)
-
-
-def family_dg(family: str):
-    """Return ``dg(a, c, v, phi, out, tmp)``: a built-in family's dg/dv in
-    its slope's expression and ufuncs, so bitwise the solver's, into `out`."""
-    return _lookup(_DG, family)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrands import ONE, TWO, Integrand, family_dg, family_functions, family_phi
+from .integrands import ONE, TWO, Integrand, family_functions, family_phi
 
 __all__ = [
     "SolverConfig",
@@ -347,15 +347,17 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     trajectory slab that `integrate` returned with `keep_trajectory` and the
     cotangents of v(1) and of the log-derivative, returns those of x, a, b
     and c, each in the broadcast shape of the solve, and then the solve's
-    log-derivative, bitwise `integrate`'s (its slope's dg/dv, `family_dg`,
-    summed as it sums it), so a differentiated solve need not accumulate it.
+    log-derivative, bitwise `integrate`'s, so a differentiated solve need not
+    accumulate it.
 
     Stage points. The slab keeps each step's start, the first stage point;
     points 2-4 are rebuilt from it as the solver made them, p_{i+1} = p_1 +
-    offset_i*g(p_i), by three value-only calls of the family's slope
-    (`family_functions`), each over all the steps at once, on the solver's
-    operands in its order. So every rebuilt point is bitwise the solver's,
-    and a lane that the guard made NaN is NaN here too.
+    offset_i*g(p_i), by four calls of the family's slope (`family_slope`
+    with dg/dv), one per stage point, each over all the steps at once, on
+    the solver's operands in its order. So every rebuilt point is bitwise
+    the solver's, and a lane that the guard made NaN is NaN here too. The
+    same calls give dg/dv at every point, the solver's own: the log-derivative
+    sums it as `integrate` does, and the tangent below reads it.
 
     Within a step, each stage's slope cotangent is affine in the cotangent
     ybar of the step's end, kbar_i = alpha_i*ybar + beta_i, and so is the
@@ -374,8 +376,8 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     fewer numpy calls per step.
     """
     phi, dphi, d2phi = family_phi(family)
-    value = family_functions(family)[0]
     a, b, c = params
+    slope = family_slope(family_functions(family)[0], a, b, c, True)
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     # RK4: v_{i+1} = v + offsets[i] * k_i, v_end = v + sum(weights[i] * k_i);
@@ -398,21 +400,23 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     np.copyto(points[0], slab[:n])  # points[i, k]: stage point i + 1 of step k
     # the solver's overflows recur, and the sigmoid's exp(-v) may overflow to inf
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(3):  # integrate's add(v, multiply(offset, K_i, p), p)
-            g = value(a, b, c, points[i], None, out=(points[i + 1], None, spare[0]))
+        # one slope call per stage point writes its dg/dv into jac; the g of
+        # points 1-3 makes points 2-4 as integrate's add(v, multiply(offset,
+        # K_i, p), p), and point 4's g, unused, goes to kbar[0], free until later
+        for i in range(3):
+            g, _ = slope(points[i], None, (points[i + 1], jac[i], spare[0]))
             np.add(points[0], np.multiply(offsets[i], g, out=g), out=g)
+        slope(points[3], None, (kbar[0], jac[3], spare[0]))
         phi(points, p)  # one sigmoid serves phi, phi' and phi''
     dphi(points, p, dp)
-    # the log-derivative: the slope's own dg/dv at every stage point, summed
-    # over each step's stages and then over the steps, as `integrate` sums them
-    dg = family_dg(family)(a, c, points, p, kbar, spare)
+    # the log-derivative: dg/dv summed over each step's stages and then over
+    # the steps, as `integrate` sums it
     log_deriv, tmp = spare[0], spare[-1]
-    np.copyto(log_deriv, dg[0])
-    for coef, d in zip((TWO, TWO, ONE), dg[1:]):  # ((d1 + 2*d2) + 2*d3 + d4) * (h/6)
+    np.copyto(log_deriv, jac[0])
+    for coef, d in zip((TWO, TWO, ONE), jac[1:]):  # ((d1 + 2*d2) + 2*d3 + d4) * (h/6)
         np.add(log_deriv, np.multiply(coef, d, out=tmp), out=log_deriv)
     np.multiply(log_deriv, weights[0], out=log_deriv)
     log_deriv = np.add.accumulate(log_deriv, axis=0, out=log_deriv)[-1].copy()
-    np.add(np.multiply(c, dp, out=jac), a, out=jac)  # dg/dv at every stage point
     np.multiply(w, cot_l, out=jbar)  # cotangent of each stage's dg/dv
     # reaches a stage point through its dg/dv: jbar * (c * phi'')
     np.multiply(jbar, np.multiply(c, d2phi(points, p, dp, through_jac), out=through_jac),

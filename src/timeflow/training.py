@@ -32,7 +32,7 @@ import numpy as np
 
 from .autodiff import backward
 from .data import Dataset
-from .flow import FlowModel, _base_log_density, _through_layers, _log_density, log_density
+from .flow import FlowModel, _base_log_density, _each_layer, _log_density, log_density
 from .scalarmap import DivergenceError
 
 __all__ = [
@@ -124,7 +124,8 @@ def nll_and_grad(model: FlowModel, batch):
                          f" got shape {batch.shape}")
     records, n = [], batch.shape[0]
     try:  # value-only solves: the adjoints return the log-dets
-        x, _ = _through_layers(model, batch, "raise", False, inverse=True, records=records)
+        x, _ = _each_layer(model, batch, "raise", False, inverse=True, refine=None,
+                           records=records)
         # loss = -mean(logp), and logp = -|x|^2 / 2 + const + the layers' log-dets
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite log-det raises below
             _, grads, total = backward(records, x * (1.0 / n), np.full(n, -1.0 / n))

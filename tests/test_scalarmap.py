@@ -344,6 +344,27 @@ def test_adjoint_step_factor_is_tau(family, scheme, direction, rng):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_adjoint_log_deriv_is_the_solvers_bit_for_bit(family, direction, rng):
+    # training's log-det is the adjoint's: it must be the log-derivative that a
+    # solve with dg/dv accumulates, byte for byte, on (n, k) and (n, 1)
+    # parameters and on real and complex-step lanes
+    cfg = SolverConfig(steps=8, direction=direction)
+    value = family_functions(family)[0]
+    x = rng.uniform(-1.0, 1.0, (6, 3))
+    cot_y, cot_l = rng.standard_normal((2, 6, 3))
+    for width in (3, 1):
+        a, b, c = (rng.uniform(-0.6, 0.6, (6, width)) for _ in range(3))
+        for params in ((a, b, c), (a, b + 1e-30j, c), (a, b, c + 1e-30j)):
+            want = integrate(family_slope(value, *params, True), None, x, cfg)[1]
+            _, _, slab = integrate(family_slope(value, *params, False), None, x, cfg,
+                                   want_log_deriv=False, keep_trajectory=True)
+            got = _adjoint(family, params, cfg, slab, cot_y, cot_l)[-1]
+            assert got.dtype == want.dtype == np.result_type(*params)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 def test_dg_dv_row_never_feeds_v(family, scheme, direction, rng):
@@ -423,8 +444,8 @@ def test_slope_path_matches_two_function_path(family, scheme, direction, want_lo
 def test_only_forward_asks_for_dg_dv(family, scheme, monkeypatch, rng):
     # every built-in-family solve makes one value call per stage point, and only
     # forward, which accumulates the log-derivative, asks it for dg/dv; the
-    # adjoint in forward_vjp rebuilds stage points 2-4 with three value-only
-    # calls, each over all the steps
+    # adjoint in forward_vjp asks for dg/dv at all four stage points, with one
+    # call per point over all the steps, whose g rebuilds points 2-4
     calls = []
 
     def spied(name):
@@ -446,7 +467,7 @@ def test_only_forward_asks_for_dg_dv(family, scheme, monkeypatch, rng):
     g = Integrand(family, *rng.uniform(-0.6, 0.6, 3))
     x = rng.uniform(-1.0, 1.0, (6, 3))
     for run, want in ((lambda: forward(g, cfg, x), [True] * points),
-                      (lambda: forward_vjp(g, cfg, x, 1.0, 0.5), [False] * (points + 3)),
+                      (lambda: forward_vjp(g, cfg, x, 1.0, 0.5), [False] * points + [True] * 4),
                       (lambda: inverse(g, cfg.reversed(), x), [False] * points),
                       (lambda: _map_only(g, cfg)(x), [False] * points)):
         calls.clear()
@@ -488,27 +509,37 @@ def test_value_out_is_bitwise_and_returns_buffers(family, with_dv, rng):
 CALLS_PER_STEP = {"quadratic": (30, 35), "cubic": (34, 43), "sigmoid_affine": (46, 59)}
 
 
+class Counted:
+    """A numpy function or ufunc method that logs each call's (operands, result)."""
+
+    def __init__(self, fn, log):
+        self.fn, self.log = fn, log
+
+    def __call__(self, *args, **kwargs):
+        result = self.fn(*args, **kwargs)
+        self.log.append(((*args, *kwargs.values()), result))
+        return result
+
+    def __getattr__(self, name):  # a ufunc method, such as maximum.reduce
+        return Counted(getattr(self.fn, name), self.log)
+
+
+def _count_calls(monkeypatch, numpy_names):
+    """Route these names of numpy, and every ufunc that the family formulas
+    call, through `Counted`; returns the log that they share."""
+    log = []
+    for name in numpy_names:
+        monkeypatch.setattr(np, name, Counted(getattr(np, name), log))
+    for name in ("add", "divide", "exp", "multiply", "negative", "subtract"):
+        monkeypatch.setattr(integrands, name, Counted(getattr(integrands, name), log))
+    return log
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_step_loop_calls_are_few_and_take_no_python_float(family, monkeypatch, rng):
     # wrap every ufunc name and np.vdot that `integrate` and the slopes call,
     # and count over the extra 8 steps of a 16-step solve, so setup cancels
-    calls = []
-
-    class Counted:
-        def __init__(self, fn):
-            self.fn = fn
-
-        def __call__(self, *args, **kwargs):
-            calls.append((*args, *kwargs.values()))
-            return self.fn(*args, **kwargs)
-
-        def __getattr__(self, name):  # a ufunc method, such as maximum.reduce
-            return Counted(getattr(self.fn, name))
-
-    for name in ("add", "multiply", "absolute", "maximum", "vdot"):
-        monkeypatch.setattr(np, name, Counted(getattr(np, name)))
-    for name in ("add", "divide", "exp", "multiply", "negative", "subtract"):
-        monkeypatch.setattr(integrands, name, Counted(getattr(integrands, name)))
+    calls = _count_calls(monkeypatch, ("add", "multiply", "absolute", "maximum", "vdot"))
     x = rng.uniform(-1.0, 1.0, (256, 1))
     params = [rng.uniform(-0.3, 0.3, (256, 1)) for _ in range(3)]
     value = family_functions(family)[0]
@@ -519,8 +550,31 @@ def test_step_loop_calls_are_few_and_take_no_python_float(family, monkeypatch, r
             integrate(family_slope(value, *params, want_dv), None, x, SolverConfig(steps=steps),
                       want_log_deriv=want_dv)
             counts.append(len(calls))
-            assert not [c for c in calls if any(isinstance(z, float) for z in c)]
+            assert not [c for c, _ in calls if any(isinstance(z, float) for z in c)]
         assert (counts[1] - counts[0]) / 8 <= most
+
+
+# Full-size ufunc calls of one 16-step `_adjoint` of (256, 1) lanes, those whose
+# output has at least steps x lanes elements, and the elementwise passes they
+# make: their output elements in units of steps x lanes.
+ADJOINT_FULL_SIZE = {"quadratic": (70, 101), "cubic": (81, 121), "sigmoid_affine": (101, 153)}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_adjoint_full_size_work_is_pinned(family, monkeypatch, rng):
+    # the stacked ops over all the steps and their reductions; the step-by-step
+    # recursion and the final sums over the steps write one lane array each
+    cfg = SolverConfig(steps=16)
+    x = rng.uniform(-1.0, 1.0, (256, 1))
+    params = [rng.uniform(-0.3, 0.3, (256, 1)) for _ in range(3)]
+    cot_y, cot_l = rng.standard_normal((2, 256, 1))
+    _, _, slab = integrate(family_slope(family_functions(family)[0], *params, False), None,
+                           x, cfg, want_log_deriv=False, keep_trajectory=True)
+    calls = _count_calls(monkeypatch, ("add", "multiply", "sum"))
+    _adjoint(family, params, cfg, slab, cot_y, cot_l)
+    full = cfg.steps * x.size
+    sizes = [np.size(out) for _, out in calls if np.size(out) >= full]
+    assert (len(sizes), sum(sizes) // full) == ADJOINT_FULL_SIZE[family]
 
 
 def _reference_solve(value_fn, dv_fn, x, cfg, nan_guard=False):
@@ -639,10 +693,10 @@ def _rebuilt_points(family, params, cfg, slab):
 
 def _allocating_adjoint(family, params, cfg, slab, cot_y, cot_l):
     """`_adjoint`'s step-level sweep in plain allocating arithmetic, each
-    temporary a fresh array, over the stage points rebuilt from the slab;
-    stacked arrays are stage-major, (4, steps, ...)."""
+    temporary a fresh array, over the stage points rebuilt from the slab and
+    the slope's dg/dv at them; stacked arrays are stage-major, (4, steps, ...)."""
     phi, dphi, d2phi = family_phi(family)
-    a, _, c = params
+    c = params[2]
     n = cfg.steps
     h = (1.0 if cfg.direction == "forward" else -1.0) / n
     weights, offsets = (h / 6.0, h / 3.0, h / 3.0, h / 6.0), (0.5 * h, 0.5 * h, h)
@@ -650,7 +704,7 @@ def _allocating_adjoint(family, params, cfg, slab, cot_y, cot_l):
     w = np.reshape(weights, (4, 1) + (1,) * (slab.ndim - 1))
     p = phi(points)
     dp = dphi(points, p)
-    jac = c * dp + a
+    jac = family_functions(family)[1](*params, points, None)
     jbar = w * cot_l
     through_jac = jbar * (c * d2phi(points, p, dp))
     # stage i's point gets aj[i]*ybar + bj[i], its slope kbar_i = alpha[i]*ybar + beta[i]
