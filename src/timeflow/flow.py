@@ -39,7 +39,7 @@ import numpy as np
 from .autodiff import Node
 from .conditioner import (ConditionerNet, build_masks, init_net, net_backward, net_eval,
                           net_input_vjp)
-from .integrands import family_functions
+from .integrands import family_functions, family_phi
 from .inversion import refine_lanes
 from .scalarmap import LANES, DivergenceError, SolverConfig, _adjoint, family_slope, integrate
 
@@ -108,6 +108,7 @@ class CouplingLayer:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        family_phi(self.family)  # a built-in family, or ValueError naming the value
         if not 1 <= self.split < self.dim:
             raise ValueError("coupling split must satisfy 1 <= d < D")
         n_pass = self.split if self.transform_upper else self.dim - self.split
@@ -186,6 +187,7 @@ class AutoregressiveLayer:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        family_phi(self.family)  # a built-in family, or ValueError naming the value
         if self.conditioner.masks is None:
             raise ValueError("autoregressive layers need a masked conditioner")
         if self.conditioner.in_dim != self.dim or self.conditioner.out_dim != 3 * self.dim:

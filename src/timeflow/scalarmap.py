@@ -175,9 +175,8 @@ def integrate(value_fn, dv_fn, x, cfg, *, want_log_deriv=True, divergence="raise
     ``(steps + 1, *shape)``: row k is v at the start of step k (row 0 is x,
     broadcast; later rows after the guard's NaNs), and row ``steps`` is
     v(1), a copy apart from the returned v_end. Each RK4 stage point is a
-    fixed function of its step's start, so `_adjoint` (a built-in family)
-    and `_tangent` (a custom integrand) rebuild stage points 2-4 from the
-    slab bit for bit, and `forward` returns it as the trajectory.
+    fixed function of its step's start, so `_adjoint` rebuilds stage points
+    2-4 from the slab bit for bit, and `forward` returns it as the trajectory.
 
     Buffers. The first slope call, at x, gets ``out=None``; its results fix
     the shape and dtype (x, g and dg/dv promoted together, so a complex
@@ -362,8 +361,8 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     Within a step, each stage's slope cotangent is affine in the cotangent
     ybar of the step's end, kbar_i = alpha_i*ybar + beta_i, and so is the
     step start's, A*ybar + B, where A = 1 + sum(alpha_i * dg/dv_i) is the
-    step's tangent factor tau, the factor of `_tangent`'s product. alpha,
-    beta, A and B come from stacked ops over all steps; only ybar <-
+    step's tangent factor tau, whose product over the steps is dv(1)/dx.
+    alpha, beta, A and B come from stacked ops over all steps; only ybar <-
     A_k*ybar + B_k runs step by step, and kbar is assembled after it. The
     stacked arrays are stage-major, (4, steps, *shape): the rebuilt points
     and six more, seven workspace arrays from `work`, plus the cotangent of
@@ -449,28 +448,22 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     return (dx, *(np.sum(z, axis=(0, 1)) for z in (spare, kbar, p)), log_deriv)
 
 
-def _tangent(value_fn, dv_fn, cfg, slab):
-    """d v(1) / dx of a solve from its trajectory slab: the product over the
-    steps of the tangent recursion's factor tau, which needs dg/dv at every
-    stage point. Each step's points 2-4 are rebuilt from its start as
-    `integrate` makes them, p_{i+1} = p_1 + offset_i*g(p_i) with g in the
-    solve's dtype, one step at a time, since a custom g may depend on t."""
-    n = cfg.steps
-    h = (1.0 if cfg.direction == "forward" else -1.0) / n
-    t0 = 0.0 if cfg.direction == "forward" else 1.0
-    dx = 1.0
-    for k in range(n):
-        t, v = t0 + k * h, slab[k]
-        times = (t, t + 0.5 * h, t + 0.5 * h, t + h)
-        points = [v]
-        for offset, s in zip((0.5 * h, 0.5 * h, h), times):
-            points.append(v + offset * np.asarray(value_fn(points[-1], s), slab.dtype))
-        d1, d2, d3, d4 = (dv_fn(q, s) for q, s in zip(points, times))
-        d2 = d2 * (1.0 + 0.5 * h * d1)
-        d3 = d3 * (1.0 + 0.5 * h * d2)
-        d4 = d4 * (1.0 + h * d3)
-        dx = dx * (1.0 + (h / 6.0) * (d1 + 2.0 * d2 + 2.0 * d3 + d4))
-    return dx
+def _variational_tangent(value_fn, dv_fn, x, cfg):
+    """dv(1)/dx of `integrate`'s solve from x, exactly. RK4 commutes with
+    linearization: RK4 on the pair u = (v, w) with slope (g, dg/dv * w) carries
+    w(0) to w(0) * dv(1)/dx. The pair is a trailing axis, so a `DivergenceError`
+    names x's rows (a 0-d x is one). The guard box sees w too, so w(0) = 2^-40
+    lets tangents up to GUARD * 2^40 pass; w is linear, so scaling back is exact."""
+    def slope(u, t, out):
+        k = out[0] if out else np.empty_like(u)
+        k[..., 0] = value_fn(u[..., 0], t)
+        k[..., 1] = dv_fn(u[..., 0], t) * u[..., 1]
+        return k
+
+    rows = np.atleast_1d(x)
+    pair = np.stack((rows, np.full(rows.shape, 2.0 ** -40)), axis=-1)
+    w = integrate(slope, None, pair, cfg, want_log_deriv=False)[0][..., 1]
+    return np.reshape(w, np.shape(x)) * 2.0 ** 40
 
 
 def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet) -> VjpResult:
@@ -479,9 +472,10 @@ def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet) -> VjpRes
     Differentiates the discretized computation exactly (the gradient of
     what `forward` actually evaluates, not of the continuous limit) and
     contracts with the given cotangents. Built-in families go through the
-    discrete adjoint `_adjoint`. For custom integrands d/dx is the tangent
-    recursion over the rebuilt stage points, the parameter slots come back as
-    zeros, and a nonzero `cot_logdet` raises: it would need d2g/dv2.
+    discrete adjoint `_adjoint`. For custom integrands d/dx comes from one
+    solve of the variational equation beside the map (`_variational_tangent`),
+    the parameter slots come back as zeros, and a nonzero `cot_logdet` raises:
+    it would need d2g/dv2.
     Returns d/dx and d/d(a, b, c).
     """
     if cfg.direction != "forward":
@@ -490,13 +484,13 @@ def forward_vjp(g: Integrand, cfg: SolverConfig, x, cot_y, cot_logdet) -> VjpRes
     cot_y = np.broadcast_to(np.asarray(cot_y, dtype=float), arr.shape)
     cot_logdet = np.broadcast_to(np.asarray(cot_logdet, dtype=float), arr.shape)
     value_fn, dv_fn = _integrand_slope(g, False)
-    _, _, slab = integrate(value_fn, dv_fn, arr, cfg, want_log_deriv=False,
-                           keep_trajectory=True)
     if g.family == "custom":
         if np.any(cot_logdet != 0.0):
             raise ValueError("forward_vjp of a custom integrand takes cot_logdet = 0 only")
-        dx, dparams = cot_y * _tangent(value_fn, dv_fn, cfg, slab), (0.0, 0.0, 0.0)
+        dx, dparams = cot_y * _variational_tangent(value_fn, dv_fn, arr, cfg), (0.0, 0.0, 0.0)
     else:
+        _, _, slab = integrate(value_fn, dv_fn, arr, cfg, want_log_deriv=False,
+                               keep_trajectory=True)
         dx, *dp, _ = _adjoint(g.family, g.params(), cfg, slab, cot_y, cot_logdet)
         dparams = tuple(float(np.sum(p)) for p in dp)
     return VjpResult(dx=_as_output(dx, scalar), dparams=dparams)

@@ -213,13 +213,15 @@ def test_exit_codes(capsys):
             json.dump(doc, fh)
         assert run_cli("sample", "--checkpoint", ck, "--out", os.path.join(td, "d")) == 4
         # malformed checkpoints: a missing key, an activation other than tanh, a
-        # scheme other than rk4, or a value that is not of its key's JSON type;
-        # the message names the file and, after it, the words listed
+        # scheme other than rk4, a family that is not built in, or a value that is
+        # not of its key's JSON type; the message names the file and, after it,
+        # the words listed
         for spoil, words in (
                 (lambda d: d.pop("dim"), ()), (lambda d: d["layers"][0].pop("kind"), ()),
                 (lambda d: d["layers"][0]["conditioner"].update(activation="relu"), ()),
                 (lambda d: d["layers"][0]["solver"].update(scheme="euler"),
                  ("(layer 0)", "'euler'")),
+                (lambda d: d["layers"][0].update(family="custom"), ("(layer 0)", "'custom'")),
                 (lambda d: d["layers"][0].update(transform_upper="false"),
                  ("(layer 0)", "'transform_upper'")),
                 (lambda d: d["layers"][0]["solver"].update(steps=16.9), ("(layer 0)", "'steps'")),

@@ -524,6 +524,15 @@ def test_layer_validation():
         FlowModel(3, [PermutationLayer(2, np.array([1, 0]))])
 
 
+def test_build_flow_refuses_an_unknown_family():
+    # a layer checks its family when it is built, not at its first solve; a
+    # custom integrand has no (a, b, c) for a conditioner to supply
+    for kind in ("coupling", "autoregressive"):
+        for family in ("nope", "custom"):
+            with pytest.raises(ValueError, match=f"unknown integrand family '{family}'"):
+                build_flow(2, n_layers=1, kind=kind, family=family, hidden_dims=(4,))
+
+
 def test_build_flow_alternates_and_permutes():
     model = build_flow(4, n_layers=3, kind="coupling", hidden_dims=(4,), seed=0)
     kinds = [type(l).__name__ for l in model.layers]

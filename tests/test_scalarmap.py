@@ -12,7 +12,7 @@ from conftest import FAMILIES, draw_stable_cases
 from timeflow import integrands, scalarmap
 from timeflow.integrands import _logistic, family_functions, family_phi
 from timeflow.inversion import _map_only, refine_lanes
-from timeflow.scalarmap import _adjoint, _tangent, family_slope, integrate
+from timeflow.scalarmap import _adjoint, _variational_tangent, family_slope, integrate
 from timeflow import (
     DivergenceError,
     Integrand,
@@ -128,6 +128,15 @@ def test_forward_divergence_raises_with_indices():
         forward(g, RK4_16, x)
     assert err.value.indices == [1, 3]
     assert "rows [1, 3]" in str(err.value)
+    # a custom integrand's forward_vjp solves the pair (v, dv/dx) on a trailing
+    # axis, and names the same rows at the same time
+    custom = Integrand.custom(*g.functions())
+    for lanes in (np.array([0.1, 50.0, 0.2]), x):
+        with pytest.raises(DivergenceError) as want:
+            forward(g, RK4_16, lanes)
+        with pytest.raises(DivergenceError) as err:
+            forward_vjp(custom, RK4_16, lanes, 1.0, 0.0)
+        assert str(err.value) == str(want.value) and err.value.indices == want.value.indices
 
 
 def test_forward_divergence_nan_mode():
@@ -328,8 +337,10 @@ def test_adjoint_matches_complex_step_at_trained_shapes(family, scheme, directio
 @pytest.mark.parametrize("direction", ["forward", "reverse"])
 def test_adjoint_step_factor_is_tau(family, scheme, direction, rng):
     # with cot_l = 0 and cot_y = 1 the sweep multiplies the step factors A_k
-    # alone, so dx is `_tangent`'s product of the tangent factors tau_k, each
-    # over the stage points that it rebuilds from the same slab
+    # alone, so dx is the product of the tangent factors tau_k over the stage
+    # points it rebuilds from the slab; the reference reads no slab: it is
+    # dv(1)/dx from one solve of the variational equation w' = (dg/dv)*w
+    # beside the map, which RK4 carries through the same steps
     cfg = _config_or_refusal(scheme, steps=16, direction=direction)
     if cfg is None:
         return
@@ -339,7 +350,8 @@ def test_adjoint_step_factor_is_tau(family, scheme, direction, rng):
     _, _, slab = integrate(family_slope(value, *params, False), None, x, cfg,
                            want_log_deriv=False, keep_trajectory=True)
     dx = _adjoint(family, params, cfg, slab, np.ones(x.shape), np.zeros(x.shape))[0]
-    tau = _tangent(lambda v, t: value(*params, v, t), lambda v, t: dv(*params, v, t), cfg, slab)
+    tau = _variational_tangent(lambda v, t: value(*params, v, t),
+                               lambda v, t: dv(*params, v, t), x, cfg)
     np.testing.assert_allclose(dx, tau, rtol=1e-12)
 
 
@@ -735,6 +747,10 @@ def test_adjoint_sigmoid_runs_guarded(scheme, rng):
     cfg = SolverConfig(scheme=scheme, steps=8, direction="reverse")
     x = np.array([[-800.0, -712.0, 0.3], [-5000.0, 2.0, -0.5]])
     params = [rng.uniform(-0.6, 0.6, x.shape) for _ in range(3)]
+    # 50 rows of unsaturated lanes, on which the roundings of two dg/dv
+    # formulas, such as a + (c*s)*(1 - s) and c*(s*(1 - s)) + a, tell apart
+    x = np.concatenate([x, rng.uniform(-2.0, 2.0, (50, 3))])
+    params = [np.concatenate([p, rng.uniform(-0.6, 0.6, (50, 3))]) for p in params]
     cot_y, cot_l = rng.standard_normal((2, *x.shape))
     _, _, slab = integrate(family_slope(family_functions("sigmoid_affine")[0], *params, True),
                            None, x, cfg, keep_trajectory=True)
@@ -931,6 +947,19 @@ def test_vjp_custom_family_gives_dx_only():
     # the log-derivative's cotangent would need d2g/dv2, which a custom integrand lacks
     with pytest.raises(ValueError):
         forward_vjp(g, RK4_16, x, np.ones(3), 1.0)
+
+
+def test_large_tangent_is_not_a_divergence():
+    # g = 20*v from x = 1e-3: v(1) stays inside the guard box, while dv(1)/dx,
+    # RK4's step factor to the n-th power, is above GUARD; the variational
+    # solve's w lanes start at 2^-40, so the guard sees them inside the box too
+    g = Integrand.custom(lambda v, t: 20.0 * v, lambda v, t: 20.0 + 0.0 * v)
+    for n in (16, 64):
+        cfg = SolverConfig(steps=n)
+        z = 20.0 / n
+        want = (1.0 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) ** n
+        assert forward(g, cfg, 1e-3).y < scalarmap.GUARD < want
+        assert forward_vjp(g, cfg, 1e-3, 1.0, 0.0).dx == pytest.approx(want, rel=1e-13)
 
 
 # --- module invariants -------------------------------------------------------
