@@ -10,8 +10,8 @@ the discrete adjoint of each solve (`scalarmap._adjoint`, which rebuilds the
 stage points from the slab), and sums the log-dets that the adjoints return.
 
 Records are write-once; a fresh list is built per differentiated call.
-The adjoints' scratch arrays live in one dict that `backward` makes per
-call and drops when it returns, so there is no shared state across calls.
+Each adjoint allocates its own workspace and frees it when it returns, so
+there is no shared state across solves or calls.
 """
 
 from __future__ import annotations
@@ -41,13 +41,11 @@ def backward(records, x_bar, l_bar):
     `l_bar`, shape (n,), that of every layer's log-determinant. Returns
     the cotangent of the first layer's input, the parameter gradients in
     reverse record order (model order for the inverse path) and the layers'
-    summed log-dets (None without records). Every layer's `vjp` gets the
-    same `work` dict, so the adjoints' stacked temporaries are allocated
-    once per call, not once per solve.
+    summed log-dets (None without records).
     """
-    grads, logdets, work = [], [], {}
+    grads, logdets = [], []
     for rec in reversed(records):
-        x_bar, g, logdet = rec.layer.vjp(rec.cache, x_bar, l_bar, work)
+        x_bar, g, logdet = rec.layer.vjp(rec.cache, x_bar, l_bar)
         grads.extend(g)
         logdets.insert(0, logdet)  # summed in the order the layers ran, as the forward does
     return x_bar, grads, sum(logdets[1:], logdets[0]) if logdets else None

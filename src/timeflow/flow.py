@@ -73,7 +73,7 @@ def _base_log_density(x):
 #                                 lanes per row (0 for a permutation);
 #   forward(x, divergence, want_log_deriv) -> (y, logdet);
 #   inverse(y, refine, divergence, want_log_deriv, cache=None) -> (x, logdet);
-#   vjp(cache, x_bar, l_bar, work) -> (y_bar, param grads, logdet) of that inverse;
+#   vjp(cache, x_bar, l_bar) -> (y_bar, param grads, logdet) of that inverse;
 #   to_json() and the classmethod from_json(dim, obj) for checkpoints.
 # A layer always computes with the arrays its params() returns. x and y are
 # (n, D) batches; divergence is 'raise' or 'nan', applied at the fixed guard
@@ -87,9 +87,8 @@ def _base_log_density(x):
 # points (an autoregressive layer keeps its last pass's activations only, in
 # its last entry). vjp takes the cotangents of x and of logdet, supports the
 # unrefined inverse only, and returns the logdet too, from the adjoints, so a
-# differentiated inverse runs value-only. `work` is the dict of scratch arrays
-# that `autodiff.backward` makes once per call and hands to every layer, so
-# the discrete adjoints of all the layers' solves share the same memory.
+# differentiated inverse runs value-only. Each solve's discrete adjoint
+# allocates its own workspace and frees it on return.
 
 
 @dataclass
@@ -150,11 +149,11 @@ class CouplingLayer:
             cache.append((acts, (a, b, c), slab))
         return self._join(kept, out), logdet
 
-    def vjp(self, cache, x_bar, l_bar, work):
+    def vjp(self, cache, x_bar, l_bar):
         [(acts, abc, slab)] = cache
         kept_bar, out_bar = self._halves(x_bar)
         moved_bar, *abc_bar, l = _adjoint(self.family, abc, self.solver.reversed(), slab,
-                                          out_bar, l_bar[:, None], work)
+                                          out_bar, l_bar[:, None])
         dkept, grads = net_backward(self.conditioner, acts, _interleave(abc_bar))
         return self._join(kept_bar + dkept, moved_bar), grads, np.sum(l, axis=1)
 
@@ -222,7 +221,7 @@ class AutoregressiveLayer:
                 logdet = contrib if logdet is None else logdet + contrib
         return x, logdet
 
-    def vjp(self, cache, x_bar, l_bar, work):
+    def vjp(self, cache, x_bar, l_bar):
         """Walk the coordinates in reverse order: a coordinate's cotangent is
         complete once every later coordinate's triple has added to it. The
         triple of coordinate k reads coordinates 0..k-1 only, final from pass
@@ -239,7 +238,7 @@ class AutoregressiveLayer:
         for k in range(self.dim - 1, -1, -1):
             _, abc, slab = cache[k]
             y_bar[:, k:k + 1], *abc_bar, l = _adjoint(self.family, abc, cfg, slab,
-                                                      x_bar[:, k:k + 1], l_bar[:, None], work)
+                                                      x_bar[:, k:k + 1], l_bar[:, None])
             slots = slice(3 * k, 3 * k + 3)
             theta_bar[:, slots] = triple_bar = _interleave(abc_bar)
             if k:  # coordinate 0's triple reads nothing
@@ -292,7 +291,7 @@ class PermutationLayer:
     def inverse(self, y, refine, divergence, want_log_deriv, cache=None):
         return y[:, np.argsort(self.perm)], np.zeros(y.shape[0])
 
-    def vjp(self, cache, x_bar, l_bar, work):
+    def vjp(self, cache, x_bar, l_bar):
         return x_bar[:, self.perm], [], np.zeros(x_bar.shape[0])
 
     def to_json(self):

@@ -52,7 +52,7 @@ _DAMPING_FLOOR = 1.0 / 16.0  # the fixed-point damping factor is never halved be
 
 @dataclass(frozen=True)
 class RefineConfig:
-    """How to polish an inverse: method, residual tolerance, fixed-point pass cap."""
+    """How to polish an inverse: method, residual tolerance, fixed-point pass cap (1..200)."""
 
     method: str = "fixed_point"
     tolerance: float = 1e-10
@@ -63,8 +63,9 @@ class RefineConfig:
             raise ValueError(f"unknown refinement method {self.method!r}")
         if self.tolerance <= 0:
             raise ValueError("tolerance must be > 0")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not 1 <= self.max_iterations <= _HARD_CAP:
+            raise ValueError(f"max_iterations must be in 1..{_HARD_CAP}, not "
+                             f"{self.max_iterations!r}")
 
 
 def _map_only(g, cfg):
@@ -173,7 +174,7 @@ def _fixed_point(q, y, x0, rc):
     converged = finite & (np.abs(r) <= rc.tolerance)
     active = ~converged
     while active.any():
-        over = steps >= min(rc.max_iterations, _HARD_CAP)
+        over = steps >= rc.max_iterations
         active &= ~over
         if not active.any():
             break

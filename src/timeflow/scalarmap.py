@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
-from math import prod
 from typing import Optional
 
 import numpy as np
@@ -74,6 +73,8 @@ class SolverConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}; the one scheme is 'rk4'")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
+        if isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer)):
+            raise ValueError(f"steps must be an integer, not {self.steps!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
 
@@ -328,18 +329,7 @@ def inverse(g: Integrand, cfg: SolverConfig, y, refine=None) -> RootResult:
     return _invert(g, cfg.reversed(), arr, x0, refine)
 
 
-def _scratch(work, name, shape, dtype):
-    """An array of `shape` on the flat buffer that `work` keeps under (name,
-    dtype), made on first use and grown to the largest request: its
-    contiguous prefix, so solves of different widths share one buffer."""
-    key, size = (name, dtype), prod(shape)
-    if key not in work or work[key].size < size:
-        work.pop(key, None)  # free the smaller buffer before making its successor
-        work[key] = np.empty(size, dtype)
-    return work[key][:size].reshape(shape)
-
-
-def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
+def _adjoint(family, params, cfg, slab, cot_y, cot_l):
     """Reverse sweep of the solver steps over the stage points it rebuilds.
 
     The discrete adjoint of `integrate` for g = a*v + b + c*phi(v): given the
@@ -365,14 +355,12 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     alpha, beta, A and B come from stacked ops over all steps; only ybar <-
     A_k*ybar + B_k runs step by step, and kbar is assembled after it. The
     stacked arrays are stage-major, (4, steps, *shape): the rebuilt points
-    and six more, seven workspace arrays from `work`, plus the cotangent of
-    each stage's dg/dv, which is the same at every step, (4, 1, *shape).
-    `work` is a dict that `_scratch` fills, which a caller may share among
-    adjoints of any shape, since each array is a prefix of one flat buffer
-    per name and dtype, sized for the largest. The slab is read, never
-    written, and nothing returned lives in `work`. The step form does more
-    elementwise work than a chain over the stage points would, for far
-    fewer numpy calls per step.
+    and six more, the rows of one (7, 4, steps, *shape) block that each call
+    allocates, plus the cotangent of each stage's dg/dv, which is the same at
+    every step, (4, 1, *shape); both are freed on return, and nothing
+    returned lives in them. The slab is read, never written. The step form
+    does more elementwise work than a chain over the stage points would, for
+    far fewer numpy calls per step.
     """
     phi, dphi, d2phi = family_phi(family)
     a, b, c = params
@@ -386,16 +374,13 @@ def _adjoint(family, params, cfg, slab, cot_y, cot_l, work=None):
     lanes = np.broadcast(slab[0], a, c, cot_y, cot_l).shape
     w = np.reshape(weights, (4, 1) + (1,) * len(lanes))
     dtype = np.result_type(slab, a, c, cot_y, cot_l)
-    work = {} if work is None else work
-    # Every stacked temporary is a workspace array that each ufunc writes into,
+    # Every stacked temporary is a row of one block that each ufunc writes into,
     # on the operands of the plain expression in its order, so every bit is
-    # that of allocating arithmetic. A fresh (stages, n, k) array is a large
-    # heap block; freeing many per call makes malloc return pages to the
-    # system and fault them in again on the next call.
-    points, p, dp, jac, through_jac, kbar, spare = (
-        _scratch(work, name, (4, n) + lanes, dtype)
-        for name in ("points", "phi", "dphi", "jac", "through_jac", "kbar", "abar"))
-    jbar = _scratch(work, "jbar", (4, 1) + lanes, dtype)
+    # that of allocating arithmetic. One block per call, not a fresh array per
+    # temporary: freeing many large blocks per call makes malloc return pages
+    # to the system and fault them in again on the next call.
+    points, p, dp, jac, through_jac, kbar, spare = np.empty((7, 4, n) + lanes, dtype)
+    jbar = np.empty((4, 1) + lanes, dtype)
     np.copyto(points[0], slab[:n])  # points[i, k]: stage point i + 1 of step k
     # the solver's overflows recur, and the sigmoid's exp(-v) may overflow to inf
     with np.errstate(over="ignore", invalid="ignore"):
@@ -452,8 +437,9 @@ def _variational_tangent(value_fn, dv_fn, x, cfg):
     """dv(1)/dx of `integrate`'s solve from x, exactly. RK4 commutes with
     linearization: RK4 on the pair u = (v, w) with slope (g, dg/dv * w) carries
     w(0) to w(0) * dv(1)/dx. The pair is a trailing axis, so a `DivergenceError`
-    names x's rows (a 0-d x is one). The guard box sees w too, so w(0) = 2^-40
-    lets tangents up to GUARD * 2^40 pass; w is linear, so scaling back is exact."""
+    names x's rows; a 0-d x solves as one row, and its error names none, as
+    `forward`'s does. The guard box sees w too, so w(0) = 2^-40 lets tangents
+    up to GUARD * 2^40 pass; w is linear, so scaling back is exact."""
     def slope(u, t, out):
         k = out[0] if out else np.empty_like(u)
         k[..., 0] = value_fn(u[..., 0], t)
@@ -462,7 +448,12 @@ def _variational_tangent(value_fn, dv_fn, x, cfg):
 
     rows = np.atleast_1d(x)
     pair = np.stack((rows, np.full(rows.shape, 2.0 ** -40)), axis=-1)
-    w = integrate(slope, None, pair, cfg, want_log_deriv=False)[0][..., 1]
+    try:
+        w = integrate(slope, None, pair, cfg, want_log_deriv=False)[0][..., 1]
+    except DivergenceError as err:
+        if np.ndim(x):
+            raise
+        raise DivergenceError(str(err).removesuffix(f" (rows {err.indices})")) from None
     return np.reshape(w, np.shape(x)) * 2.0 ** 40
 
 

@@ -10,14 +10,14 @@ holds, so `train` writes every Adam update back with
 `FlowModel.set_parameters`. `autodiff.backward`
 walks the records in reverse through each layer's hand-written `vjp`, whose
 solves go through the discrete adjoint (`scalarmap._adjoint`); the adjoints
-also return the log-dets, bitwise those `log_density` accumulates, and their
-stacked temporaries come from one scratch dict per `backward` call.
+also return the log-dets, bitwise those `log_density` accumulates.
 
 Memory: a step of n rows keeps each solve's slab, 8 B * (steps+1)*n*k for
-width k, and the adjoints' seven (4, steps) workspace arrays and one (4, 1)
-array, sized for the widest solve, so 8 B * n*((steps+1)*sum k +
-28*steps*k_max + 4*k_max) for every flow, plus the activations and
-gradients, which do not grow with `steps`.
+width k. Each adjoint allocates one block of seven (4, steps) arrays and one
+(4, 1) array and frees both on return, so one block is live at a time and
+the widest solve's sets the peak: 8 B * n*((steps+1)*sum k + 28*steps*k_max
++ 4*k_max) for every flow, plus the activations and gradients, which do
+not grow with `steps`.
 
 The loop is single-threaded over batches; within a batch all examples
 are vector lanes, so gradient accumulation is bitwise deterministic.

@@ -1,5 +1,6 @@
-"""The names that the README and the package's docstrings and comments cite in
-backticks must still exist: a private `_name`, a `module.name` of the package
+"""The names that the README and the docstrings and comments of the package,
+the tests and the demos cite in backticks must still exist: a private name
+(one with a leading underscore), a `module.name` of the package
 (`timeflow.module.name` too) and a `Class.attribute` of one of its classes."""
 
 import ast
@@ -10,6 +11,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "timeflow"
+SOURCES = [path for folder in (SRC, ROOT / "tests", ROOT / "demos")
+           for path in sorted(folder.glob("*.py"))]
 # an identifier or dotted name between single or double backticks, nothing else
 TOKEN = re.compile(r"(?<!`)``?([A-Za-z_][\w.]*\w)``?(?!`)")
 
@@ -31,9 +34,9 @@ def _bound(body):
 
 def _definitions():
     """(module -> its top-level names, class -> its body's names, every name
-    bound in any body) over the package and the tests."""
+    bound in any body) over the package, the tests and the demos."""
     modules, classes, everywhere = {}, {}, set()
-    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "tests").glob("*.py")):
+    for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for node in ast.walk(tree):
             if isinstance(getattr(node, "body", None), list):
@@ -46,16 +49,16 @@ def _definitions():
 
 
 def _doc_texts():
-    """(file, text) for the README and for each module's docstrings and comments."""
+    """(file, text) for the README and for each source file's docstrings and comments."""
     yield "README.md", (ROOT / "README.md").read_text(encoding="utf-8")
-    for path in sorted(SRC.glob("*.py")):
+    for path in SOURCES:
         source = path.read_text(encoding="utf-8")
         docs = [ast.get_docstring(node, clean=False) or "" for node in ast.walk(ast.parse(source))
                 if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                                      ast.AsyncFunctionDef))]
         comments = [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
                     if tok.type == tokenize.COMMENT]
-        yield path.name, "\n".join(docs + comments)
+        yield str(path.relative_to(ROOT)), "\n".join(docs + comments)
 
 
 def _resolves(name, modules, classes, everywhere):

@@ -36,6 +36,12 @@ def test_refine_config_validation():
         RefineConfig(method="reverse_only")
     with pytest.raises(ValueError):
         RefineConfig(tolerance=0.0)
+    # no refinement loop runs more than 200 passes, so a larger cap would be
+    # silently cut to 200
+    for n in (0, 201, 500):
+        with pytest.raises(ValueError, match=f"1..200, not {n}"):
+            RefineConfig(max_iterations=n)
+    assert RefineConfig(max_iterations=200).max_iterations == 200
 
 
 def test_bisection_identity_step_formula():

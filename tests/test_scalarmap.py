@@ -3,7 +3,9 @@
 import copy
 import dataclasses
 import math
+import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,9 +131,9 @@ def test_forward_divergence_raises_with_indices():
     assert err.value.indices == [1, 3]
     assert "rows [1, 3]" in str(err.value)
     # a custom integrand's forward_vjp solves the pair (v, dv/dx) on a trailing
-    # axis, and names the same rows at the same time
+    # axis, and names the same rows at the same time; a 0-d x names none
     custom = Integrand.custom(*g.functions())
-    for lanes in (np.array([0.1, 50.0, 0.2]), x):
+    for lanes in (np.array([0.1, 50.0, 0.2]), x, np.asarray(50.0)):
         with pytest.raises(DivergenceError) as want:
             forward(g, RK4_16, lanes)
         with pytest.raises(DivergenceError) as err:
@@ -149,6 +151,10 @@ def test_forward_divergence_nan_mode():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(steps=0)
+    for steps in (8.0, True, np.float64(8.0), "8"):  # a float would fail at the first solve
+        with pytest.raises(ValueError, match=re.escape(f"integer, not {steps!r}")):
+            SolverConfig(steps=steps)
+    assert SolverConfig(steps=np.int64(8)).steps == 8
     for scheme in ("rk5", "euler"):  # RK4 is the one scheme
         with pytest.raises(ValueError, match=f"'{scheme}'"):
             SolverConfig(scheme=scheme)
@@ -279,7 +285,6 @@ def test_adjoint_matches_complex_step(family, scheme, direction, rng):
     x0 = rng.uniform(-1.0, 1.0, (6, 3))
     cot_y, cot_l = rng.standard_normal((2, 6, 3))
     step = 1e-30
-    work = {}  # both widths' adjoints take the same (stages, 6, 3) workspace arrays
     for width in (3, 1):  # (n, k) parameters, and (n, 1) ones shared by a row's lanes
         params = [rng.uniform(-0.6, 0.6, (6, width)) for _ in range(3)]
 
@@ -290,7 +295,7 @@ def test_adjoint_matches_complex_step(family, scheme, direction, rng):
 
         _, _, slab = integrate(family_slope(family_functions(family)[0], *params, True), None,
                                x0, cfg, keep_trajectory=True)
-        got = _adjoint(family, params, cfg, slab, cot_y, cot_l, work)
+        got = _adjoint(family, params, cfg, slab, cot_y, cot_l)
         inputs = [x0, *params]
         for i, (g, p) in enumerate(zip(got, inputs)):
             shifted = list(inputs)
@@ -682,12 +687,11 @@ def test_complex_b_promotes_through_the_buffers(family, scheme, rng):
                                rtol=1e-9, atol=1e-12)
     # the adjoint of the complex solve reads a complex slab, so its workspace
     # must be complex too: a float64 one would drop the imaginary parts
-    work = {}
     _, _, slab = integrate(family_slope(value, a, bc, c, True), None, x, cfg,
                            keep_trajectory=True)
-    cplx = _adjoint(family, (a, bc, c), cfg, slab, cot_y, cot_l, work)
+    cplx = _adjoint(family, (a, bc, c), cfg, slab, cot_y, cot_l)
     assert slab.dtype == complex
-    assert work and all(arr.dtype == complex for arr in work.values())
+    assert all(out.dtype == complex and np.all(out.imag != 0.0) for out in cplx)
     for got, want in zip(cplx, real):
         np.testing.assert_allclose(got.real, want, rtol=1e-12, atol=1e-15)
 
@@ -791,12 +795,22 @@ def test_stage_slab_rows_are_the_guarded_step_ends():
 
 
 def _adjoint_points(family, params, cfg, slab):
-    """The stage points that `_adjoint` rebuilds from `slab`, read back from
-    its workspace, (4, steps, ...)."""
-    work, lanes = {}, slab.shape[1:]
-    with np.errstate(all="ignore"):  # past the guard box the sweep may overflow
-        _adjoint(family, params, cfg, slab, np.ones(lanes), np.ones(lanes), work)
-    return scalarmap._scratch(work, "points", (4, cfg.steps) + lanes, slab.dtype)
+    """The stage points that `_adjoint` rebuilds from `slab`, (4, steps, ...):
+    the v of its four slope calls, one per stage point, copied by a spy on
+    `scalarmap.family_functions`."""
+    value, dv = family_functions(family)
+    seen = []
+
+    def spy(a, b, c, v, t, out=None, with_dv=False):
+        seen.append(v.copy())
+        return value(a, b, c, v, t, out, with_dv=with_dv)
+
+    lanes = slab.shape[1:]
+    with mock.patch.object(scalarmap, "family_functions", lambda family: (spy, dv)), \
+            np.errstate(all="ignore"):  # past the guard box the sweep may overflow
+        _adjoint(family, params, cfg, slab, np.ones(lanes), np.ones(lanes))
+    assert len(seen) == 4
+    return np.stack(seen)
 
 
 def _assert_same_bits_or_both_nan(got, want):

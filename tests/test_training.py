@@ -383,14 +383,14 @@ def test_non_finite_log_det_aborts_the_batch_naming_its_rows():
 
 
 FAULT_PROBE = textwrap.dedent("""
-    import resource
+    import ast, resource, sys
     import numpy as np
     from timeflow import SolverConfig, build_flow, nll_and_grad
 
-    # the ar-8d benchmark architecture
-    model = build_flow(8, n_layers=4, kind="autoregressive", family="sigmoid_affine",
-                       hidden_dims=(32,), solver=SolverConfig(steps=16), seed=1)
-    batch = np.random.default_rng(0).standard_normal((256, 8))
+    kind, family, dim, hidden, rows = ast.literal_eval(sys.argv[1])
+    model = build_flow(dim, n_layers=4, kind=kind, family=family, hidden_dims=hidden,
+                       solver=SolverConfig(steps=16), seed=1)
+    batch = np.random.default_rng(0).standard_normal((rows, dim))
     for _ in range(3):
         nll_and_grad(model, batch)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -401,39 +401,48 @@ FAULT_PROBE = textwrap.dedent("""
 
 
 def test_training_step_reuses_memory_pages():
-    """With batch 256 and 16 RK4 steps every solve's stacked stage arrays are
-    (64, 256, 1), 128 KiB, malloc's mmap threshold. Stacking the stage points
-    and allocating the adjoint's temporaries afresh in each of the 32 solves
-    made malloc hand the pages back and fault them in again, about 6,600
-    minor faults per call; one slab per solve and one workspace per call
-    leave far fewer. The count depends on the heap's layout, which the
-    checkout path alone moves: with value-only training solves and one
-    activation set per autoregressive layer, five paths read 260-990 per
-    call, where the same paths read 560-1,000 with log-dets in the solves."""
+    """Minor page faults per `nll_and_grad` call, after three warm-up calls.
+
+    ar-8d, the benchmark architecture: with batch 256 and 16 RK4 steps every
+    solve's stacked stage arrays are (64, 256, 1), 128 KiB, malloc's mmap
+    threshold. Stacking the stage points and allocating the adjoint's
+    temporaries afresh in each of the 32 solves made malloc hand the pages
+    back and fault them in again, about 6,600 minor faults per call; one
+    slab per solve and one workspace block per adjoint leave far fewer. The
+    count depends on the heap's layout, which the checkout path alone moves:
+    two paths read 1.6 and 722 per call.
+
+    Coupling, D = 16: each adjoint's block is (7, 4, 16, 256, 8), 7 MiB, and
+    once malloc's threshold has risen past it, the block comes from the heap
+    and its pages stay mapped from call to call, about 0 faults per call. A
+    dict of workspace buffers that lived for one backward pass took about
+    2,300, since its freed buffers were returned to the system."""
     pytest.importorskip("resource")
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
-                          text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert float(proc.stdout) < 2500
+    for shape, bound in [(("autoregressive", "sigmoid_affine", 8, (32,), 256), 2500),
+                         (("coupling", "sigmoid_affine", 16, (64,), 256), 500)]:
+        proc = subprocess.run([sys.executable, "-c", FAULT_PROBE, repr(shape)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) < bound, shape
 
 
 @pytest.mark.parametrize("kind,family,dim,hidden,rows,solved,widest", [
     ("coupling", "quadratic", 2, (24,), 128, 4, 1),  # four (n, 1) solves
     ("autoregressive", "sigmoid_affine", 8, (32,), 256, 32, 1),  # 4 layers x 8 (n, 1) solves
-    ("coupling", "quadratic", 3, (24,), 128, 6, 2),  # widths 2, 1, 2, 1 share one workspace
+    ("coupling", "quadratic", 3, (24,), 128, 6, 2),  # widths 2, 1, 2, 1: the widest sets it
 ], ids=["fit-2d", "ar-8d", "coupling-3d"])
 def test_training_memory_follows_the_stated_formula(kind, family, dim, hidden, rows, solved,
                                                     widest):
     """A training step keeps every solve's trajectory slab, 8 B * (steps+1)*n*k
-    for a solve of width k, and the adjoints share seven (4, steps) workspace
-    arrays and one (4, 1) array sized for the widest solve: 8 B *
-    n*((steps+1)*sum k + 28*steps*k_max + 4*k_max) in all, linear in the step
-    count. The rest of the tracemalloc peak (activations, gradients) does not
-    grow with it. The peaks are taken on a second call at 16 and 32 steps,
+    for a solve of width k, and each adjoint allocates seven (4, steps)
+    workspace arrays and one (4, 1) array, freed on return, so the widest
+    solve's are the most live at once: 8 B * n*((steps+1)*sum k +
+    28*steps*k_max + 4*k_max) in all, linear in the step count. The rest of
+    the tracemalloc peak (activations, gradients) does not grow with it. The peaks are taken on a second call at 16 and 32 steps,
     where they repeat from call to call; at 8 steps fit-2d's moved by 2-4 KB."""
     def peak_and_formula(steps):
         model = build_flow(dim, n_layers=4, kind=kind, family=family, hidden_dims=hidden,
